@@ -168,7 +168,6 @@ ArmState MakeArm(int tenants, Arm arm) {
   options.cost_aware = true;
   options.num_devices = 1;
   options.num_shards = 1;  // the serving configuration next_latency sweeps
-  options.use_candidate_index = true;
 
   if (arm != Arm::kOff) {
     state.registry = std::make_unique<easeml::obs::Registry>();

@@ -22,11 +22,10 @@
 /// serializing under the engine lock. The driver fills all D device slots,
 /// hands the D completions back in a burst, and charges the burst's fold
 /// cost at its parallel critical path — the max over shard workers of the
-/// CLOCK_THREAD_CPUTIME_ID delta (the same protocol bench/scaling_shards
-/// uses; on this one-core container wall time cannot show the overlap, the
-/// per-worker CPU clocks can). `report_us_mean` is that critical path per
-/// completion: N=1 is the serialized engine (every fold on one worker);
-/// it should fall roughly with the shard count at fixed D.
+/// CLOCK_THREAD_CPUTIME_ID delta (on a one-core host wall time cannot show
+/// the overlap, the per-worker CPU clocks can). `report_us_mean` is that
+/// critical path per completion: N=1 is the serialized engine (every fold
+/// on one worker); it should fall roughly with the shard count at fixed D.
 ///
 /// Machine-readable rows for scripts/bench.sh:
 ///   NEXT_LATENCY,<tenants>,<engine>,<next_us_mean>,<report_us_mean>
@@ -139,7 +138,6 @@ TpCell RunReportThroughput(int tenants, int devices, int shards) {
   options.cost_aware = true;
   options.num_devices = devices;
   options.num_shards = shards;
-  options.use_candidate_index = true;
   // Build the sharded engine even at N=1: the serialized baseline must pay
   // the same queue machinery, so the column isolates the parallelism.
   auto created = easeml::shard::ShardedMultiTenantSelector::Create(options);
@@ -173,9 +171,9 @@ TpCell RunReportThroughput(int tenants, int devices, int shards) {
       batch.push_back(*a);
     }
     if (batch.empty()) break;
-    // Worker-CPU snapshot AFTER the Next() burst: the picks' routed
-    // SelectArm work must not be charged to the report pipeline.
-    // (ShardCpuSeconds drains the queues, so the baseline is quiescent.)
+    // Worker-CPU snapshot right before the Report() burst (ShardCpuSeconds
+    // drains the queues, so the baseline is quiescent). Next() runs wholly
+    // on the coordinator, so the delta below is the burst's folds alone.
     const std::vector<double> cpu0 = selector->ShardCpuSeconds();
     const double wall0 = WallSeconds();
     const double coord0 = ThreadCpuSeconds();

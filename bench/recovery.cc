@@ -79,7 +79,6 @@ SelectorOptions ServeOptions() {
   options.cost_aware = true;
   options.num_devices = 1;
   options.num_shards = 1;
-  options.use_candidate_index = true;
   return options;
 }
 

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Uniform perf-bench runner: executes the selector-scaling benchmarks —
 #   bench/scaling_tenants        (T x K sweep of the shared-prior engine)
-#   bench/scaling_shards         (N shards x T tenants scan critical path)
 #   bench/next_latency           (per-Next() cost: O(T) scan vs candidate
 #                                 index. Also emits the REPORT_TP rows:
 #                                 the shard-parallel report-throughput
@@ -45,8 +44,7 @@ cd "$(dirname "$0")/.."
 OUT="${1:-BENCH_pr10.json}"
 BUILD_DIR="${2:-build}"
 
-BENCHES=(scaling_tenants scaling_shards next_latency analytics_interference
-         recovery)
+BENCHES=(scaling_tenants next_latency analytics_interference recovery)
 
 for bench in "${BENCHES[@]}"; do
   if [[ ! -x "${BUILD_DIR}/bench/${bench}" ]]; then
@@ -217,8 +215,8 @@ def compiler():
 
 doc = {
     'benchmark': 'scripts/bench.sh: bench/scaling_tenants + '
-                 'bench/scaling_shards + bench/next_latency + '
-                 'bench/analytics_interference + bench/recovery',
+                 'bench/next_latency + bench/analytics_interference + '
+                 'bench/recovery',
     'description':
         'PR 10: durable selector (crash-safe WAL + checkpoints + recovery '
         'replay). bench/recovery measures what durability costs the '
@@ -244,7 +242,7 @@ doc = {
     'recorded': datetime.date.today().isoformat(),
     'command': './' + ' && ./'.join(
         build_dir + '/bench/' + b
-        for b in ('scaling_tenants', 'scaling_shards', 'next_latency',
+        for b in ('scaling_tenants', 'next_latency',
                   'analytics_interference', 'recovery')),
     'environment': {
         'compiler': compiler(),
@@ -328,7 +326,6 @@ doc = {
                       max(rec_time_cell(16000, 1)[3], 1e-9))),
     },
     'scaling_tenants': {'raw_rows': table_rows(read('scaling_tenants'))},
-    'scaling_shards': {'raw_rows': table_rows(read('scaling_shards'))},
     'analytics_interference': {
         'scheduler': 'greedy',
         'use_candidate_index': True,

@@ -221,19 +221,6 @@ Result<int> MultiTenantSelector::AddTenant(
   return id;
 }
 
-Result<int> MultiTenantSelector::AddTenant(gp::DiscreteArmGp belief,
-                                           std::vector<double> costs) {
-  if (options_.wal != nullptr) {
-    return Status::Unimplemented(
-        "AddTenant: the durable selector requires the shared-prior belief "
-        "representation (dense per-tenant beliefs are not serializable; "
-        "register via a SharedGpPrior)");
-  }
-  return AddTenantWithBelief(
-      std::make_unique<gp::DiscreteArmGp>(std::move(belief)),
-      std::move(costs));
-}
-
 namespace {
 
 /// Process-wide default-prior cache, one prior per (K, noise variance).
@@ -368,8 +355,8 @@ bool MultiTenantSelector::HasDispatchableWork() const {
 Result<int> MultiTenantSelector::PickTenant(int round) {
   if (index_ != nullptr) {
     // Index-backed pick: the init sweep and the any-work test are O(1)
-    // root reads (exact min/or merges — the same reductions the scans
-    // fold), then the policy answers from the tournament summaries.
+    // root reads (exact min/or merges — the same answers the scans below
+    // compute), then the policy answers from the tournament summaries.
     const int first_uninitialized = index_->MinUninitialized();
     if (first_uninitialized != scheduler::CandidateIndex::kNone) {
       return first_uninitialized;
@@ -397,26 +384,6 @@ Result<int> MultiTenantSelector::PickTenant(int round) {
   return scheduler_->PickUser(users_, round);
 }
 
-Result<int> MultiTenantSelector::SelectArmFor(int tenant) {
-  Result<int> arm = users_[tenant].SelectArm();
-  RefreshIndexEntry(tenant);  // in-flight mask changed: key is stale
-  NotifyTenantEvent(tenant);
-  return arm;
-}
-
-Status MultiTenantSelector::RecordOutcomeFor(int tenant, int model,
-                                             double reward) {
-  const Status status = users_[tenant].RecordOutcome(model, reward);
-  RefreshIndexEntry(tenant);  // belief, sigma~ and mask changed
-  return status;
-}
-
-Status MultiTenantSelector::CancelSelectionFor(int tenant, int model) {
-  const Status status = users_[tenant].CancelSelection(model);
-  RefreshIndexEntry(tenant);  // the arm became selectable again
-  return status;
-}
-
 Result<MultiTenantSelector::Assignment> MultiTenantSelector::Next() {
   EASEML_RETURN_NOT_OK(WalGuard());
   if (users_.empty()) {
@@ -439,7 +406,9 @@ Result<MultiTenantSelector::Assignment> MultiTenantSelector::Next() {
     return picked.status();
   }
   const int tenant = *picked;
-  Result<int> selected = SelectArmFor(tenant);
+  Result<int> selected = users_[tenant].SelectArm();
+  RefreshIndexEntry(tenant);  // in-flight mask changed: key is stale
+  NotifyTenantEvent(tenant);
   if (obs != nullptr) {
     const double t2 = ThreadCpuSeconds();
     obs->OnNext(selected.ok(), (t1 - t0) * 1e6, (t2 - t1) * 1e6);
@@ -518,7 +487,8 @@ void MultiTenantSelector::FoldReportedOutcome(const Assignment& issued,
                                               double accuracy) {
   const double before = users_[issued.tenant].best_reward();
   const Status folded =
-      RecordOutcomeFor(issued.tenant, issued.model, accuracy);
+      users_[issued.tenant].RecordOutcome(issued.model, accuracy);
+  RefreshIndexEntry(issued.tenant);  // belief, sigma~ and mask changed
   EASEML_CHECK(folded.ok()) << "Report: fold of validated ticket "
                             << issued.id
                             << " rejected: " << folded.ToString();
@@ -526,7 +496,7 @@ void MultiTenantSelector::FoldReportedOutcome(const Assignment& issued,
     best_model_[issued.tenant] = issued.model;
   }
   // After the best-model update, so the observation carries the incumbent
-  // this fold produced (RecordOutcomeFor already refreshed the index leaf).
+  // this fold produced (the index leaf is already refreshed).
   NotifyTenantEvent(issued.tenant);
 }
 
@@ -578,7 +548,9 @@ Result<MultiTenantSelector::Assignment> MultiTenantSelector::BeginCancel(
 }
 
 void MultiTenantSelector::FoldCancel(const Assignment& issued) {
-  const Status cancelled = CancelSelectionFor(issued.tenant, issued.model);
+  const Status cancelled =
+      users_[issued.tenant].CancelSelection(issued.model);
+  RefreshIndexEntry(issued.tenant);  // the arm became selectable again
   EASEML_CHECK(cancelled.ok()) << "Cancel: fold of validated ticket "
                                << issued.id
                                << " rejected: " << cancelled.ToString();

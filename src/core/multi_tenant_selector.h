@@ -12,7 +12,6 @@
 #include "core/durability_log.h"
 #include "core/durable_state.h"
 #include "core/selector_observer.h"
-#include "gp/gaussian_process.h"
 #include "gp/shared_prior_gp.h"
 #include "scheduler/candidate_index.h"
 #include "scheduler/scheduler_policy.h"
@@ -52,26 +51,28 @@ struct SelectorOptions {
   /// reproduces the sequential Next/Report protocol bit-identically.
   int num_devices = 1;
 
-  /// Number of selector shards for the parallel user-picking engine. 1
-  /// (the default) is the in-process sequential scan; values > 1 select
-  /// `shard::ShardedMultiTenantSelector` when the selector is built
-  /// through `shard::MakeSelector` — tenants are hash-partitioned across
-  /// that many worker threads and every `Next()` scan fans out over them,
-  /// reduced deterministically so the selection trace stays bit-identical
-  /// to the sequential engine. Plain `MultiTenantSelector::Create` ignores
-  /// the field (it IS the 1-shard engine).
+  /// Number of selector shards. 1 (the default) folds every report inline;
+  /// values > 1 select `shard::ShardedMultiTenantSelector` when the
+  /// selector is built through `shard::MakeSelector` — tenants are
+  /// hash-partitioned across that many worker threads, and each `Report` /
+  /// `Cancel` queues its belief fold on the owning shard's worker, so folds
+  /// for tenants on different shards run concurrently. Picks and arm
+  /// selections stay on the calling thread; the selection trace is
+  /// bit-identical to the 1-shard engine. Plain
+  /// `MultiTenantSelector::Create` ignores the field (it IS the 1-shard
+  /// engine).
   int num_shards = 1;
 
-  /// Serve `Next()` from the incremental candidate index instead of the
-  /// O(T) tenant scan: each engine shard keeps a monotone tournament tree
-  /// over its tenants' policy summaries (scheduler/candidate_index.h), a
-  /// tenant event replays one O(log T) leaf path, and a pick reads the
-  /// shard roots — bit-identical to the scan path by construction (the
-  /// index/scan conformance suite pins every policy, shard count and churn
-  /// pattern). Off by default: the scan needs no per-tenant key
-  /// maintenance on the report path, which a small-T deployment may
-  /// prefer; flip it on when T is large enough that Next() dominates.
-  bool use_candidate_index = false;
+  /// Serve `Next()` from the incremental candidate index (the default):
+  /// each engine shard keeps a monotone tournament tree over its tenants'
+  /// policy summaries (scheduler/candidate_index.h), a tenant event
+  /// replays one O(log T) leaf path, and a pick reads the shard roots.
+  /// `false` selects the reference pick instead — the scheduler policy's
+  /// O(T) `PickUser` scan, which needs no per-tenant key maintenance on
+  /// the report path. Both pick bit-identically (the index/scan
+  /// conformance and fuzz suites pin every policy, shard count and churn
+  /// pattern).
+  bool use_candidate_index = true;
 
   /// Observation seam (core/selector_observer.h), or nullptr for none. Not
   /// owned; must outlive the selector. When set, the engines publish a
@@ -90,9 +91,7 @@ struct SelectorOptions {
   /// write failure fail-stops the selector: the error is latched and every
   /// further mutation is refused, because in-memory state may be ahead of
   /// the log. When null (the default) every hook is one branch — same
-  /// zero-cost discipline as `observer`. The durable path requires the
-  /// shared-prior belief representation: `AddTenant(DiscreteArmGp, ...)`
-  /// is Unimplemented while a WAL is attached.
+  /// zero-cost discipline as `observer`.
   DurabilityLog* wal = nullptr;
 };
 
@@ -154,14 +153,16 @@ int DefaultPriorCacheSizeForTesting();
 /// ## Engine seams
 ///
 /// The class doubles as the base of the sharded engine
-/// (`shard::ShardedMultiTenantSelector`): the ticketed protocol above is
-/// final, while the protected virtuals below — how the next tenant is
-/// picked, where a tenant's arm selection / belief fold executes — are the
-/// points the sharded engine overrides to fan work out over its shard
-/// workers. `Create` ignores `num_shards`; build through
-/// `shard::MakeSelector` to honor it. The base engine is single-threaded
-/// (external synchronization required); the sharded override of every
-/// public method is thread-safe.
+/// (`shard::ShardedMultiTenantSelector`), which wraps every public method
+/// in its selector lock and runs `Report`/`Cancel` through the protected
+/// `Begin*`/`Fold*`/`FinishReport` phases below, shipping the fold to a
+/// shard worker. The pick and the arm selection always run here, on the
+/// calling (in the sharded engine: quiesced coordinator) thread. The only
+/// virtual hooks are `OnTenantAdded`/`OnTenantRemoved`, which keep the
+/// shard map and the index placement in step with churn. `Create` ignores
+/// `num_shards`; build through `shard::MakeSelector` to honor it. The base
+/// engine is single-threaded (external synchronization required); the
+/// sharded override of every public method is thread-safe.
 class MultiTenantSelector {
  public:
   /// A unit of work: train model `model` for tenant `tenant`. `id` is the
@@ -192,11 +193,6 @@ class MultiTenantSelector {
   /// it) with per-model costs (one positive cost per arm). Returns the
   /// tenant id.
   virtual Result<int> AddTenant(std::shared_ptr<const gp::SharedGpPrior> prior,
-                                std::vector<double> costs);
-
-  /// Registers a tenant with a private dense belief (O(K^2) state; kept for
-  /// callers that need a tenant-specific prior covariance).
-  virtual Result<int> AddTenant(gp::DiscreteArmGp belief,
                                 std::vector<double> costs);
 
   /// Registers a tenant with an uninformative independent prior
@@ -290,10 +286,10 @@ class MultiTenantSelector {
   /// Serializes the COMPLETE engine state (priors deduplicated by
   /// identity, per-tenant user + compact belief state, in-flight table,
   /// ticket/round counters, scheduler blob, WAL position) for a
-  /// checkpoint. Requires every tenant to run the shared-prior belief
-  /// (Unimplemented otherwise — the dense representation is rejected at
-  /// AddTenant when a WAL is attached). The sharded override locks and
-  /// drains the fold pipeline first, so the capture is quiesced.
+  /// checkpoint. Every tenant runs the shared-prior belief (the only
+  /// registration path), the one representation that serializes. The
+  /// sharded override locks and drains the fold pipeline first, so the
+  /// capture is quiesced.
   virtual Result<DurableSelectorState> CaptureDurableState() const;
 
   /// Restores a captured state into THIS engine, which must be freshly
@@ -310,27 +306,12 @@ class MultiTenantSelector {
                       std::unique_ptr<scheduler::SchedulerPolicy> s)
       : options_(options), scheduler_(std::move(s)) {}
 
-  // --- Engine seams -------------------------------------------------------
+  // --- Churn hooks ----------------------------------------------------------
   //
-  // Called from within the public methods above while the engine's
-  // synchronization (none here; the selector lock in the sharded engine) is
-  // already in effect, so overrides must not re-enter the public API.
-
-  /// Picks the tenant to serve at global round `round`: the initialization
-  /// sweep (Algorithm 2 lines 1-4, registration order) first, then the
-  /// scheduler policy. The sharded engine fans both scans out over its
-  /// shards with a deterministic reduction.
-  virtual Result<int> PickTenant(int round);
-
-  /// Runs `users()[tenant].SelectArm()`; the sharded engine routes the call
-  /// to the shard worker owning the tenant.
-  virtual Result<int> SelectArmFor(int tenant);
-
-  /// Runs `users()[tenant].RecordOutcome(model, reward)`; routed likewise.
-  virtual Status RecordOutcomeFor(int tenant, int model, double reward);
-
-  /// Runs `users()[tenant].CancelSelection(model)`; routed likewise.
-  virtual Status CancelSelectionFor(int tenant, int model);
+  // Called from within AddTenant/RemoveTenant/RestoreDurableState while the
+  // engine's synchronization (none here; the selector lock in the sharded
+  // engine) is already in effect, so overrides must not re-enter the public
+  // API.
 
   /// Notification hooks for shard-map / index maintenance. The base add
   /// hook appends the new tenant to the 1-shard index in O(log T); the
@@ -344,8 +325,7 @@ class MultiTenantSelector {
   // `Report`/`Cancel` decompose into a COORDINATOR phase (`Begin*`:
   // validate the ticket against the in-flight table and retire the entry),
   // a FOLD phase (`Fold*`: the O(t^2) belief append / in-flight un-charge
-  // plus the index-leaf refresh, via the `RecordOutcomeFor` /
-  // `CancelSelectionFor` seams), and for Report a SEQUENCING phase
+  // plus the index-leaf refresh), and for Report a SEQUENCING phase
   // (`FinishReport`: scheduler OnOutcome + global round advance). The base
   // engine runs all three inline; the sharded engine runs `Begin*` /
   // `FinishReport` under its coordinator lock and ships the fold to the
@@ -382,10 +362,10 @@ class MultiTenantSelector {
 
   // --- Candidate-index plumbing -------------------------------------------
   //
-  // The base engine owns the (optional) index; the sharded engine swaps in
-  // an N-shard instance and overrides the placement. Every seam that
-  // mutates a tenant refreshes that tenant's leaf, so the index is fresh
-  // whenever PickTenant runs.
+  // The base engine owns the index (absent when `use_candidate_index` is
+  // off); the sharded engine swaps in an N-shard instance and overrides
+  // the placement. Every path that mutates a tenant refreshes that
+  // tenant's leaf, so the index is fresh whenever PickTenant runs.
 
   /// The index, or nullptr when `use_candidate_index` is off.
   scheduler::CandidateIndex* candidate_index() { return index_.get(); }
@@ -454,6 +434,12 @@ class MultiTenantSelector {
   const std::map<int64_t, Assignment>& in_flight() const { return in_flight_; }
 
  private:
+  /// Picks the tenant to serve at global round `round`: the initialization
+  /// sweep (Algorithm 2 lines 1-4, registration order) first, then the
+  /// scheduler policy — from the candidate index when it is on, else the
+  /// reference `PickUser` scan.
+  Result<int> PickTenant(int round);
+
   Status ValidateTenant(int tenant) const;
   Result<int> AddTenantWithBelief(std::unique_ptr<gp::ArmBelief> belief,
                                   std::vector<double> costs);

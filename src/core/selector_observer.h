@@ -41,11 +41,12 @@ struct TenantObservation {
 ///
 /// Threading contract, inherited from the engines' fold discipline:
 ///  - `OnTenantEvent(obs)` fires on the thread that owns the tenant's shard
-///    state at that moment — the shard worker for routed selections and
-///    queued folds, the (quiesced) coordinator for churn. Events for
-///    tenants on DIFFERENT shards may fire concurrently; events for one
-///    shard never do. (The observer learns each tenant's shard from the
-///    placement hooks, which always precede its events.)
+///    state at that moment — the shard worker for a queued fold (report or
+///    cancel), the quiesced coordinator (lock held, fold queues drained)
+///    for selections and churn. Queued folds are the only events a worker
+///    fires. Events for tenants on DIFFERENT shards may fire concurrently;
+///    events for one shard never do. (The observer learns each tenant's
+///    shard from the placement hooks, which always precede its events.)
 ///  - `OnTenantPlaced` / `OnPlacementChanged` fire only while the engine is
 ///    quiesced (coordinator lock held, fold queues drained), never
 ///    concurrently with any other hook.

@@ -21,9 +21,10 @@ ShardAggregates FleetSnapshot::Totals() const {
 }
 
 /// Writer-side per-shard state. Everything above the publication point is
-/// owned by the shard's worker thread (or the quiesced coordinator — the
-/// engines' barriers order the hand-offs); only `published` is shared with
-/// readers, behind its leaf mutex.
+/// owned by the shard's worker thread while it runs a queued fold, and by
+/// the quiesced coordinator otherwise (the fold-queue drain orders the
+/// hand-offs); only `published` is shared with readers, behind its leaf
+/// mutex.
 struct SnapshotPlane::Slot {
   std::shared_ptr<const std::vector<int>> ids =
       std::make_shared<const std::vector<int>>();

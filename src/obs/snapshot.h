@@ -16,8 +16,8 @@ namespace easeml::obs {
 /// The serving engines already quiesce every reader of tenant state through
 /// the selector lock and a fold-queue drain — correct, but it means an
 /// analytics scan walking 10^5 tenants would stall the `Next()` hot path for
-/// its whole walk. The snapshot plane decouples the two: shard workers
-/// PUBLISH immutable per-shard summary blocks at fold boundaries, and
+/// its whole walk. The snapshot plane decouples the two: the engine
+/// PUBLISHES immutable per-shard summary blocks at fold boundaries, and
 /// readers WALK the last published blocks lock-free (one brief per-shard
 /// pointer copy aside), never touching the selector lock at all.
 ///
@@ -36,9 +36,10 @@ namespace easeml::obs {
 ///     block and compare EXACTLY.
 ///
 /// Publishing: after `publish_interval` events (or an explicit flush) the
-/// owning worker builds a fresh `ShardBlock` — dirty chunks copied from
-/// `master_`, clean chunks reference-shared with the previous block — and
-/// swaps it into the slot's `published` pointer under a tiny leaf mutex.
+/// shard's current writer builds a fresh `ShardBlock` — dirty chunks
+/// copied from `master_`, clean chunks reference-shared with the previous
+/// block — and swaps it into the slot's `published` pointer under a tiny
+/// leaf mutex.
 /// The block's `epoch` is the slot's event count at publish, so per-shard
 /// epochs are strictly monotone and the fleet epoch (their sum) is too.
 ///
@@ -50,9 +51,10 @@ namespace easeml::obs {
 /// full-fleet scans against churn to hold the plane to exactly that.
 ///
 /// Threading contract (mirrors `core::SelectorObserver`):
-///   - `Apply` runs on the tenant's owning thread (shard worker, or the
-///     quiesced coordinator). Applies for different shards may be
-///     concurrent; applies for one shard never are.
+///   - `Apply` runs on the tenant's owning thread: the shard worker for a
+///     queued fold, the quiesced coordinator for selections and churn.
+///     Applies for different shards may be concurrent; applies for one
+///     shard never are.
 ///   - `Place`, `SetPlacement`, `FlushAll` require a quiesced engine (no
 ///     concurrent `Apply` anywhere) — they rebuild writer-side state.
 ///   - `Snapshot` is safe from ANY thread at ANY time.

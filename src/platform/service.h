@@ -59,9 +59,10 @@ class EaseMlService {
  public:
   struct Options {
     /// Selector engine configuration. `selector.num_shards > 1` selects the
-    /// sharded engine (`shard::ShardedMultiTenantSelector`): every `Next()`
-    /// user scan fans out over that many shard workers, with the selection
-    /// trace bit-identical to the sequential engine. `selector.num_devices`
+    /// sharded engine (`shard::ShardedMultiTenantSelector`): each completion
+    /// queues its belief fold on one of that many shard workers, while
+    /// picks stay on the calling thread, with the selection trace
+    /// bit-identical to the sequential engine. `selector.num_devices`
     /// sizes the async pipeline as before; the two compose.
     core::SelectorOptions selector;
     SimulatedTrainingExecutor::Options executor;

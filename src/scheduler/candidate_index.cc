@@ -90,8 +90,8 @@ CandidateIndex::IndexNode CandidateIndex::IndexNode::Merge(const IndexNode& a,
   out.min_schedulable = std::min(out.min_schedulable, b.min_schedulable);
   out.min_uninitialized = std::min(out.min_uninitialized, b.min_uninitialized);
   out.min_bad_policy = std::min(out.min_bad_policy, b.min_bad_policy);
-  // Same total order as the scan reductions' MergeBest: strictly larger
-  // key wins, exact ties keep the lower tenant id.
+  // Same total order as the scan's argmax fold: strictly larger key wins,
+  // exact ties keep the lower tenant id.
   if (b.max_bound_id != kNone &&
       (out.max_bound_id == kNone || b.max_bound > out.max_bound ||
        (b.max_bound == out.max_bound && b.max_bound_id < out.max_bound_id))) {
@@ -109,7 +109,7 @@ CandidateIndex::IndexNode CandidateIndex::IndexNode::Merge(const IndexNode& a,
 
 bool CandidateIndex::Candidacy::Admits(double bound) const {
   if (all_candidates) return true;
-  // BoundIsCandidate of the scan paths, verbatim: +inf always a candidate,
+  // BoundIsCandidate of the scan, verbatim: +inf always a candidate,
   // NaN / -inf never, finite bounds by the exact scaled comparison.
   if (!std::isfinite(bound)) return std::isinf(bound) && bound > 0.0;
   return sum->CompareScaled(bound, finite_count) >= 0;
@@ -177,10 +177,10 @@ void CandidateIndex::AppendTenant(int shard, const UserState& user) {
 }
 
 void CandidateIndex::Refresh(const UserState& user) {
-  // Callers hold the owning selector's lock, or are the shard's owning
-  // worker inside a barriered fan-out (see the header's external-
-  // synchronization contract); either way this mutation is ordered before
-  // the next pick's root read.
+  // Callers hold the owning selector's lock on a quiesced engine, or are
+  // the shard's owning worker running a queued fold (see the header's
+  // external-synchronization contract); either way this mutation is
+  // ordered before the next pick's root read.
   const int id = user.user_id();
   if (id >= static_cast<int>(keys_.size())) {
     // Tenant added but never synced (callers sync on add; be defensive).
@@ -231,7 +231,7 @@ namespace {
 /// with the bound; +inf always admits, NaN/-inf never), so a subtree whose
 /// max bound fails the threshold holds no candidate and is cut; subtrees
 /// whose max key cannot beat the current best are cut by the same total
-/// order the scan reduction uses. The result is the unique (key desc, id
+/// order the scan's argmax fold uses. The result is the unique (key desc, id
 /// asc) optimum over candidates, independent of visit order.
 void DescendBestCandidate(const TournamentTree<CandidateIndex::IndexNode>& tree,
                           const std::vector<int>& tenants,

@@ -13,16 +13,16 @@ namespace easeml::scheduler {
 
 /// Incremental candidate index: the "no scan" serving path.
 ///
-/// Every `Next()` of the scan engines (sequential or sharded) rescans all T
-/// tenants even though a `Report` changes exactly one tenant's (bound, gap)
-/// summary. The index inverts that: each shard keeps a monotone
-/// `TournamentTree` over its tenants' policy summaries (`TenantKey` →
-/// `IndexNode`, merged with the same total-order tie-breaks as the scan
-/// reductions), plus the exactly-mergeable scalar aggregates of GREEDY's
-/// candidate threshold. A tenant event (`Report`, `Cancel`, arm selection,
-/// retirement) refreshes ONE leaf and replays its O(log T) root path; a
-/// pick reads the N shard roots in O(1) each and merges them exactly like
-/// the scan path's `ReduceTree`, so the result is bit-identical to the scan
+/// The reference pick (`SchedulerPolicy::PickUser`) rescans all T tenants
+/// on every `Next()` even though a `Report` changes exactly one tenant's
+/// (bound, gap) summary. The index inverts that: each shard keeps a
+/// monotone `TournamentTree` over its tenants' policy summaries
+/// (`TenantKey` → `IndexNode`, merged with the same total-order tie-breaks
+/// as the scan's folds), plus the exactly-mergeable scalar aggregates of
+/// GREEDY's candidate threshold. A tenant event (`Report`, `Cancel`, arm
+/// selection, retirement) refreshes ONE leaf and replays its O(log T) root
+/// path; a pick reads the N shard roots in O(1) each and merges them with
+/// exact, associative merges, so the result is bit-identical to the scan
 /// for every shard count.
 ///
 /// ## Per-policy keys and their invalidation contract
@@ -68,21 +68,20 @@ namespace easeml::scheduler {
 /// Because the selector reaches it through an owning pointer, that
 /// guarded-by relation is expressed on the selector side
 /// (`EASEML_PT_GUARDED_BY`-style at the owner), not here — a struct cannot
-/// name a mutex it has never heard of. The worker-side exception mirrors
-/// `ShardPool`'s discipline: a shard's owning worker may `Refresh` leaves
-/// of ITS tree — during a barriered fan-out, a routed solo, or a queued
-/// report fold — without holding the selector lock. The pool's internal
-/// mutex orders those writes before the coordinator's next read (barrier
-/// completion or queue drain), and distinct shards own disjoint trees, so
+/// name a mutex it has never heard of. Picks, arm selections and churn run
+/// on the quiesced coordinator (lock held, fold queues drained). The one
+/// worker-side exception is a queued report fold: a shard's owning worker
+/// may `Refresh` leaves of ITS tree without holding the selector lock. The
+/// pool's internal mutex orders those writes before the coordinator's next
+/// read (the queue drain), and distinct shards own disjoint trees, so
 /// concurrent folds on different workers never touch the same node; the
 /// cached-key vector is indexed per tenant and never resized worker-side
 /// (churn drains the queues first). Any new caller must either hold the
-/// owning selector's lock or inherit exclusion from the pool the same
-/// way.
+/// owning selector's lock on a quiesced engine or run as such a fold.
 class CandidateIndex {
  public:
   /// Sentinel for "no tenant": merges below as min-identity, mirroring the
-  /// scan reductions' kNoUser/kNone.
+  /// scan's kNoUser.
   static constexpr int kNone = std::numeric_limits<int>::max();
 
   /// Per-tenant key material, derived from `UserState` by `MakeTenantKey`
@@ -97,7 +96,7 @@ class CandidateIndex {
 
   /// Tournament summary over a leaf range. All merges are exact (integer
   /// counts, min-id, strictly-greater-key argmax with lowest-id tie-break —
-  /// the scan reductions' total orders), so the root is independent of the
+  /// the scan's total orders), so the root is independent of the
   /// leaf partition and grouping.
   struct IndexNode {
     int cnt_schedulable = 0;
@@ -119,14 +118,14 @@ class CandidateIndex {
   /// GREEDY's candidate-membership context: the exact threshold statistics
   /// merged over every shard. When `all_candidates` (no finite bound
   /// exists) every schedulable tenant is a candidate and the threshold test
-  /// is skipped — the scan paths' fallback.
+  /// is skipped — the scan's fallback.
   struct Candidacy {
     const ExactDoubleSum* sum = nullptr;
     int finite_count = 0;
     bool all_candidates = false;
 
     /// Exact Algorithm 2 line 7 membership test for a schedulable tenant's
-    /// bound; identical to the scan paths' BoundIsCandidate.
+    /// bound; identical to the scan's BoundIsCandidate.
     bool Admits(double bound) const;
   };
 
@@ -136,7 +135,7 @@ class CandidateIndex {
     double key = -std::numeric_limits<double>::infinity();
     int user = kNone;
 
-    /// The scan reductions' total order: strictly larger key wins, exact
+    /// The scan's total order: strictly larger key wins, exact
     /// ties keep the lower id. NaN never beats anything.
     bool Beats(const Best& other) const {
       return user != kNone &&

@@ -1,9 +1,7 @@
 #include "scheduler/fcfs.h"
 
 #include <algorithm>
-#include <limits>
 
-#include "common/reduction_tree.h"
 #include "scheduler/candidate_index.h"
 
 namespace easeml::scheduler {
@@ -17,36 +15,13 @@ Result<int> FcfsScheduler::PickUser(const std::vector<UserState>& users,
   return Status::FailedPrecondition("FCFS: all users exhausted");
 }
 
-Result<int> FcfsScheduler::PickUserSharded(const std::vector<UserState>& users,
-                                           int round, ShardScan& scan) {
-  (void)round;
-  constexpr int kNone = std::numeric_limits<int>::max();
-  // Per-shard summary: the lowest schedulable local id (locals ascend, so
-  // the first hit is the shard minimum); min-reduce = the sequential pick.
-  std::vector<int> first(scan.num_shards(), kNone);
-  scan.Run([&](int shard) {
-    for (int t : scan.LocalTenants(shard)) {
-      if (users[t].Schedulable()) {
-        first[shard] = t;
-        break;
-      }
-    }
-  });
-  const int winner =
-      ReduceTree(std::move(first), [](int a, int b) { return std::min(a, b); });
-  if (winner == kNone) {
-    return Status::FailedPrecondition("FCFS: all users exhausted");
-  }
-  return winner;
-}
-
 Result<int> FcfsScheduler::PickUserIndexed(const std::vector<UserState>& users,
                                            int round,
                                            const CandidateIndex& index) {
   (void)users;
   (void)round;
   // min_schedulable is maintained at every tournament root; the min-merge
-  // across shards is the scan's reduction, read in O(N) with no scan.
+  // across shards is the scan's first hit, read in O(N) with no scan.
   int winner = CandidateIndex::kNone;
   for (int s = 0; s < index.num_shards(); ++s) {
     winner = std::min(winner, index.Root(s).min_schedulable);

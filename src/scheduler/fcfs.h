@@ -15,9 +15,6 @@ class FcfsScheduler : public SchedulerPolicy {
  public:
   Result<int> PickUser(const std::vector<UserState>& users,
                        int round) override;
-  /// Min-reduce of each shard's lowest schedulable user id.
-  Result<int> PickUserSharded(const std::vector<UserState>& users, int round,
-                              ShardScan& scan) override;
   /// O(1) per shard: the lowest schedulable id is a tournament-root field.
   Result<int> PickUserIndexed(const std::vector<UserState>& users, int round,
                               const CandidateIndex& index) override;

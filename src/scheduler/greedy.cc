@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "common/binary_io.h"
 #include "common/exact_sum.h"
-#include "common/reduction_tree.h"
 #include "scheduler/candidate_index.h"
 
 namespace easeml::scheduler {
@@ -15,62 +13,20 @@ namespace easeml::scheduler {
 namespace {
 
 constexpr int kNoUser = std::numeric_limits<int>::max();
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
 
 /// Candidate-set membership test of Algorithm 2 line 7, evaluated EXACTLY:
 /// "sigma~ >= average of the finite sigma~ over active users" becomes
 /// "sigma~ * finite_count >= exact sum", with no floating-point rounding on
 /// either side. Exactness is what makes the test independent of the order
-/// (and partition) in which the bounds were accumulated, so sequential and
-/// sharded scans agree bit-for-bit. Users without observations (sigma~ =
-/// +inf) are always candidates; NaN / -inf bounds never are (mirroring the
-/// IEEE semantics of the former `bound >= avg` comparison).
+/// (and partition) in which the bounds were accumulated, so the scan's
+/// fresh sum and the index's per-shard running sums agree bit-for-bit.
+/// Users without observations (sigma~ = +inf) are always candidates; NaN /
+/// -inf bounds never are (mirroring the IEEE semantics of the former
+/// `bound >= avg` comparison).
 bool BoundIsCandidate(double bound, const ExactDoubleSum& sum,
                       int finite_count) {
   if (!std::isfinite(bound)) return std::isinf(bound) && bound > 0.0;
   return sum.CompareScaled(bound, finite_count) >= 0;
-}
-
-/// Per-shard phase-A summary: the policy-capability check plus the
-/// candidate-threshold statistics. All fields merge exactly (min / integer
-/// add / ExactDoubleSum), so the reduction is partition-invariant.
-struct ShardStats {
-  int bad_user = kNoUser;  // lowest user without confidence bounds
-  int active = 0;
-  int finite = 0;
-  ExactDoubleSum sum;
-};
-
-ShardStats MergeStats(ShardStats a, const ShardStats& b) {
-  a.bad_user = std::min(a.bad_user, b.bad_user);
-  a.active += b.active;
-  a.finite += b.finite;
-  a.sum.Merge(b.sum);
-  return a;
-}
-
-/// Per-shard phase-B summary: the line-8 argmax over local candidates.
-/// `key`/`user` replicate the sequential fold exactly: a -inf sentinel that
-/// only strictly larger (never NaN, never -inf) keys replace, ties resolved
-/// to the lower user id; `min_candidate` carries the sequential loop's
-/// `candidates[0]` default for the degenerate no-finite-key case.
-struct ShardBest {
-  int min_candidate = kNoUser;
-  double key = kNegInf;
-  int user = kNoUser;
-  int count = 0;
-};
-
-ShardBest MergeBest(ShardBest a, const ShardBest& b) {
-  a.min_candidate = std::min(a.min_candidate, b.min_candidate);
-  a.count += b.count;
-  if (b.user != kNoUser &&
-      (a.user == kNoUser || b.key > a.key ||
-       (b.key == a.key && b.user < a.user))) {
-    a.key = b.key;
-    a.user = b.user;
-  }
-  return a;
 }
 
 }  // namespace
@@ -168,113 +124,6 @@ Result<int> GreedyScheduler::PickUser(const std::vector<UserState>& users,
   return Status::Internal("Greedy: unknown line-8 rule");
 }
 
-Result<int> GreedyScheduler::PickUserSharded(
-    const std::vector<UserState>& users, int round, ShardScan& scan) {
-  (void)round;
-  const int num_shards = scan.num_shards();
-
-  // Phase A — each shard checks its local policies and accumulates the
-  // candidate-threshold statistics; the reduction is exact, so the global
-  // (sum, count) pair equals the sequential accumulation bit-for-bit.
-  std::vector<ShardStats> stats(num_shards);
-  scan.Run([&](int shard) {
-    ShardStats& s = stats[shard];
-    for (int t : scan.LocalTenants(shard)) {
-      const UserState& u = users[t];
-      if (u.retired()) continue;
-      if (!u.policy().HasConfidenceBounds()) {
-        s.bad_user = std::min(s.bad_user, t);
-        continue;
-      }
-      if (!u.Schedulable()) continue;
-      ++s.active;
-      const double b = u.empirical_bound();
-      if (std::isfinite(b)) {
-        s.sum.Add(b);
-        ++s.finite;
-      }
-    }
-  });
-  const ShardStats merged = ReduceTree(std::move(stats), MergeStats);
-  if (merged.bad_user != kNoUser) {
-    return Status::FailedPrecondition(
-        "Greedy: user " + std::to_string(merged.bad_user) +
-        " does not run a belief-backed policy (GP-UCB)");
-  }
-  if (merged.active == 0) {
-    return Status::FailedPrecondition("Greedy: all users exhausted");
-  }
-  const bool all_candidates = merged.finite == 0;
-
-  if (rule_ == Line8Rule::kRandom) {
-    // The random rule needs the candidate COUNT for the draw and the j-th
-    // candidate in ascending id order, so shards emit their sorted local
-    // candidate lists and the tree merges them (order-preserving).
-    std::vector<std::vector<int>> locals(num_shards);
-    scan.Run([&](int shard) {
-      for (int t : scan.LocalTenants(shard)) {
-        const UserState& u = users[t];
-        if (!u.Schedulable()) continue;
-        if (all_candidates ||
-            BoundIsCandidate(u.empirical_bound(), merged.sum,
-                             merged.finite)) {
-          locals[shard].push_back(t);
-        }
-      }
-    });
-    std::vector<int> candidates = ReduceTree(
-        std::move(locals),
-        [](std::vector<int> a, const std::vector<int>& b) {
-          std::vector<int> out;
-          out.reserve(a.size() + b.size());
-          std::merge(a.begin(), a.end(), b.begin(), b.end(),
-                     std::back_inserter(out));
-          return out;
-        });
-    if (candidates.empty()) {
-      return Status::Internal("Greedy: empty candidate set after reduction");
-    }
-    return candidates[rng_.UniformInt(
-        0, static_cast<int>(candidates.size()) - 1)];
-  }
-
-  // Phase B — the line-8 argmax, one summary per shard. This is the O(T·K)
-  // part (UcbGap reads the policy's batched MaxUcb diagnostics per
-  // candidate), i.e. the scan the sharding exists to parallelize.
-  std::vector<ShardBest> best(num_shards);
-  scan.Run([&](int shard) {
-    ShardBest& s = best[shard];
-    for (int t : scan.LocalTenants(shard)) {
-      const UserState& u = users[t];
-      if (!u.Schedulable()) continue;
-      if (!all_candidates &&
-          !BoundIsCandidate(u.empirical_bound(), merged.sum, merged.finite)) {
-        continue;
-      }
-      ++s.count;
-      s.min_candidate = std::min(s.min_candidate, t);
-      const double key = rule_ == Line8Rule::kMaxEmpiricalBound
-                             ? u.empirical_bound()
-                             : u.UcbGap();
-      // Sequential fold semantics: only keys strictly above the -inf
-      // sentinel ever win (never NaN, never -inf), first — i.e. lowest id,
-      // since local tenants ascend — among exact ties.
-      if (key > s.key) {
-        s.key = key;
-        s.user = t;
-      }
-    }
-  });
-  const ShardBest winner = ReduceTree(std::move(best), MergeBest);
-  if (winner.count == 0) {
-    return Status::Internal("Greedy: empty candidate set after reduction");
-  }
-  // No candidate had a key above -inf (all NaN/-inf): the sequential loop
-  // would have kept its `candidates[0]` initializer.
-  if (winner.user == kNoUser) return winner.min_candidate;
-  return winner.user;
-}
-
 Result<int> GreedyScheduler::PickUserIndexed(const std::vector<UserState>& users,
                                              int round,
                                              const CandidateIndex& index) {
@@ -289,8 +138,8 @@ Result<int> GreedyScheduler::PickUserIndexed(const std::vector<UserState>& users
   const int num_shards = index.num_shards();
 
   // Phase A from the O(1) per-shard aggregates. Count/min merges are
-  // associative and the bound sum is exact, so this sequential fold equals
-  // the scan paths' ReduceTree(MergeStats) bit-for-bit.
+  // associative and the bound sum is exact, so this fold over the shards
+  // equals the scan's single pass (ComputeCandidateSet) bit-for-bit.
   int bad_user = kNoUser;
   int active = 0;
   int finite = 0;
@@ -334,7 +183,7 @@ Result<int> GreedyScheduler::PickUserIndexed(const std::vector<UserState>& users
       !candidacy.Admits(index.Key(best.user).bound)) {
     // Slow path: pruned tournament descent per shard, threaded so later
     // shards prune against earlier winners (associative total order — same
-    // result as the scan's tree-merge of per-shard argmaxes).
+    // result as the scan's argmax fold over the candidate set).
     best = CandidateIndex::Best{};
     for (int s = 0; s < num_shards; ++s) {
       best = index.BestCandidate(s, candidacy, use_gap, best);

@@ -17,9 +17,9 @@ namespace easeml::scheduler {
 ///
 /// The threshold test is evaluated EXACTLY (`ExactDoubleSum`): membership
 /// is "sigma~ · finite_count >= exact sum of finite bounds", which is
-/// independent of accumulation order — the property that lets a sharded
-/// scan partition the users arbitrarily and still reproduce this set
-/// bit-identically.
+/// independent of accumulation order — the property that lets the
+/// candidate index keep per-shard running sums under any partition and
+/// still reproduce this set bit-identically.
 std::vector<int> ComputeCandidateSet(const std::vector<UserState>& users);
 
 /// How line 8 of Algorithm 2 picks one user from the candidate set. The
@@ -53,11 +53,6 @@ class GreedyScheduler : public SchedulerPolicy {
 
   Result<int> PickUser(const std::vector<UserState>& users,
                        int round) override;
-  /// Two-barrier sharded scan: (A) exact candidate-threshold statistics,
-  /// (B) per-shard line-8 argmax over local candidates — the O(T·K) batched
-  /// MaxUcb reads — merged with a (key, lowest-id) total order.
-  Result<int> PickUserSharded(const std::vector<UserState>& users, int round,
-                              ShardScan& scan) override;
   /// Index-backed pick: phase A from the exactly-merged shard aggregates
   /// (O(N)), phase B from the root argmax when it is a candidate (the
   /// common case) or a pruned tournament descent otherwise — no O(T) scan,

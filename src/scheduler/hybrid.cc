@@ -18,12 +18,6 @@ Result<int> HybridScheduler::PickUser(const std::vector<UserState>& users,
   return greedy_.PickUser(users, round);
 }
 
-Result<int> HybridScheduler::PickUserSharded(
-    const std::vector<UserState>& users, int round, ShardScan& scan) {
-  if (switched_) return round_robin_.PickUserSharded(users, round, scan);
-  return greedy_.PickUserSharded(users, round, scan);
-}
-
 Result<int> HybridScheduler::PickUserIndexed(
     const std::vector<UserState>& users, int round,
     const CandidateIndex& index) {

@@ -25,11 +25,6 @@ class HybridScheduler : public SchedulerPolicy {
 
   Result<int> PickUser(const std::vector<UserState>& users,
                        int round) override;
-  /// Delegates to the active phase's sharded scan (GREEDY before the
-  /// freeze, ROUNDROBIN after); the freeze detector itself runs in
-  /// OnOutcome on the coordinator, identically on both paths.
-  Result<int> PickUserSharded(const std::vector<UserState>& users, int round,
-                              ShardScan& scan) override;
   /// Delegates to the active phase's indexed pick (GREEDY before the
   /// freeze, ROUNDROBIN after). The freeze detector stays in OnOutcome on
   /// the report path — it compares whole candidate SETS, which no O(log T)

@@ -1,11 +1,6 @@
 #include "scheduler/random_scheduler.h"
 
-#include <algorithm>
-#include <iterator>
-#include <utility>
-
 #include "common/binary_io.h"
-#include "common/reduction_tree.h"
 #include "scheduler/candidate_index.h"
 
 namespace easeml::scheduler {
@@ -20,38 +15,11 @@ Result<int> RandomScheduler::PickUser(const std::vector<UserState>& users,
   return active[rng_.UniformInt(0, static_cast<int>(active.size()) - 1)];
 }
 
-Result<int> RandomScheduler::PickUserSharded(
-    const std::vector<UserState>& users, int round, ShardScan& scan) {
-  (void)round;
-  // The uniform draw needs the j-th active user in ascending id order, so
-  // the shards emit their (already sorted) local active lists and the tree
-  // merges them order-preservingly. The single UniformInt below consumes
-  // the RNG stream exactly like the sequential pick.
-  std::vector<std::vector<int>> locals(scan.num_shards());
-  scan.Run([&](int shard) {
-    for (int t : scan.LocalTenants(shard)) {
-      if (users[t].Schedulable()) locals[shard].push_back(t);
-    }
-  });
-  std::vector<int> active = ReduceTree(
-      std::move(locals), [](std::vector<int> a, const std::vector<int>& b) {
-        std::vector<int> out;
-        out.reserve(a.size() + b.size());
-        std::merge(a.begin(), a.end(), b.begin(), b.end(),
-                   std::back_inserter(out));
-        return out;
-      });
-  if (active.empty()) {
-    return Status::FailedPrecondition("Random: all users exhausted");
-  }
-  return active[rng_.UniformInt(0, static_cast<int>(active.size()) - 1)];
-}
-
 Result<int> RandomScheduler::PickUserIndexed(
     const std::vector<UserState>& users, int round,
     const CandidateIndex& index) {
   (void)round;
-  // The scan draws active[j] from the merged ascending active list. The
+  // The scan draws active[j] from the ascending active list. The
   // index recovers the same user without materializing the list: the
   // schedulable total comes off the shard roots (one UniformInt — the RNG
   // stream is identical), and the j-th schedulable id in GLOBAL ascending

@@ -14,10 +14,6 @@ class RandomScheduler : public SchedulerPolicy {
 
   Result<int> PickUser(const std::vector<UserState>& users,
                        int round) override;
-  /// Order-preserving merge of the shards' active lists, then the same
-  /// single uniform draw as the sequential pick (identical RNG stream).
-  Result<int> PickUserSharded(const std::vector<UserState>& users, int round,
-                              ShardScan& scan) override;
   /// Index-backed pick: schedulable total off the shard roots (identical
   /// single draw), then rank binary search for the j-th schedulable id.
   Result<int> PickUserIndexed(const std::vector<UserState>& users, int round,

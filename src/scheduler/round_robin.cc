@@ -1,10 +1,9 @@
 #include "scheduler/round_robin.h"
 
-#include <limits>
+#include <algorithm>
 #include <utility>
 
 #include "common/binary_io.h"
-#include "common/reduction_tree.h"
 #include "scheduler/candidate_index.h"
 
 namespace easeml::scheduler {
@@ -22,36 +21,6 @@ Result<int> RoundRobinScheduler::PickUser(const std::vector<UserState>& users,
     }
   }
   return Status::FailedPrecondition("RoundRobin: all users exhausted");
-}
-
-Result<int> RoundRobinScheduler::PickUserSharded(
-    const std::vector<UserState>& users, int round, ShardScan& scan) {
-  (void)round;
-  const int n = static_cast<int>(users.size());
-  if (n == 0) return Status::InvalidArgument("RoundRobin: no users");
-  // Per-shard summary: the schedulable local user closest to the cursor in
-  // cyclic order. Distances are distinct across users, so the min-reduce
-  // has a unique winner — exactly the first user the sequential walk from
-  // `cursor_` would accept.
-  constexpr int kNone = std::numeric_limits<int>::max();
-  using Closest = std::pair<int, int>;  // (cyclic distance, user)
-  std::vector<Closest> closest(scan.num_shards(), {kNone, kNone});
-  const int cursor = cursor_;
-  scan.Run([&](int shard) {
-    for (int t : scan.LocalTenants(shard)) {
-      if (!users[t].Schedulable()) continue;
-      const int dist = (t - cursor + n) % n;
-      closest[shard] = std::min(closest[shard], Closest{dist, t});
-    }
-  });
-  const Closest winner = ReduceTree(
-      std::move(closest),
-      [](const Closest& a, const Closest& b) { return std::min(a, b); });
-  if (winner.second == kNone) {
-    return Status::FailedPrecondition("RoundRobin: all users exhausted");
-  }
-  cursor_ = (winner.second + 1) % n;  // same cursor advance as PickUser
-  return winner.second;
 }
 
 Result<int> RoundRobinScheduler::PickUserIndexed(

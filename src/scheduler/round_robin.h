@@ -11,10 +11,6 @@ class RoundRobinScheduler : public SchedulerPolicy {
  public:
   Result<int> PickUser(const std::vector<UserState>& users,
                        int round) override;
-  /// Min-reduce of each shard's schedulable user closest (cyclically) to
-  /// the cursor; advances the cursor exactly like the sequential walk.
-  Result<int> PickUserSharded(const std::vector<UserState>& users, int round,
-                              ShardScan& scan) override;
   /// Index-backed pick: the cursor shift is applied at READ time (lowest
   /// schedulable id >= cursor via suffix descent, else the root minimum),
   /// so advancing the cursor never touches a leaf.

@@ -1,7 +1,6 @@
 #ifndef EASEML_SCHEDULER_SCHEDULER_POLICY_H_
 #define EASEML_SCHEDULER_SCHEDULER_POLICY_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -11,30 +10,6 @@
 namespace easeml::scheduler {
 
 class CandidateIndex;
-
-/// Parallel-scan substrate a sharded selector engine hands to
-/// `SchedulerPolicy::PickUserSharded`: users are partitioned into shards,
-/// each owned by one worker thread that scans only its local tenants.
-///
-/// The contract a policy's sharded scan may rely on:
-///  - `LocalTenants(s)` lists the user ids owned by shard `s` in ascending
-///    order; every non-retired user belongs to exactly one shard.
-///  - `Run(fn)` invokes `fn(s)` once per shard, concurrently, and returns
-///    after ALL shards finished (a barrier). Writes made by `fn` are
-///    visible to the caller afterwards. `fn` must only touch users local
-///    to its shard plus its own per-shard output slot.
-class ShardScan {
- public:
-  virtual ~ShardScan() = default;
-
-  virtual int num_shards() const = 0;
-
-  /// User ids owned by `shard`, ascending.
-  virtual const std::vector<int>& LocalTenants(int shard) const = 0;
-
-  /// Barrier fan-out: runs `fn(shard)` on every shard's worker.
-  virtual void Run(const std::function<void(int)>& fn) = 0;
-};
 
 /// User-picking phase of the multi-tenant selection loop (Section 4).
 ///
@@ -48,22 +23,11 @@ class SchedulerPolicy {
 
   /// Picks the next user to serve. `round` is the global round counter,
   /// 1-based. Fails with FailedPrecondition when every user is exhausted.
+  /// This O(T) scan is the reference pick: the engines serve from it only
+  /// when the candidate index is off, and the conformance and fuzz suites
+  /// hold `PickUserIndexed` to it bit-for-bit.
   virtual Result<int> PickUser(const std::vector<UserState>& users,
                                int round) = 0;
-
-  /// Sharded twin of `PickUser`: fans the O(T·K) candidate scan out over
-  /// `scan`'s shards and merges tiny per-shard summaries through a
-  /// deterministic reduction, picking the SAME user `PickUser` would pick
-  /// on the same state — bit-identically, for any shard count. Policies
-  /// whose scan is worth parallelizing override this; the default runs the
-  /// sequential scan (correct, just not parallel). Stateful policies
-  /// (cursors, RNG streams, freeze detectors) must consume their state
-  /// identically on both paths.
-  virtual Result<int> PickUserSharded(const std::vector<UserState>& users,
-                                      int round, ShardScan& scan) {
-    (void)scan;
-    return PickUser(users, round);
-  }
 
   /// Index-backed twin of `PickUser`: answers the pick from the selector's
   /// incremental candidate index (per-shard tournament roots + pruned

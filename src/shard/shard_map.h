@@ -11,19 +11,20 @@ namespace easeml::shard {
 /// New tenants are placed by a mixed hash of their id (so adjacent ids —
 /// which arrive together and stay equally hot — spread out instead of
 /// clustering), then the partition is rebalanced so shard sizes never
-/// differ by more than one: the per-`Next()` scan critical path is
-/// max-shard-size, so balance IS the speedup. Rebalancing moves tenants
-/// deterministically (largest shard donates its highest id to the smallest
-/// shard), but note that correctness never depends on placement: the
-/// selection reduction is partition-invariant by construction, so the map
-/// is free to chase balance.
+/// differ by more than one: each shard's worker folds the reports of its
+/// own tenants, so balance spreads the fold load evenly. Rebalancing moves
+/// tenants deterministically (largest shard donates its highest id to the
+/// smallest shard), but note that correctness never depends on placement:
+/// the candidate index merges its shard roots exactly, so picks are
+/// partition-invariant by construction and the map is free to chase
+/// balance.
 ///
 /// Removal vacates the slot and rebalances the same way — the tenant-churn
 /// path `RemoveTenant` takes. Tenant ids are never reused; the map only
 /// tracks live (non-retired) tenants.
 ///
-/// Not thread-safe; the owning selector mutates it under its lock while no
-/// scan is running.
+/// Not thread-safe; the owning selector mutates it under its lock after
+/// draining the fold queues.
 class ShardMap {
  public:
   /// `num_shards` >= 1.

@@ -9,7 +9,6 @@ namespace easeml::shard {
 
 ShardPool::ShardPool(int num_workers) {
   EASEML_CHECK(num_workers >= 1) << "ShardPool: num_workers must be >= 1";
-  seen_.assign(num_workers, 0);
   cpu_seconds_.assign(num_workers, 0.0);
   slots_.reserve(num_workers);
   for (int w = 0; w < num_workers; ++w) {
@@ -30,33 +29,9 @@ void ShardPool::Shutdown() {
     shutdown_ = true;
     for (auto& slot : slots_) slot->wake.NotifyOne();
   }
-  // Workers drain their queues and any pending solo/barrier work before
-  // exiting, so every accepted task runs-to-completion under Shutdown.
+  // Workers drain their queues before exiting, so every accepted task
+  // runs-to-completion under Shutdown.
   for (auto& worker : workers_) worker.join();
-}
-
-void ShardPool::RunAll(const std::function<void(int)>& fn) {
-  MutexLock lock(mu_);
-  EASEML_CHECK(!shutdown_) << "ShardPool: RunAll after Shutdown";
-  fn_ = &fn;
-  ++generation_;
-  remaining_ = size();
-  for (auto& slot : slots_) slot->wake.NotifyOne();
-  while (remaining_ != 0) work_done_.Wait(lock);
-  fn_ = nullptr;
-}
-
-bool ShardPool::RunOn(int worker, const std::function<void()>& fn) {
-  EASEML_CHECK(worker >= 0 && worker < size()) << "ShardPool: bad worker";
-  MutexLock lock(mu_);
-  if (shutdown_) return false;  // declined: the closure will not run
-  slots_[worker]->solo = &fn;
-  remaining_ = 1;
-  slots_[worker]->wake.NotifyOne();
-  // A concurrent Shutdown() cannot strand the wait: the worker consumes
-  // any pending solo before it exits, and the join happens-after that.
-  while (remaining_ != 0) work_done_.Wait(lock);
-  return true;
 }
 
 bool ShardPool::Enqueue(int worker, std::function<void()> fn) {
@@ -77,52 +52,26 @@ void ShardPool::DrainQueues() const {
 void ShardPool::WorkerLoop(int worker) {
   Slot& slot = *slots_[worker];
   for (;;) {
-    std::function<void()> queued;  // owned: the slot entry is consumed
-    const std::function<void()>* solo = nullptr;
-    const std::function<void(int)>* all = nullptr;
-    bool from_queue = false;
+    std::function<void()> task;  // owned: the slot entry is consumed
     {
       MutexLock lock(mu_);
-      while (!shutdown_ && slot.queue.empty() && slot.solo == nullptr &&
-             seen_[worker] == generation_) {
-        slot.wake.Wait(lock);
-      }
-      if (!slot.queue.empty()) {
-        // Queue tasks run first and strictly in FIFO order: the per-worker
-        // queue order IS the per-tenant fold order the determinism story
-        // rests on (folds were enqueued under the selector lock).
-        queued = std::move(slot.queue.front());
-        slot.queue.pop_front();
-        from_queue = true;
-      } else if (slot.solo != nullptr) {
-        solo = slot.solo;
-        slot.solo = nullptr;
-      } else if (seen_[worker] != generation_) {
-        seen_[worker] = generation_;
-        all = fn_;
-      } else {
-        return;  // shutdown with no pending work
-      }
+      while (!shutdown_ && slot.queue.empty()) slot.wake.Wait(lock);
+      if (slot.queue.empty()) return;  // shutdown with no pending work
+      // Strictly FIFO: the per-worker queue order IS the per-tenant fold
+      // order the determinism story rests on (folds were enqueued under
+      // the selector lock).
+      task = std::move(slot.queue.front());
+      slot.queue.pop_front();
     }
 
     const double cpu_before = ThreadCpuSeconds();
-    if (from_queue) {
-      queued();
-    } else if (solo != nullptr) {
-      (*solo)();
-    } else {
-      (*all)(worker);
-    }
+    task();
     const double cpu_after = ThreadCpuSeconds();
 
     {
       MutexLock lock(mu_);
       cpu_seconds_[worker] += cpu_after - cpu_before;
-      if (from_queue) {
-        if (--queued_ == 0) queues_drained_.NotifyAll();
-      } else if (--remaining_ == 0) {
-        work_done_.NotifyAll();
-      }
+      if (--queued_ == 0) queues_drained_.NotifyAll();
     }
   }
 }

@@ -13,49 +13,40 @@
 namespace easeml::shard {
 
 /// Worker pool of the sharded selector: one long-lived thread per shard,
-/// driving two kinds of work.
+/// each draining its own FIFO fold queue.
 ///
-/// **Barrier work** — `RunAll(fn)` wakes every worker, runs `fn(shard)`
-/// once per shard concurrently, and returns after the last one finished.
-/// `RunOn(worker, fn)` is the solo variant: it wakes only that worker
-/// (per-worker condition variables) and blocks until the closure ran — the
-/// path that routes a single tenant's arm selection to its owning shard
-/// without a full barrier. The mutex acquire/release pairs around each
-/// barrier give the caller full happens-before visibility of everything
-/// the closures wrote.
-///
-/// **Queued work** — `Enqueue(worker, fn)` appends `fn` to that worker's
-/// FIFO report queue and returns immediately; the owning worker drains its
-/// queue in order. This is the asynchronous half of the report pipeline:
-/// the coordinator validates a completion's ticket, enqueues the O(t^2)
-/// belief fold on the tenant's owning shard, and returns — folds for
-/// tenants on different shards run concurrently. `DrainQueues()` blocks
-/// until every queued task has finished (same visibility guarantee as the
-/// barriers); per-worker FIFO order is the fold-order determinism anchor,
-/// so queue tasks always run before any pending solo/barrier work.
+/// `Enqueue(worker, fn)` appends `fn` to that worker's queue and returns
+/// immediately; the owning worker runs its queue in order. This is the
+/// asynchronous half of the report pipeline: the coordinator validates a
+/// completion's ticket, enqueues the O(t^2) belief fold on the tenant's
+/// owning shard, and returns — folds for tenants on different shards run
+/// concurrently. `DrainQueues()` blocks until every queued task has
+/// finished; the mutex hand-off gives the caller full happens-before
+/// visibility of everything the tasks wrote. Per-worker FIFO order is the
+/// fold-order determinism anchor.
 ///
 /// Workers accumulate the CPU time (CLOCK_THREAD_CPUTIME_ID) they spend
-/// inside closures; `WorkerCpuSeconds()` exposes it. Unlike wall clock,
-/// thread CPU time is not inflated by core oversubscription, so
-/// max-over-workers is a faithful measure of the pool's critical path even
-/// on machines with fewer cores than shards (bench/scaling_shards and the
-/// report-throughput bench report it next to wall time).
+/// inside tasks; `WorkerCpuSeconds()` exposes it. Unlike wall clock, thread
+/// CPU time is not inflated by core oversubscription, so max-over-workers
+/// is a faithful measure of the pool's critical path even on machines with
+/// fewer cores than shards (the report-throughput bench reports it next to
+/// wall time).
 ///
-/// One *barrier* caller at a time: `RunAll`/`RunOn` are serialized by the
-/// selector's lock. `Enqueue`/`DrainQueues`/`Shutdown` may race with
-/// anything. Closures must not call back into the pool or the selector.
+/// `Enqueue`, `DrainQueues`, `Shutdown` and `WorkerCpuSeconds` may race
+/// with each other. Tasks must not call back into the pool or the
+/// selector.
 ///
-/// `Shutdown()` (also run by the destructor) drains all pending work, then
-/// joins the workers. Afterwards `RunOn`/`Enqueue` decline new closures by
-/// returning false — callers surface a precise Status instead of the
-/// pre-seeded sentinel this used to leak.
+/// `Shutdown()` (also run by the destructor) drains all queued work, then
+/// joins the workers. Afterwards `Enqueue` declines new tasks by returning
+/// false — callers surface a precise Status rather than assume the task
+/// ran.
 ///
 /// Lock discipline (machine-checked under Clang -Wthread-safety): `mu_`
-/// guards the barrier and queue state; `slots_` and `workers_` are
-/// immutable after construction (built before any worker thread starts, so
-/// publication is ordered by thread creation) and the per-`Slot` fields
-/// are accessed only under `mu_` by convention — nested types cannot name
-/// the enclosing instance's mutex in a `GUARDED_BY` expression.
+/// guards the queue state; `slots_` and `workers_` are immutable after
+/// construction (built before any worker thread starts, so publication is
+/// ordered by thread creation) and each `Slot::queue` is accessed only
+/// under `mu_` by convention — nested types cannot name the enclosing
+/// instance's mutex in a `GUARDED_BY` expression.
 class ShardPool {
  public:
   /// Starts `num_workers` >= 1 threads.
@@ -69,19 +60,6 @@ class ShardPool {
 
   int size() const { return static_cast<int>(workers_.size()); }
 
-  /// Runs `fn(shard)` on every worker; blocks until all have finished.
-  /// Must not be called after Shutdown() (the selector never does: its
-  /// public methods stop before the pool is torn down).
-  void RunAll(const std::function<void(int)>& fn) EASEML_EXCLUDES(mu_);
-
-  /// Runs `fn` on `worker`'s thread alone and blocks until it finished;
-  /// returns true iff the closure ran. After Shutdown() the closure is NOT
-  /// run and the call returns false — callers must translate that into a
-  /// precise Status rather than touching any result the closure was meant
-  /// to produce.
-  bool RunOn(int worker, const std::function<void()>& fn)
-      EASEML_EXCLUDES(mu_);
-
   /// Appends `fn` to `worker`'s FIFO queue and returns without waiting.
   /// Returns true iff the task was accepted; after Shutdown() the task is
   /// NOT queued and the call returns false. Accepted tasks are guaranteed
@@ -93,39 +71,28 @@ class ShardPool {
   /// return. Returns immediately when the queues are empty.
   void DrainQueues() const EASEML_EXCLUDES(mu_);
 
-  /// Drains all pending queued/solo work, then stops and joins the
-  /// workers. Idempotent; also invoked by the destructor.
+  /// Drains all queued work, then stops and joins the workers. Idempotent;
+  /// also invoked by the destructor.
   void Shutdown() EASEML_EXCLUDES(mu_);
 
-  /// Cumulative per-worker CPU seconds spent inside closures (barrier,
-  /// solo, and queued alike).
+  /// Cumulative per-worker CPU seconds spent inside queued tasks.
   std::vector<double> WorkerCpuSeconds() const EASEML_EXCLUDES(mu_);
 
  private:
   /// Per-worker wake slot (heap-allocated: CondVar is neither movable nor
-  /// copyable). `solo` and `queue` are guarded by the pool's `mu_` — see
-  /// the class comment for why the annotation cannot be spelled on a
-  /// nested type.
+  /// copyable). `queue` is guarded by the pool's `mu_` — see the class
+  /// comment for why the annotation cannot be spelled on a nested type.
   struct Slot {
     CondVar wake;
-    const std::function<void()>* solo = nullptr;  // pending RunOn task
-    std::deque<std::function<void()>> queue;      // pending Enqueue tasks
+    std::deque<std::function<void()>> queue;  // pending Enqueue tasks
   };
 
   void WorkerLoop(int worker) EASEML_EXCLUDES(mu_);
 
   mutable Mutex mu_;
-  CondVar work_done_;
   /// Signaled whenever `queued_` drops to zero.
   mutable CondVar queues_drained_;
-  /// Valid while a barrier runs.
-  const std::function<void(int)>* fn_ EASEML_GUARDED_BY(mu_) = nullptr;
-  uint64_t generation_ EASEML_GUARDED_BY(mu_) = 0;
-  /// Last barrier generation each worker ran.
-  std::vector<uint64_t> seen_ EASEML_GUARDED_BY(mu_);
   std::vector<std::unique_ptr<Slot>> slots_;  // immutable after the ctor
-  /// Outstanding barrier/solo closures (RunAll/RunOn completion count).
-  int remaining_ EASEML_GUARDED_BY(mu_) = 0;
   /// Outstanding queued tasks across all workers (accepted, not finished).
   int64_t queued_ EASEML_GUARDED_BY(mu_) = 0;
   bool shutdown_ EASEML_GUARDED_BY(mu_) = false;

@@ -1,18 +1,10 @@
 #include "shard/sharded_selector.h"
 
-#include <algorithm>
-#include <limits>
-#include <optional>
 #include <utility>
 
 #include "common/logging.h"
-#include "common/reduction_tree.h"
 
 namespace easeml::shard {
-
-namespace {
-constexpr int kNone = std::numeric_limits<int>::max();
-}  // namespace
 
 ShardedMultiTenantSelector::ShardedMultiTenantSelector(
     core::MultiTenantSelector&& base, int num_shards)
@@ -34,26 +26,6 @@ ShardedMultiTenantSelector::Create(const core::SelectorOptions& options) {
       new ShardedMultiTenantSelector(std::move(base), options.num_shards));
 }
 
-template <typename Fn>
-auto ShardedMultiTenantSelector::RouteToOwner(int tenant, Fn fn)
-    -> decltype(fn()) {
-  const int owner = map_.shard_of(tenant);
-  if (owner < 0) {
-    return Status::Internal("shard: tenant " + std::to_string(tenant) +
-                            " is not mapped to any shard");
-  }
-  // The pool reports whether the closure ran; the result is only read when
-  // it did. (The old pre-seeded "routed call did not execute" sentinel
-  // leaked as an opaque Internal when RunOn declined after shutdown.)
-  std::optional<decltype(fn())> result;
-  if (!pool_.RunOn(owner, [&] { result.emplace(fn()); })) {
-    return Status::FailedPrecondition(
-        "shard: worker pool is shut down; routed call for tenant " +
-        std::to_string(tenant) + " did not execute");
-  }
-  return std::move(*result);
-}
-
 void ShardedMultiTenantSelector::NotifyPlacementLocked() {
   core::SelectorObserver* obs = observer();
   if (obs == nullptr) return;
@@ -72,57 +44,6 @@ void ShardedMultiTenantSelector::SyncIndexPlacement() {
   index->SyncPlacement(locals, users());
 }
 
-Result<int> ShardedMultiTenantSelector::PickTenant(int round) {
-  if (candidate_index() != nullptr) {
-    // Index-backed pick: O(1) shard-root reads on the coordinator (the
-    // pool's barriers make every worker-side leaf refresh visible here) —
-    // no fan-out, no scan. The base implementation already merges the
-    // roots exactly like the reductions below.
-    return core::MultiTenantSelector::PickTenant(round);
-  }
-  // Fan the initialization-sweep / any-work scan out over the shards. The
-  // per-shard summary is (lowest uninitialized tenant, any schedulable);
-  // min/or merges make the reduction partition-invariant, so the sweep
-  // serves tenants in registration order exactly like the sequential
-  // engine.
-  struct Sweep {
-    int first_uninitialized = kNone;
-    bool any_schedulable = false;
-  };
-  std::vector<Sweep> parts(pool_.size());
-  // Bind the guarded partition under the coordinator's lock; the worker
-  // closures read through the reference (the barrier orders the accesses —
-  // see LocalTenants' annotation comment).
-  const ShardMap& map = map_;
-  const std::vector<scheduler::UserState>& all_users = users();
-  pool_.RunAll([&](int shard) {
-    Sweep& part = parts[shard];
-    for (int t : map.local(shard)) {
-      const scheduler::UserState& u = all_users[t];
-      if (part.first_uninitialized == kNone && u.NeedsInitialObservation()) {
-        part.first_uninitialized = t;  // locals ascend: first hit is the min
-      }
-      if (u.Schedulable()) part.any_schedulable = true;
-    }
-  });
-  const Sweep merged =
-      ReduceTree(std::move(parts), [](Sweep a, const Sweep& b) {
-        a.first_uninitialized =
-            std::min(a.first_uninitialized, b.first_uninitialized);
-        a.any_schedulable = a.any_schedulable || b.any_schedulable;
-        return a;
-      });
-  if (merged.first_uninitialized != kNone) return merged.first_uninitialized;
-  if (!merged.any_schedulable) return NoDispatchableWorkStatus();
-  return scheduler().PickUserSharded(users(), round, *this);
-}
-
-Result<int> ShardedMultiTenantSelector::SelectArmFor(int tenant) {
-  return RouteToOwner(tenant, [&]() -> Result<int> {
-    return core::MultiTenantSelector::SelectArmFor(tenant);
-  });
-}
-
 Result<int> ShardedMultiTenantSelector::AddTenant(
     std::shared_ptr<const gp::SharedGpPrior> prior,
     std::vector<double> costs) {
@@ -130,14 +51,6 @@ Result<int> ShardedMultiTenantSelector::AddTenant(
   // Churn resizes tenant storage, which queued folds hold references into.
   DrainFolds();
   return core::MultiTenantSelector::AddTenant(std::move(prior),
-                                              std::move(costs));
-}
-
-Result<int> ShardedMultiTenantSelector::AddTenant(gp::DiscreteArmGp belief,
-                                                  std::vector<double> costs) {
-  MutexLock lock(mu_);
-  DrainFolds();
-  return core::MultiTenantSelector::AddTenant(std::move(belief),
                                               std::move(costs));
 }
 
@@ -184,9 +97,10 @@ bool ShardedMultiTenantSelector::HasDispatchableWork() const {
 Result<core::MultiTenantSelector::Assignment>
 ShardedMultiTenantSelector::Next() {
   MutexLock lock(mu_);
-  // A pick reads every tenant's post-fold state (policy scans, index
-  // roots), so the pipeline must be quiescent. Holding mu_ keeps it so:
-  // no Report can enqueue another fold until this pick returns.
+  // The pick and the arm selection run right here on the coordinator and
+  // read every tenant's post-fold state (index roots or the reference
+  // scan), so the pipeline must be quiescent. Holding mu_ keeps it so: no
+  // Report can enqueue another fold until this call returns.
   DrainFolds();
   return core::MultiTenantSelector::Next();
 }

@@ -13,30 +13,26 @@
 
 namespace easeml::shard {
 
-/// Sharded selector engine: parallel user-picking over tenant shards with a
-/// deterministic reduction tree.
+/// Sharded selector engine: tenant shards with a shard-parallel report
+/// pipeline.
 ///
-/// The serving hot path of the multi-tenant selector is the `Next()` scan —
-/// O(T·K) over all tenants to find the best (empirical bound, UCB gap)
-/// candidate. Tenants are conditionally independent given the shared
-/// `SharedGpPrior`, so the scan shards cleanly by tenant: a `ShardMap`
-/// hash-partitions tenants over N worker threads (`ShardPool`), each worker
-/// scans only its local tenants through the scheduler policy's
-/// `PickUserSharded` seam, and the tiny per-shard summaries (candidate id,
-/// bound, gap — `ShardCandidate`-shaped structs inside each policy) are
-/// merged through a deterministic binary reduction tree (`ReduceTree`) with
-/// a total-order tie-break and exact (`ExactDoubleSum`) threshold
-/// arithmetic. The winner is therefore BIT-IDENTICAL to the sequential
-/// engine's pick for every shard count and any thread interleaving — the
-/// conformance suite replays N ∈ {1,2,4,7} against the unsharded selector
-/// across all five scheduler policies.
+/// A `ShardMap` hash-partitions tenants over N shards, each owned by one
+/// `ShardPool` worker thread. Tenants are conditionally independent given
+/// the shared `SharedGpPrior`, so a tenant's belief fold — the O(t^2)
+/// Cholesky append plus its index-leaf refresh — touches only that tenant's
+/// state and its own shard's index tree, and folds for tenants on
+/// different shards run concurrently. Queued folds are the only work a
+/// worker ever does.
 ///
-/// Tenant state stays shard-local: a tenant's arm selection and belief fold
-/// execute on its owning shard's worker (`SelectArmFor` routing on the pick
-/// path, the per-shard report queues below on the completion path), and the
-/// per-arm in-flight masks live inside the tenant's `UserState`, so no
-/// cross-shard belief synchronization ever happens — shards only exchange
-/// their summaries at the reduction.
+/// `Next()` runs on the coordinator: it takes `mu_`, drains the fold
+/// queues, and then picks exactly like the base engine — from the N-shard
+/// candidate index (`scheduler::CandidateIndex`, placement mirroring the
+/// shard map: O(1) root reads per shard), or from the reference `PickUser`
+/// scan when `use_candidate_index` is off — and selects the arm inline.
+/// The selection trace is therefore BIT-IDENTICAL to the sequential
+/// engine's for every shard count and any thread interleaving; the
+/// conformance suite replays N ∈ {1,2,4,7} × index on/off against the
+/// unsharded selector across all five scheduler policies.
 ///
 /// ## Report pipeline (coordinator / shard split)
 ///
@@ -57,35 +53,25 @@ namespace easeml::shard {
 /// `mu_` — which stops new folds from being enqueued — then drains the
 /// queues, so it always observes a fully folded engine.
 ///
-/// With `SelectorOptions::use_candidate_index` the scan fan-out disappears
-/// entirely: each shard keeps an incremental tournament tree over its
-/// local tenants (`scheduler::CandidateIndex`, placement mirroring the
-/// shard map), the routed seams refresh the served tenant's leaf on its
-/// owning worker in O(log T), and `Next()` reads the N shard roots on the
-/// coordinator — same picks, bit-identically, with no per-pick O(T/N)
-/// work anywhere (see PickTenant).
-///
 /// Drop-in: the class IS a `core::MultiTenantSelector` (same ticketed
 /// `Next()/Report()/Cancel()` protocol, same Status taxonomy), selected via
 /// `SelectorOptions::num_shards > 1` through `MakeSelector`. Unlike the
 /// base engine every public method is thread-safe: a selector-wide lock
-/// serializes the protocol while each scan fans out internally. (Sole
+/// serializes the protocol while queued folds run on the workers. (Sole
 /// exception: `scheduler_policy()` hands out a raw reference into policy
 /// state and is for quiescent diagnostics only.) Tenant churn
 /// (`AddTenant`/`RemoveTenant`) rebalances the shard map under the same
 /// lock.
-class ShardedMultiTenantSelector final : public core::MultiTenantSelector,
-                                         private scheduler::ShardScan {
+class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
  public:
   /// Validates `options` (num_shards >= 1) and starts the shard workers.
   static Result<std::unique_ptr<ShardedMultiTenantSelector>> Create(
       const core::SelectorOptions& options);
 
-  // Thread-safe protocol overrides: take the selector lock, then run the
-  // base implementation, whose seam calls fan out to the shard workers.
+  // Thread-safe protocol overrides: take the selector lock (and, where the
+  // call reads tenant state, drain the fold queues), then run the base
+  // implementation.
   Result<int> AddTenant(std::shared_ptr<const gp::SharedGpPrior> prior,
-                        std::vector<double> costs) override;
-  Result<int> AddTenant(gp::DiscreteArmGp belief,
                         std::vector<double> costs) override;
   Result<int> AddTenantWithDefaultPrior(int num_models,
                                         std::vector<double> costs,
@@ -103,12 +89,11 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector,
   Result<double> BestAccuracy(int tenant) const override;
   Result<int> RoundsServed(int tenant) const override;
 
-  /// Shard count (== options().num_shards). Also serves the ShardScan
-  /// interface handed to the scheduler policies.
-  int num_shards() const override { return pool_.size(); }
+  /// Shard count (== options().num_shards).
+  int num_shards() const { return pool_.size(); }
 
-  /// Current shard sizes, ascending shard index. The max is the per-scan
-  /// critical path in tenants (diagnostics / bench).
+  /// Current shard sizes, ascending shard index: how many tenants' folds
+  /// each worker owns (diagnostics; churn keeps them within +-1).
   std::vector<int> ShardSizes() const;
 
   /// Thread-safe index invariant check (see the base class): additionally
@@ -124,9 +109,10 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector,
   Result<core::DurableSelectorState> CaptureDurableState() const override;
   Status RestoreDurableState(const core::DurableSelectorState& state) override;
 
-  /// Cumulative per-shard-worker CPU seconds spent in scan and fold
-  /// closures. Max over shards tracks the parallel critical path even when
-  /// the host has fewer cores than shards (see ShardPool). Locks and
+  /// Cumulative per-shard-worker CPU seconds spent running queued folds.
+  /// Max over shards tracks the fold critical path even when the host has
+  /// fewer cores than shards (see ShardPool). Only `Report`/`Cancel` put
+  /// work on a worker, so `Next()` never moves these numbers. Locks and
   /// drains the report queues first, so the numbers include every fold of
   /// every completion already reported — same quiescence discipline as the
   /// other const accessors.
@@ -136,32 +122,10 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector,
   ShardedMultiTenantSelector(core::MultiTenantSelector&& base,
                              int num_shards);
 
-  // scheduler::ShardScan — the policies' view of the partition.
-  //
-  // REQUIRES(mu_) is the coordinator's view: the scan runs while the
-  // coordinator holds mu_ for the whole barrier, and shard workers inherit
-  // that exclusion (they execute strictly inside a RunAll/RunOn whose
-  // caller holds mu_). Worker-side closures read the partition through a
-  // reference captured under the lock, never through `map_` directly, so
-  // the analysis sees every guarded access in an annotated scope.
-  const std::vector<int>& LocalTenants(int shard) const override
-      EASEML_REQUIRES(mu_) {
-    return map_.local(shard);
-  }
-  void Run(const std::function<void(int)>& fn) override { pool_.RunAll(fn); }
-
-  // Engine seams (called with mu_ held by the public overrides). The
-  // outcome/cancel fold seams (`RecordOutcomeFor`/`CancelSelectionFor`)
-  // are deliberately NOT overridden: the sharded Report/Cancel overrides
-  // already run the whole fold on the owning worker via the report queue,
-  // so the base implementations execute worker-side — an override that
-  // re-routed through the pool would deadlock the worker on itself.
-  Result<int> PickTenant(int round) override EASEML_REQUIRES(mu_);
-  Result<int> SelectArmFor(int tenant) override EASEML_REQUIRES(mu_);
-  // Churn re-partitions the shard map (rebalanced within +-1, which may
-  // move OTHER tenants between shards); the candidate index mirrors the
-  // new placement via SyncIndex. On add, the base engine syncs right after
-  // this hook; removal syncs here (the base only neutralizes the leaf).
+  // Churn hooks, called with mu_ held by the public overrides after a
+  // drain. Churn re-partitions the shard map (rebalanced within +-1, which
+  // may move OTHER tenants between shards); the candidate index mirrors
+  // the new placement via SyncIndexPlacement.
   void OnTenantAdded(int tenant) override EASEML_REQUIRES(mu_) {
     map_.Add(tenant);
     SyncIndexPlacement();
@@ -185,16 +149,10 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector,
 
   /// Rebuilds the index placement from the shard map's partition (no-op
   /// when the index is disabled): one tournament tree per shard over its
-  /// local tenants, so a tenant's leaf refresh runs on its owning worker
-  /// (inside the routed seams) and stays shard-local. Cached keys are
-  /// reused — churn costs O(T) re-aggregation, not O(T·K) re-reads.
+  /// local tenants, so a queued fold refreshes a leaf of its own worker's
+  /// tree only. Cached keys are reused — churn costs O(T) re-aggregation,
+  /// not O(T·K) re-reads.
   void SyncIndexPlacement() EASEML_REQUIRES(mu_);
-
-  /// Runs `fn` on `tenant`'s owning shard worker and returns its result;
-  /// a precise FailedPrecondition when the pool declined the closure
-  /// (shut down) — the closure's result is only read when it actually ran.
-  template <typename Fn>
-  auto RouteToOwner(int tenant, Fn fn) -> decltype(fn()) EASEML_REQUIRES(mu_);
 
   /// Quiesces the report pipeline: blocks until every queued fold has
   /// finished. Callers hold `mu_`, so no new fold can be enqueued while
@@ -214,7 +172,7 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector,
   }
 
   /// Serializes the ticketed protocol. Guards the shard map (and, through
-  /// the engine seams it wraps, all base-engine tenant state: users,
+  /// the base-engine calls it wraps, all base-engine tenant state: users,
   /// in-flight table, candidate index — owned by the base class and
   /// therefore not annotatable here). pool_ is internally synchronized;
   /// queued folds touch only their own tenant's belief and shard-local

@@ -166,8 +166,7 @@ class SelectorSchedulerKindTest
 TEST_P(SelectorSchedulerKindTest, FullCampaignTerminates) {
   auto s = MakeSelector(GetParam(), /*cost_aware=*/true);
   ASSERT_TRUE(s.AddTenant(
-                   *gp::DiscreteArmGp::Create(linalg::Matrix::Identity(4),
-                                              0.01),
+                   *gp::MakeSharedGpPrior(linalg::Matrix::Identity(4), 0.01),
                    {0.5, 1.0, 2.0, 4.0})
                   .ok());
   ASSERT_TRUE(s.AddTenantWithDefaultPrior(3, {1, 1, 1}).ok());

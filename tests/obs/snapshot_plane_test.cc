@@ -174,7 +174,6 @@ void RunQuiescedConsistency(int num_shards) {
   options.scheduler = core::SchedulerKind::kGreedy;
   options.num_devices = 3;
   options.num_shards = num_shards;
-  options.use_candidate_index = true;
 
   Registry registry;
   FleetObserverOptions obs_options;

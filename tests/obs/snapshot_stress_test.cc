@@ -101,7 +101,6 @@ void RunRacedScanBattery(int num_shards) {
   options.scheduler = core::SchedulerKind::kGreedy;
   options.num_devices = 6;
   options.num_shards = num_shards;
-  options.use_candidate_index = true;
 
   Registry registry;
   FleetObserverOptions obs_options;

@@ -77,7 +77,6 @@ TEST_P(DslParserRejectionTest, RejectsMalformedInput) {
 INSTANTIATE_TEST_SUITE_P(
     Malformed, DslParserRejectionTest,
     ::testing::Values(
-        BadInput{"", "empty input"},
         BadInput{"{input: {[Tensor[3]], []}}", "missing output"},
         BadInput{"{output: {[Tensor[3]], []}, input: {[Tensor[3]], []}}",
                  "wrong key order"},
@@ -105,6 +104,16 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// Empty input is not in the table above: gtest lists each case with a hex
+// dump of its BadInput, and this case's name is short enough that the
+// listed name would include a byte of the "" literal's address, which moves
+// with every change to the link layout.
+TEST(DslParserTest, RejectsEmptyInput) {
+  auto p = ParseProgram("");
+  EXPECT_FALSE(p.ok());
+  EXPECT_EQ(p.status().code(), StatusCode::kInvalidArgument);
+}
 
 TEST(DslParserTest, ErrorMessagesCarryOffset) {
   auto p = ParseProgram("{input: ???");

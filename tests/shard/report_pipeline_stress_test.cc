@@ -64,7 +64,6 @@ Result<std::unique_ptr<ShardedMultiTenantSelector>> MakeSharded(
   options.hybrid_patience = 3;
   options.num_devices = devices;
   options.num_shards = shards;
-  options.use_candidate_index = true;
   auto created = ShardedMultiTenantSelector::Create(options);
   if (!created.ok()) return created.status();
   for (int t = 0; t < tenants; ++t) {
@@ -149,6 +148,12 @@ void RunRacedReportBattery(SchedulerKind kind, int shards) {
 
   std::atomic<bool> stop_churn{false};
   auto churn = [&]() {
+    // Hold off the first removal until a client has reported: otherwise
+    // this loop can retire the whole fleet before any client's first
+    // Next(), which then refuses correctly and leaves `reported` at 0.
+    while (reported.load() == 0 && !stop_churn.load()) {
+      std::this_thread::yield();
+    }
     Rng rng(999);
     int added = 0;
     while (!stop_churn.load()) {
@@ -262,7 +267,6 @@ TEST(ReportPipelineStressTest, RacedExhaustionMatchesSequentialEngine) {
     // Sequential reference: same tenants, same ground truth, D=1.
     SelectorOptions ref_options;
     ref_options.scheduler = SchedulerKind::kGreedy;
-    ref_options.use_candidate_index = true;
     auto ref = MultiTenantSelector::Create(ref_options);
     ASSERT_TRUE(ref.ok());
     for (int t = 0; t < kTenants; ++t) {

@@ -1,8 +1,6 @@
-/// ShardPool semantics: FIFO report queues (`Enqueue`/`DrainQueues`),
-/// run-to-completion Shutdown, and the RunOn/Enqueue decline protocol —
-/// including the regression for the routed-call shutdown race, where
-/// `RunOn` used to silently skip the closure and leak the caller's
-/// pre-seeded "routed call did not execute" sentinel Status.
+/// ShardPool semantics: FIFO fold queues (`Enqueue`/`DrainQueues`),
+/// run-to-completion Shutdown, and the Enqueue decline protocol after
+/// Shutdown.
 #include "shard/shard_pool.h"
 
 #include <gtest/gtest.h>
@@ -44,26 +42,6 @@ TEST(ShardPoolTest, DrainQueuesIsANoOpWhenIdle) {
   EXPECT_EQ(ran.load(), 1);
 }
 
-TEST(ShardPoolTest, QueuedWorkCoexistsWithBarriersAndSolos) {
-  constexpr int kWorkers = 4;
-  ShardPool pool(kWorkers);
-  std::atomic<int> queued_runs{0};
-  for (int w = 0; w < kWorkers; ++w) {
-    EXPECT_TRUE(pool.Enqueue(w, [&] { ++queued_runs; }));
-  }
-  std::atomic<int> barrier_runs{0};
-  pool.RunAll([&](int) { ++barrier_runs; });
-  bool solo_ran = false;
-  EXPECT_TRUE(pool.RunOn(2, [&] { solo_ran = true; }));
-  pool.DrainQueues();
-  EXPECT_EQ(queued_runs.load(), kWorkers);
-  EXPECT_EQ(barrier_runs.load(), kWorkers);
-  EXPECT_TRUE(solo_ran);
-  // All three kinds of closure feed the same CPU accounting.
-  const std::vector<double> cpu = pool.WorkerCpuSeconds();
-  EXPECT_EQ(cpu.size(), static_cast<size_t>(kWorkers));
-}
-
 TEST(ShardPoolTest, ShutdownRunsEveryAcceptedTask) {
   ShardPool pool(2);
   std::atomic<int> ran{0};
@@ -81,34 +59,10 @@ TEST(ShardPoolTest, ShutdownDeclinesNewWorkWithoutRunningIt) {
   pool.Shutdown();
   pool.Shutdown();  // idempotent
   bool ran = false;
-  EXPECT_FALSE(pool.RunOn(0, [&] { ran = true; }));
+  EXPECT_FALSE(pool.Enqueue(0, [&] { ran = true; }));
   EXPECT_FALSE(pool.Enqueue(1, [&] { ran = true; }));
-  EXPECT_FALSE(ran);     // a declined closure must never execute
+  EXPECT_FALSE(ran);     // a declined task must never execute
   pool.DrainQueues();    // and an empty drain must not hang
-}
-
-/// Regression for the routed-call shutdown race: a caller racing RunOn
-/// against Shutdown must get an exact answer — `true` iff the closure ran
-/// — never a silent skip. Every accepted closure's side effect must be
-/// visible to the caller when RunOn returns true.
-TEST(ShardPoolTest, RunOnVersusShutdownRaceReportsExactExecution) {
-  for (int round = 0; round < 20; ++round) {
-    auto pool = std::make_unique<ShardPool>(2);
-    std::atomic<int> executed{0};
-    std::atomic<int> accepted{0};
-    std::thread caller([&] {
-      for (int i = 0; i < 1000; ++i) {
-        if (pool->RunOn(i % 2, [&] { ++executed; })) {
-          ++accepted;
-        } else {
-          break;  // pool shut down; later calls would also be declined
-        }
-      }
-    });
-    pool->Shutdown();
-    caller.join();
-    EXPECT_EQ(executed.load(), accepted.load());
-  }
 }
 
 TEST(ShardPoolTest, ConcurrentEnqueuersAllLandBeforeDrainReturns) {

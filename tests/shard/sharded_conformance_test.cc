@@ -261,8 +261,8 @@ TEST(MakeSelectorTest, SelectsEngineByShardCount) {
 }
 
 /// Golden trace: the full HYBRID campaign (T=6, K=3, D=2) on the 4-shard
-/// engine, pinned event by event. Guards the whole stack — shard map, scan
-/// fan-out, exact candidate threshold, reduction tie-breaks, ticket
+/// engine, pinned event by event. Guards the whole stack — shard map, fold
+/// queues, exact candidate threshold, argmax tie-breaks, ticket
 /// accounting — against silent drift; by the conformance tests above the
 /// same trace is what the sequential engine and every other shard count
 /// produce.
@@ -343,6 +343,31 @@ TEST(MakeSelectorTest, ShardSizesStayBalancedUnderChurn) {
     EXPECT_EQ(s, 4);
   }
   EXPECT_EQ(total, 16);
+}
+
+/// Picks and arm selections run on the coordinator; only Report/Cancel
+/// queue work on a shard worker. A burst of Next() calls with no
+/// completion must therefore leave every worker's CPU reading untouched,
+/// bit for bit — on the index and on the reference scan alike.
+TEST(MakeSelectorTest, ShardedNextRunsNoWorkerTask) {
+  constexpr int kDevices = 4;
+  constexpr int kModels = 3;
+  for (bool use_index : {false, true}) {
+    SCOPED_TRACE(use_index ? "index" : "scan");
+    auto created = ShardedMultiTenantSelector::Create(
+        MakeOptions(SchedulerKind::kGreedy, kDevices, 2, use_index));
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ShardedMultiTenantSelector* engine = created->get();
+    for (int t = 0; t < 6; ++t) {
+      ASSERT_TRUE(
+          engine->AddTenantWithDefaultPrior(kModels, Costs(t, kModels)).ok());
+    }
+    const std::vector<double> before = engine->ShardCpuSeconds();
+    for (int d = 0; d < kDevices; ++d) {
+      ASSERT_TRUE(engine->Next().ok());
+    }
+    EXPECT_EQ(engine->ShardCpuSeconds(), before);
+  }
 }
 
 }  // namespace

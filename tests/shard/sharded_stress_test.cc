@@ -113,6 +113,12 @@ void RunConcurrentChurnBattery(bool use_index) {
 
   std::atomic<bool> stop_churn{false};
   auto churn = [&]() {
+    // Hold off the first removal until a client has reported: otherwise
+    // this loop can retire the whole fleet before any client's first
+    // Next(), which then refuses correctly and leaves `reported` at 0.
+    while (reported.load() == 0 && !stop_churn.load()) {
+      std::this_thread::yield();
+    }
     Rng rng(999);
     int added = 0;
     while (!stop_churn.load()) {

@@ -216,7 +216,6 @@ int main(int argc, char** argv) {
   }
   selector_options.num_shards = opts.shards;
   selector_options.num_devices = opts.devices;
-  selector_options.use_candidate_index = true;
 
   easeml::obs::Registry registry;
   easeml::obs::FleetObserverOptions obs_options;
