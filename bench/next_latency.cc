@@ -27,13 +27,26 @@
 /// critical path per completion: N=1 is the serialized engine (every fold
 /// on one worker); it should fall roughly with the shard count at fixed D.
 ///
+/// A third section times HYBRID's `Report()`, the paper's default policy.
+/// After every outcome HYBRID's freeze detector rebuilds the whole line-7
+/// candidate set: the scan engine runs the reference `OnOutcome` (one
+/// exact `CompareScaled` per tenant), the index engine `OnOutcomeIndexed`
+/// (one exact mean cut from the merged shard sums, then one double compare
+/// per tenant). Same thread-CPU protocol as the first section. Once the
+/// detector has fired, scheduling is round-robin and the detector is off,
+/// so each row says whether it had fired by the end of the measured steps.
+/// The scan arm's T=1e4 initialization sweep (T reports, each an O(T)
+/// rebuild) dominates this section's runtime.
+///
 /// Machine-readable rows for scripts/bench.sh:
 ///   NEXT_LATENCY,<tenants>,<engine>,<next_us_mean>,<report_us_mean>
 ///   REPORT_TP,<tenants>,<devices>,<shards>,<reports>,<report_us_mean>,<coord_us_mean>,<wall_us_mean>
+///   HYBRID_REPORT,<tenants>,<engine>,<report_us_mean>,<switched>
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/clock.h"
@@ -42,6 +55,7 @@
 #include "core/multi_tenant_selector.h"
 #include "gp/shared_prior_gp.h"
 #include "linalg/matrix.h"
+#include "scheduler/hybrid.h"
 #include "shard/sharded_selector.h"
 
 namespace {
@@ -68,9 +82,18 @@ struct Cell {
   double report_us = 0.0;  // mean thread-CPU microseconds per Report()
 };
 
-Cell RunCampaign(int tenants, bool use_index) {
+struct HybridCell {
+  double report_us = 0.0;  // mean thread-CPU microseconds per Report()
+  bool switched = false;   // freeze detector fired by the last step
+};
+
+/// The GREEDY campaign of the first section, or (`kind` = HYBRID) the
+/// same campaign under the paper's default policy.
+std::unique_ptr<MultiTenantSelector> StartCampaign(SchedulerKind kind,
+                                                   int tenants,
+                                                   bool use_index) {
   SelectorOptions options;
-  options.scheduler = SchedulerKind::kGreedy;
+  options.scheduler = kind;
   options.cost_aware = true;
   options.num_devices = 1;
   options.num_shards = 1;  // both engines on the driving thread: the thread
@@ -78,7 +101,7 @@ Cell RunCampaign(int tenants, bool use_index) {
   options.use_candidate_index = use_index;
   auto created = easeml::shard::MakeSelector(options);
   EASEML_CHECK(created.ok()) << created.status().ToString();
-  MultiTenantSelector* selector = created->get();
+  std::unique_ptr<MultiTenantSelector> selector = std::move(created).value();
 
   auto prior = easeml::gp::MakeSharedGpPrior(
       easeml::linalg::Matrix::Identity(kModels), 1e-2);
@@ -98,6 +121,12 @@ Cell RunCampaign(int tenants, bool use_index) {
     EASEML_CHECK(a.ok()) << a.status().ToString();
     EASEML_CHECK(selector->Report(*a, Accuracy(a->tenant, a->model)).ok());
   }
+  return selector;
+}
+
+Cell RunCampaign(int tenants, bool use_index) {
+  const std::unique_ptr<MultiTenantSelector> selector =
+      StartCampaign(SchedulerKind::kGreedy, tenants, use_index);
 
   // Steady state: K-1 arms per tenant remain, far more than kMeasureSteps.
   Cell cell;
@@ -113,6 +142,24 @@ Cell RunCampaign(int tenants, bool use_index) {
   }
   cell.next_us /= kMeasureSteps;
   cell.report_us /= kMeasureSteps;
+  return cell;
+}
+
+HybridCell RunHybridReport(int tenants, bool use_index) {
+  const std::unique_ptr<MultiTenantSelector> selector =
+      StartCampaign(SchedulerKind::kHybrid, tenants, use_index);
+  HybridCell cell;
+  for (int step = 0; step < kMeasureSteps; ++step) {
+    auto a = selector->Next();
+    EASEML_CHECK(a.ok()) << a.status().ToString();
+    const double t0 = ThreadCpuSeconds();
+    EASEML_CHECK(selector->Report(*a, Accuracy(a->tenant, a->model)).ok());
+    cell.report_us += (ThreadCpuSeconds() - t0) * 1e6;
+  }
+  cell.report_us /= kMeasureSteps;
+  cell.switched = dynamic_cast<const easeml::scheduler::HybridScheduler&>(
+                      selector->scheduler_policy())
+                      .switched();
   return cell;
 }
 
@@ -218,6 +265,24 @@ int main() {
                   use_index ? scan.next_us / cell.next_us : 1.0);
       std::printf("NEXT_LATENCY,%d,%s,%.3f,%.3f\n", tenants,
                   use_index ? "index" : "scan", cell.next_us, cell.report_us);
+    }
+  }
+
+  std::printf(
+      "\n# HYBRID Report(): freeze detector scan (OnOutcome) vs index "
+      "(OnOutcomeIndexed) (K=%d, D=1, %d steady-state steps, thread-CPU "
+      "clocks)\n",
+      kModels, kMeasureSteps);
+  std::printf("%8s %7s | %14s %9s\n", "tenants", "engine", "report_us_mean",
+              "switched");
+  for (int tenants : {1000, 10000}) {
+    for (const bool use_index : {false, true}) {
+      const HybridCell cell = RunHybridReport(tenants, use_index);
+      const char* engine = use_index ? "index" : "scan";
+      std::printf("%8d %7s | %14.3f %9d\n", tenants, engine, cell.report_us,
+                  cell.switched ? 1 : 0);
+      std::printf("HYBRID_REPORT,%d,%s,%.3f,%d\n", tenants, engine,
+                  cell.report_us, cell.switched ? 1 : 0);
     }
   }
 

@@ -8,7 +8,13 @@
 #                                 cell with the per-completion fold
 #                                 critical path, coordinator-phase cost,
 #                                 and wall time; parsed into the JSON's
-#                                 report_throughput section.)
+#                                 report_throughput section. And the
+#                                 HYBRID_REPORT rows: HYBRID's Report()
+#                                 cost with the scan freeze detector vs
+#                                 the index-fed one at T=1e3/1e4, parsed
+#                                 into the hybrid_report section. The scan
+#                                 arm's T=1e4 initialization sweep adds
+#                                 ~11-15 s to this bench on a 4-vCPU Xeon.)
 #   bench/analytics_interference (obs-plane interference: Next/Report
 #                                 means with the observer off, on, and on
 #                                 with a continuous full-fleet snapshot
@@ -120,6 +126,17 @@ for line in next_latency.splitlines():
 
 def tp_cell(devices, shards):
     return next(r for r in tp_rows if r[1] == devices and r[2] == shards)
+
+# HYBRID_REPORT,<tenants>,<engine>,<report_us_mean>,<switched>
+hybrid_rows = []
+for line in next_latency.splitlines():
+    if line.startswith('HYBRID_REPORT,'):
+        _, tenants, engine, report_us, switched = line.split(',')
+        hybrid_rows.append([int(tenants), engine, float(report_us),
+                            bool(int(switched))])
+
+def hybrid_cell(tenants, engine):
+    return next(r for r in hybrid_rows if r[0] == tenants and r[1] == engine)
 
 # Observability-plane interference: ANALYTICS_IF,<tenants>,<arm>,
 # <next_us_mean>,<report_us_mean>,<scans>,<scan_ms_mean>,<fleet_epoch>.
@@ -288,6 +305,25 @@ doc = {
             'fold.'.format(
                 tp_cell(8, 1)[4], tp_cell(8, 8)[4],
                 round(tp_cell(8, 1)[4] / tp_cell(8, 8)[4], 2)),
+    },
+    'hybrid_report': {
+        'scheduler': 'hybrid',
+        'hybrid_patience': 10,
+        'models_per_tenant': 6,
+        'devices': 1,
+        'steady_state_steps': 200,
+        'clock': 'thread-CPU',
+        'columns': ['tenants', 'engine', 'report_us_mean', 'switched'],
+        'rows': hybrid_rows,
+        'headline':
+            'HYBRID Report(): the freeze detector rebuilds the line-7 '
+            'candidate set after every outcome. At T=1e4 it costs {} us '
+            'per Report on the scan (one exact CompareScaled per tenant) '
+            'and {} us on the index (one exact mean cut, then one double '
+            'compare per tenant). switched = the detector had fired by the '
+            'last measured step (round-robin phase, detector off).'.format(
+                hybrid_cell(10000, 'scan')[2],
+                hybrid_cell(10000, 'index')[2]),
     },
     'recovery_durability': {
         'scheduler': 'greedy',

@@ -1,6 +1,8 @@
 #include "common/exact_sum.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/logging.h"
 
@@ -97,7 +99,32 @@ int ExactDoubleSum::CompareScaled(double x, int64_t n) const {
   return -diff.SignInPlace();
 }
 
-double ExactDoubleSum::Value() const {
+double ExactDoubleSum::MeanCut(int64_t n) const {
+  EASEML_CHECK(n >= 1) << "ExactDoubleSum: MeanCut needs n >= 1";
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  // Any start is correct: the walk below stops only where the two exact
+  // checks hold. The estimate's accuracy (within ~1 ulp of the mean) only
+  // keeps the walk to a step or two.
+  double c = std::clamp(static_cast<double>(WideValue() / n), -kMax, kMax);
+  if (CompareScaled(c, n) >= 0) {
+    // c passes: walk down while the next double below still passes.
+    while (c > -kMax) {
+      const double below = std::nextafter(c, -kInf);
+      if (CompareScaled(below, n) < 0) break;
+      c = below;
+    }
+    return c;
+  }
+  // c fails: walk up to the first double that passes.
+  do {
+    if (c == kMax) return kInf;
+    c = std::nextafter(c, kInf);
+  } while (CompareScaled(c, n) < 0);
+  return c;
+}
+
+long double ExactDoubleSum::WideValue() const {
   ExactDoubleSum tmp = *this;
   tmp.Normalize();
   long double acc = 0.0L;
@@ -105,7 +132,11 @@ double ExactDoubleSum::Value() const {
     acc += std::ldexp(static_cast<long double>(tmp.limb_[limb]),
                       32 * limb - kBias);
   }
-  return static_cast<double>(acc);
+  return acc;
+}
+
+double ExactDoubleSum::Value() const {
+  return static_cast<double>(WideValue());
 }
 
 }  // namespace easeml

@@ -20,9 +20,15 @@ namespace easeml {
 /// for ANY ordering or partition of the inputs — the invariant the
 /// deterministic shard reduction relies on.
 ///
-/// Thresholds are evaluated without ever rounding: `CompareScaled(x, n)`
-/// returns the exact sign of (x * n - sum), i.e. "is x at least the mean of
-/// the n accumulated values" when called with the accumulated count.
+/// Thresholds are evaluated exactly: `CompareScaled(x, n)` returns the
+/// exact sign of (x * n - sum), i.e. "is x at least the mean of the n
+/// accumulated values" when called with the accumulated count, with no
+/// rounding anywhere. Each call copies and normalizes the accumulator
+/// (~0.1 us), so a caller that tests many values against ONE mean asks
+/// for the mean's cut instead (`MeanCut`): a double c such that
+/// `CompareScaled(x, n) >= 0` holds exactly when `x >= c`. The cut is
+/// still exact — it is pinned by two `CompareScaled` checks, not derived
+/// from a rounded mean — and each test against it is one double compare.
 ///
 /// Capacity: at most 2^31 - 1 additions (enforced by EASEML_CHECK via the
 /// scale bound) between which no overflow is possible; limb carries are
@@ -44,6 +50,15 @@ class ExactDoubleSum {
   /// `CompareScaled(b, count) >= 0` answers "b >= sum/count" with no
   /// floating-point rounding anywhere.
   int CompareScaled(double x, int64_t n) const;
+
+  /// The exact cut of the mean sum/n: the smallest finite double c with
+  /// c * n >= sum. Because x * n - sum grows strictly with x, for every
+  /// finite x:  CompareScaled(x, n) >= 0  <=>  x >= MeanCut(n).  Returns
+  /// +inf when no finite double reaches the mean. Precondition: n >= 1.
+  /// Costs one `Value()`-like pass plus two or three `CompareScaled` calls
+  /// (~1 us), so compute it once per threshold and only where several
+  /// membership tests follow.
+  double MeanCut(int64_t n) const;
 
   /// Exact sign of the accumulated sum.
   int Sign() const;
@@ -68,6 +83,11 @@ class ExactDoubleSum {
   /// Carry-propagates so limbs 0..kLimbs-2 lie in [0, 2^32) and the top
   /// limb absorbs the sign. Value-preserving.
   void Normalize();
+
+  /// The sum in long double (`Value()` before its final rounding). The
+  /// wider exponent range keeps sums beyond DBL_MAX finite, so dividing
+  /// by n still lands next to the mean.
+  long double WideValue() const;
 
   /// Sign(), but normalizing this accumulator in place (no copy) — the
   /// hot-path variant CompareScaled uses on its scratch accumulator.

@@ -501,7 +501,11 @@ void MultiTenantSelector::FoldReportedOutcome(const Assignment& issued,
 }
 
 void MultiTenantSelector::FinishReport(int tenant) {
-  scheduler_->OnOutcome(users_, tenant);
+  if (index_ != nullptr) {
+    scheduler_->OnOutcomeIndexed(users_, tenant, *index_);
+  } else {
+    scheduler_->OnOutcome(users_, tenant);
+  }
   ++round_;
 }
 

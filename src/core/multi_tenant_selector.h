@@ -326,8 +326,8 @@ class MultiTenantSelector {
   // validate the ticket against the in-flight table and retire the entry),
   // a FOLD phase (`Fold*`: the O(t^2) belief append / in-flight un-charge
   // plus the index-leaf refresh), and for Report a SEQUENCING phase
-  // (`FinishReport`: scheduler OnOutcome + global round advance). The base
-  // engine runs all three inline; the sharded engine runs `Begin*` /
+  // (`FinishReport`: scheduler outcome hook + global round advance). The
+  // base engine runs all three inline; the sharded engine runs `Begin*` /
   // `FinishReport` under its coordinator lock and ships the fold to the
   // tenant's owning shard worker through a per-shard FIFO report queue, so
   // completions for tenants on different shards fold concurrently.
@@ -347,9 +347,11 @@ class MultiTenantSelector {
   /// here aborts.
   void FoldReportedOutcome(const Assignment& issued, double accuracy);
 
-  /// Sequencing phase: scheduler OnOutcome + round advance. Policies whose
-  /// `ObservesOutcomes()` is true read every tenant's post-fold state here,
-  /// so asynchronous engines must quiesce their fold pipeline first.
+  /// Sequencing phase: the scheduler's outcome hook (`OnOutcomeIndexed`
+  /// when the index is on, else `OnOutcome`) + round advance. Policies
+  /// whose `ObservesOutcomes()` is true read every tenant's post-fold state
+  /// and the index here, so asynchronous engines must quiesce their fold
+  /// pipeline first.
   void FinishReport(int tenant);
 
   /// Coordinator phase of `Cancel`: same validation and retirement as

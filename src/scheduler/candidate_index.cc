@@ -107,12 +107,10 @@ CandidateIndex::IndexNode CandidateIndex::IndexNode::Merge(const IndexNode& a,
   return out;
 }
 
-bool CandidateIndex::Candidacy::Admits(double bound) const {
-  if (all_candidates) return true;
-  // BoundIsCandidate of the scan, verbatim: +inf always a candidate,
-  // NaN / -inf never, finite bounds by the exact scaled comparison.
-  if (!std::isfinite(bound)) return std::isinf(bound) && bound > 0.0;
-  return sum->CompareScaled(bound, finite_count) >= 0;
+CandidateIndex::Candidacy CandidateIndex::Candidacy::Of(
+    const ExactDoubleSum& sum, int finite_count) {
+  if (finite_count == 0) return Candidacy{0.0, true};
+  return Candidacy{sum.MeanCut(finite_count), false};
 }
 
 CandidateIndex::CandidateIndex(int num_shards, bool track_gap)
@@ -209,6 +207,19 @@ void CandidateIndex::Refresh(const UserState& user) {
   keys_[id] = fresh;
 }
 
+CandidateIndex::Threshold CandidateIndex::MergedThreshold() const {
+  Threshold merged;
+  for (const Shard& sh : shards_) {
+    const IndexNode& root = sh.tree.Root();
+    merged.schedulable += root.cnt_schedulable;
+    merged.min_bad_policy =
+        std::min(merged.min_bad_policy, root.min_bad_policy);
+    merged.finite_count += sh.finite_count;
+    merged.bound_sum.Merge(sh.bound_sum);
+  }
+  return merged;
+}
+
 int CandidateIndex::MinUninitialized() const {
   int min_id = kNone;
   for (const Shard& sh : shards_) {
@@ -227,12 +238,12 @@ bool CandidateIndex::AnySchedulable() const {
 namespace {
 
 /// Pruned argmax descent for GREEDY's line-8 pick over candidates.
-/// Candidacy is monotone in the bound (the exact scaled comparison grows
-/// with the bound; +inf always admits, NaN/-inf never), so a subtree whose
-/// max bound fails the threshold holds no candidate and is cut; subtrees
-/// whose max key cannot beat the current best are cut by the same total
-/// order the scan's argmax fold uses. The result is the unique (key desc, id
-/// asc) optimum over candidates, independent of visit order.
+/// Candidacy is monotone in the bound (`bound >= cut`; +inf always admits,
+/// NaN/-inf never), so a subtree whose max bound fails the threshold holds
+/// no candidate and is cut; subtrees whose max key cannot beat the current
+/// best are cut by the same total order the scan's argmax fold uses. The
+/// result is the unique (key desc, id asc) optimum over candidates,
+/// independent of visit order.
 void DescendBestCandidate(const TournamentTree<CandidateIndex::IndexNode>& tree,
                           const std::vector<int>& tenants,
                           const CandidateIndex& index,

@@ -39,7 +39,8 @@ namespace easeml::scheduler {
 ///     incremental sum equals the scan's fresh accumulation exactly. The
 ///     line-8 argmax runs as a pruned tournament descent (candidacy is
 ///     monotone in the bound, so a subtree whose max bound fails the
-///     threshold holds no candidate).
+///     threshold holds no candidate); the descent tests bounds against the
+///     threshold's exact cut (`Candidacy`), one double compare per node.
 ///   - ROUNDROBIN / FCFS: min-id and cyclic-distance picks are answered
 ///     from `min_schedulable` summaries; the cursor is a QUERY parameter
 ///     (two O(log T) descents: min schedulable id >= cursor, else global
@@ -49,8 +50,12 @@ namespace easeml::scheduler {
 ///     draw (identical RNG stream) and rank/prefix counts let a binary
 ///     search recover the j-th schedulable id in global ascending order.
 ///   - HYBRID: delegates to the active phase (GREEDY before the freeze
-///     switch, ROUNDROBIN after); its freeze detector runs in `OnOutcome`,
-///     outside the pick path, identically on both paths.
+///     switch, ROUNDROBIN after). Its freeze detector runs on the report
+///     path (`OnOutcomeIndexed`): it merges the shard aggregates
+///     (`MergedThreshold`), computes the cut once, and rebuilds the whole
+///     candidate set in one pass over the cached keys at one double
+///     compare per tenant — the same set the scan's `ComputeCandidateSet`
+///     builds with one exact `CompareScaled` per tenant.
 ///
 /// Keys go stale the moment their tenant's state changes; the owning
 /// selector MUST call `Refresh` after every event that touches a tenant —
@@ -115,18 +120,41 @@ class CandidateIndex {
     static IndexNode Merge(const IndexNode& a, const IndexNode& b);
   };
 
-  /// GREEDY's candidate-membership context: the exact threshold statistics
-  /// merged over every shard. When `all_candidates` (no finite bound
-  /// exists) every schedulable tenant is a candidate and the threshold test
-  /// is skipped — the scan's fallback.
+  /// GREEDY's candidate-membership test, reduced to one double compare.
+  /// With n >= 1 finite bounds summing exactly to S, Algorithm 2 line 7
+  /// admits a finite bound b iff b * n >= S (`S.CompareScaled(b, n) >= 0`).
+  /// b * n - S grows strictly with b, so the passing doubles are exactly
+  /// those at or above the smallest one that passes: `cut =
+  /// S.MeanCut(n)`. MeanCut pins the cut with two exact comparisons (the
+  /// cut passes, its predecessor fails), so `b >= cut` IS the exact test —
+  /// no rounded average is ever compared. When `all_candidates` (no
+  /// finite bound exists) every schedulable tenant is a candidate and the
+  /// cut is unused — the scan's fallback.
   struct Candidacy {
-    const ExactDoubleSum* sum = nullptr;
-    int finite_count = 0;
+    double cut = 0.0;
     bool all_candidates = false;
 
-    /// Exact Algorithm 2 line 7 membership test for a schedulable tenant's
-    /// bound; identical to the scan's BoundIsCandidate.
-    bool Admits(double bound) const;
+    /// The candidacy of the threshold (sum, finite_count). Costs one
+    /// MeanCut (~1 us) unless finite_count == 0, so build it only where
+    /// many membership tests follow: a pruned descent, a freeze pass.
+    static Candidacy Of(const ExactDoubleSum& sum, int finite_count);
+
+    /// Algorithm 2 line 7 membership for a schedulable tenant's bound;
+    /// identical to the scan's BoundIsCandidate: +inf always admits, NaN
+    /// and -inf never, finite bounds by the cut. One IEEE comparison
+    /// covers all four cases, because MeanCut never returns NaN or -inf:
+    /// +inf >= cut always holds, NaN >= cut and -inf >= cut never do.
+    bool Admits(double bound) const { return all_candidates || bound >= cut; }
+  };
+
+  /// GREEDY's phase-A statistics merged over every shard — what the scan's
+  /// first pass accumulates. Counts and mins merge associatively and the
+  /// bound sum is exact, so the result equals the scan's pass bit-for-bit.
+  struct Threshold {
+    int schedulable = 0;         // tenants a scheduler may serve now
+    int min_bad_policy = kNone;  // lowest live tenant without bounds
+    int finite_count = 0;        // schedulable tenants with a finite bound
+    ExactDoubleSum bound_sum;    // exact sum of those finite bounds
   };
 
   /// Best (key, lowest-id) pair of a pruned argmax descent; `user == kNone`
@@ -175,12 +203,12 @@ class CandidateIndex {
 
   // --- O(1) per-shard reads (merge across shards at the call site) -------
   const IndexNode& Root(int shard) const { return shards_[shard].tree.Root(); }
-  int FiniteCount(int shard) const { return shards_[shard].finite_count; }
-  const ExactDoubleSum& BoundSum(int shard) const {
-    return shards_[shard].bound_sum;
-  }
 
   // --- Cross-shard convenience reads (exact min/sum merges) --------------
+  /// GREEDY's phase-A statistics over all shards, N exact merges: the one
+  /// read of the threshold aggregates, shared by GREEDY's indexed pick and
+  /// HYBRID's indexed freeze detector.
+  Threshold MergedThreshold() const;
   /// Lowest tenant id the initialization sweep must serve; kNone if none.
   int MinUninitialized() const;
   /// True iff any tenant is schedulable right now.

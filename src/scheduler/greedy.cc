@@ -137,32 +137,18 @@ Result<int> GreedyScheduler::PickUserIndexed(const std::vector<UserState>& users
   (void)round;
   const int num_shards = index.num_shards();
 
-  // Phase A from the O(1) per-shard aggregates. Count/min merges are
-  // associative and the bound sum is exact, so this fold over the shards
-  // equals the scan's single pass (ComputeCandidateSet) bit-for-bit.
-  int bad_user = kNoUser;
-  int active = 0;
-  int finite = 0;
-  ExactDoubleSum sum;
-  for (int s = 0; s < num_shards; ++s) {
-    const CandidateIndex::IndexNode& root = index.Root(s);
-    bad_user = std::min(bad_user, root.min_bad_policy);
-    active += root.cnt_schedulable;
-    finite += index.FiniteCount(s);
-    sum.Merge(index.BoundSum(s));
-  }
-  if (bad_user != kNoUser) {
+  // Phase A from the O(1) per-shard aggregates, merged exactly: equal to
+  // the scan's single pass (ComputeCandidateSet) bit-for-bit.
+  const CandidateIndex::Threshold threshold = index.MergedThreshold();
+  if (threshold.min_bad_policy != kNoUser) {
     return Status::FailedPrecondition(
-        "Greedy: user " + std::to_string(bad_user) +
+        "Greedy: user " + std::to_string(threshold.min_bad_policy) +
         " does not run a belief-backed policy (GP-UCB)");
   }
-  if (active == 0) {
+  if (threshold.schedulable == 0) {
     return Status::FailedPrecondition("Greedy: all users exhausted");
   }
-  CandidateIndex::Candidacy candidacy;
-  candidacy.sum = &sum;
-  candidacy.finite_count = finite;
-  candidacy.all_candidates = finite == 0;
+  const int finite = threshold.finite_count;
   const bool use_gap = rule_ == Line8Rule::kMaxUcbGap;
 
   // Phase B quick path: the global argmax key over ALL schedulable users,
@@ -170,7 +156,8 @@ Result<int> GreedyScheduler::PickUserIndexed(const std::vector<UserState>& users
   // the argmax over candidates too (same total order on a superset) — the
   // common case, since high sigma~ and high UCB gap are correlated. For
   // the max-empirical-bound rule this always resolves: the largest finite
-  // bound passes its own average and +inf is always a candidate.
+  // bound passes its own average and +inf is always a candidate. One
+  // exact comparison decides it; no cut is needed.
   CandidateIndex::Best best;
   for (int s = 0; s < num_shards; ++s) {
     const CandidateIndex::IndexNode& root = index.Root(s);
@@ -180,7 +167,15 @@ Result<int> GreedyScheduler::PickUserIndexed(const std::vector<UserState>& users
     if (shard_best.Beats(best)) best = shard_best;
   }
   if (best.user != CandidateIndex::kNone &&
-      !candidacy.Admits(index.Key(best.user).bound)) {
+      (finite == 0 || BoundIsCandidate(index.Key(best.user).bound,
+                                       threshold.bound_sum, finite))) {
+    return best.user;
+  }
+  // The descents below test one bound per visited node: compute the
+  // threshold's exact cut once, so each test is a double compare.
+  const CandidateIndex::Candidacy candidacy =
+      CandidateIndex::Candidacy::Of(threshold.bound_sum, finite);
+  if (best.user != CandidateIndex::kNone) {
     // Slow path: pruned tournament descent per shard, threaded so later
     // shards prune against earlier winners (associative total order — same
     // result as the scan's argmax fold over the candidate set).

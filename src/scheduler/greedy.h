@@ -55,10 +55,12 @@ class GreedyScheduler : public SchedulerPolicy {
                        int round) override;
   /// Index-backed pick: phase A from the exactly-merged shard aggregates
   /// (O(N)), phase B from the root argmax when it is a candidate (the
-  /// common case) or a pruned tournament descent otherwise — no O(T) scan,
-  /// no per-candidate MaxUcb reads. The random line-8 rule falls back to
-  /// the sequential scan (candidate RANKS are not indexable under a moving
-  /// threshold); the default max-ucb-gap rule is fully indexed.
+  /// common case, one exact CompareScaled) or otherwise a pruned tournament
+  /// descent against the threshold's exact cut (computed only then) — no
+  /// O(T) scan, no per-candidate MaxUcb reads. The random line-8 rule
+  /// falls back to the sequential scan (candidate RANKS are not indexable
+  /// under a moving threshold); the default max-ucb-gap rule is fully
+  /// indexed.
   Result<int> PickUserIndexed(const std::vector<UserState>& users, int round,
                               const CandidateIndex& index) override;
   bool RequiresInitialSweep() const override { return true; }

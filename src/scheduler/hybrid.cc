@@ -1,6 +1,7 @@
 #include "scheduler/hybrid.h"
 
 #include "common/binary_io.h"
+#include "scheduler/candidate_index.h"
 
 namespace easeml::scheduler {
 
@@ -43,6 +44,43 @@ void HybridScheduler::OnOutcome(const std::vector<UserState>& users,
   if (frozen_steps_ >= patience_) switched_ = true;
 }
 
+void HybridScheduler::OnOutcomeIndexed(const std::vector<UserState>& users,
+                                       int served_user,
+                                       const CandidateIndex& index) {
+  (void)served_user;
+  if (switched_) return;
+  const CandidateIndex::Threshold threshold = index.MergedThreshold();
+  const CandidateIndex::Candidacy candidacy =
+      CandidateIndex::Candidacy::Of(threshold.bound_sum,
+                                    threshold.finite_count);
+  // ComputeCandidateSet and TotalBestReward in one pass, bit-identical to
+  // OnOutcome: the same ids in ascending order, and the rewards summed in
+  // user order from 0.0. (The scan's empty-set fallback never fires: the
+  // largest finite bound passes its own mean, and +inf always passes.)
+  // Candidacy reads the index keys, which are contiguous and, by the
+  // freshness contract, equal to each user's Schedulable() and
+  // empirical_bound(); every user has one, since the engines index each
+  // tenant they add. The append is branch-free because admission is close
+  // to a coin flip per tenant, so a branch on it mispredicts about half
+  // the time.
+  candidates_.resize(users.size());
+  size_t count = 0;
+  double total_best = 0.0;
+  for (size_t i = 0; i < users.size(); ++i) {
+    total_best += users[i].best_reward();
+    const CandidateIndex::TenantKey& key = index.Key(static_cast<int>(i));
+    candidates_[count] = static_cast<int>(i);
+    count += static_cast<size_t>(key.schedulable & candidacy.Admits(key.bound));
+  }
+  candidates_.resize(count);
+  const bool frozen = have_snapshot_ && candidates_ == last_candidates_ &&
+                      total_best <= last_total_best_ + 1e-12;
+  frozen_steps_ = frozen ? frozen_steps_ + 1 : 0;
+  last_candidates_.swap(candidates_);
+  last_total_best_ = total_best;
+  have_snapshot_ = true;
+  if (frozen_steps_ >= patience_) switched_ = true;
+}
 
 void HybridScheduler::SaveDurable(std::string* out) const {
   PutU8(out, switched_ ? 1 : 0);

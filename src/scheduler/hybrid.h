@@ -26,16 +26,26 @@ class HybridScheduler : public SchedulerPolicy {
   Result<int> PickUser(const std::vector<UserState>& users,
                        int round) override;
   /// Delegates to the active phase's indexed pick (GREEDY before the
-  /// freeze, ROUNDROBIN after). The freeze detector stays in OnOutcome on
-  /// the report path — it compares whole candidate SETS, which no O(log T)
-  /// summary answers — so HYBRID's Next() is fully indexed either way.
+  /// freeze, ROUNDROBIN after), so HYBRID's Next() is fully indexed either
+  /// way. The freeze detector runs on the report path instead.
   Result<int> PickUserIndexed(const std::vector<UserState>& users, int round,
                               const CandidateIndex& index) override;
+  /// The reference freeze detector: rebuilds the candidate set with the
+  /// scan's ComputeCandidateSet, one exact CompareScaled per tenant.
   void OnOutcome(const std::vector<UserState>& users,
                  int served_user) override;
-  /// The freeze detector reads every tenant's candidate set and best
-  /// reward in OnOutcome, so asynchronous report pipelines must drain
-  /// their queued folds before sequencing it.
+  /// The serving freeze detector, bit-identical to OnOutcome. The freeze
+  /// test compares whole candidate SETS, so it stays one O(T) pass, but a
+  /// cheap one: the threshold comes from the index's merged shard
+  /// aggregates, its exact cut is computed once, and each tenant costs one
+  /// double compare on its cached index key. Allocation-free once warm:
+  /// the set is built in a member buffer that is then swapped with the
+  /// snapshot.
+  void OnOutcomeIndexed(const std::vector<UserState>& users, int served_user,
+                        const CandidateIndex& index) override;
+  /// The freeze detector reads every tenant's candidacy and best reward
+  /// after each outcome, so asynchronous report pipelines must drain their
+  /// queued folds before sequencing it.
   bool ObservesOutcomes() const override { return true; }
   bool RequiresInitialSweep() const override { return true; }
   std::string name() const override { return "hybrid"; }
@@ -57,6 +67,9 @@ class HybridScheduler : public SchedulerPolicy {
   bool have_snapshot_ = false;
   std::vector<int> last_candidates_;
   double last_total_best_ = 0.0;
+  // OnOutcomeIndexed's scratch set (not durable state: rebuilt from
+  // scratch on every call).
+  std::vector<int> candidates_;
 };
 
 }  // namespace easeml::scheduler

@@ -46,19 +46,38 @@ class SchedulerPolicy {
   }
 
   /// Called after the served user's outcome has been recorded; lets
-  /// stateful schedulers (HYBRID's freeze detector) observe progress.
+  /// stateful schedulers (HYBRID's freeze detector) observe progress. The
+  /// reference path: engines call it when the candidate index is off, and
+  /// the conformance suite holds `OnOutcomeIndexed` to it.
   virtual void OnOutcome(const std::vector<UserState>& users,
                          int served_user) {
     (void)users;
     (void)served_user;
   }
 
-  /// True when OnOutcome actually reads engine state (HYBRID's freeze
-  /// detector scans every tenant's candidate set and best reward). Engines
-  /// that fold outcomes asynchronously must quiesce the fold pipeline
-  /// before sequencing OnOutcome for such a policy — and may sequence it
-  /// immediately, with folds still queued, when this is false (the
-  /// default: OnOutcome is a no-op for the other policies).
+  /// Index-fed twin of `OnOutcome`, as `PickUserIndexed` is of `PickUser`:
+  /// engines with the candidate index on call it in place of `OnOutcome`,
+  /// and it must leave the policy in the SAME state, bit-for-bit. When
+  /// `ObservesOutcomes()` is true it is called only on a quiesced engine
+  /// whose index is fresh (every fold applied and `Refresh`ed); when false,
+  /// an asynchronous engine may call it with folds still queued, so such a
+  /// policy must read neither `users` nor `index` here. The default calls
+  /// `OnOutcome`.
+  virtual void OnOutcomeIndexed(const std::vector<UserState>& users,
+                                int served_user, const CandidateIndex& index) {
+    (void)index;
+    OnOutcome(users, served_user);
+  }
+
+  /// True when OnOutcome / OnOutcomeIndexed actually read engine state
+  /// (HYBRID's freeze detector: one O(T) pass over every tenant's
+  /// candidacy and best reward — an exact CompareScaled per tenant on the
+  /// scan path, one exact mean cut plus a double compare per tenant on the
+  /// indexed path). Engines that fold outcomes asynchronously must quiesce
+  /// the fold pipeline before sequencing the outcome hook for such a
+  /// policy — and may sequence it immediately, with folds still queued,
+  /// when this is false (the default: the hook is a no-op for the other
+  /// policies).
   virtual bool ObservesOutcomes() const { return false; }
 
   /// Whether the algorithm requires the initialization sweep of Algorithm 2

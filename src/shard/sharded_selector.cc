@@ -163,9 +163,10 @@ Status ShardedMultiTenantSelector::Report(const Assignment& assignment,
   // HYBRID's freeze detector reads every tenant's post-fold state. Wait
   // for the queues outside mu_ first — concurrent reporters keep
   // validating and enqueuing while the backlog folds — then re-lock and
-  // drain again: with mu_ held no new fold can slip in, so OnOutcome sees
-  // a quiescent engine. The backlog is bounded by num_devices (every fold
-  // stems from an issued ticket), so this converges.
+  // drain again: with mu_ held no new fold can slip in, so the outcome
+  // hook sees a quiescent engine and a fresh index. The backlog is bounded
+  // by num_devices (every fold stems from an issued ticket), so this
+  // converges.
   pool_.DrainQueues();
   MutexLock lock(mu_);
   DrainFolds();

@@ -47,11 +47,12 @@ namespace easeml::shard {
 /// concurrently instead of serializing under the engine lock. For policies
 /// whose `ObservesOutcomes()` is false (everything but HYBRID) the
 /// scheduler is sequenced immediately and `Report` returns with the fold
-/// still in flight; HYBRID's freeze detector reads every tenant, so its
-/// reports drain the queues before `OnOutcome`. Every reader of tenant or
-/// index state (`Next`, accessors, churn) quiesces the same way: it takes
-/// `mu_` — which stops new folds from being enqueued — then drains the
-/// queues, so it always observes a fully folded engine.
+/// still in flight; HYBRID's freeze detector reads every tenant and the
+/// index, so its reports drain the queues before the outcome hook
+/// (`OnOutcomeIndexed`, or `OnOutcome` with the index off). Every reader
+/// of tenant or index state (`Next`, accessors, churn) quiesces the same
+/// way: it takes `mu_` — which stops new folds from being enqueued — then
+/// drains the queues, so it always observes a fully folded engine.
 ///
 /// Drop-in: the class IS a `core::MultiTenantSelector` (same ticketed
 /// `Next()/Report()/Cancel()` protocol, same Status taxonomy), selected via
@@ -182,8 +183,9 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
   ShardMap map_ EASEML_GUARDED_BY(mu_);
   ShardPool pool_;
   /// Cached scheduler().ObservesOutcomes(): true (HYBRID) forces Report to
-  /// drain the fold queues before sequencing OnOutcome; false lets Report
-  /// return with its fold still queued (fully asynchronous completions).
+  /// drain the fold queues before sequencing the outcome hook; false lets
+  /// Report return with its fold still queued (fully asynchronous
+  /// completions).
   const bool scheduler_observes_outcomes_;
 };
 

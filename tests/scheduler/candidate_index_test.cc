@@ -10,12 +10,14 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bandit/gp_ucb.h"
 #include "bandit/ucb1.h"
 #include "common/rng.h"
 #include "linalg/matrix.h"
+#include "scheduler/hybrid.h"
 #include "scheduler/user_state.h"
 
 namespace easeml::scheduler {
@@ -63,14 +65,27 @@ std::vector<std::vector<int>> SplitPlacement(int n, int shards) {
   return locals;  // each ascending
 }
 
+/// Algorithm 2 line 7 evaluated from first principles — the exact scaled
+/// comparison against the threshold's sum, never the cut under test: no
+/// finite bound at all admits every schedulable tenant; otherwise +inf
+/// always admits, NaN and -inf never, a finite bound iff
+/// bound * finite >= sum exactly.
+bool ExactlyAdmits(const CandidateIndex::TenantKey& key,
+                   const ExactDoubleSum& sum, int finite) {
+  if (!key.schedulable) return false;
+  if (finite == 0) return true;
+  if (!std::isfinite(key.bound)) return std::isinf(key.bound) && key.bound > 0;
+  return sum.CompareScaled(key.bound, finite) >= 0;
+}
+
 /// Brute-force argmax over candidates with the scan's fold semantics.
 CandidateIndex::Best BruteBest(const CandidateIndex& index, int n,
-                               const CandidateIndex::Candidacy& candidacy,
+                               const ExactDoubleSum& sum, int finite,
                                bool use_gap) {
   CandidateIndex::Best best;
   for (int i = 0; i < n; ++i) {
     const CandidateIndex::TenantKey& key = index.Key(i);
-    if (!key.schedulable || !candidacy.Admits(key.bound)) continue;
+    if (!ExactlyAdmits(key, sum, finite)) continue;
     const double value = use_gap ? key.gap : key.bound;
     // The scan's fold: -inf sentinel, strictly-greater wins, ascending ids
     // keep the lowest id among exact ties; NaN never wins.
@@ -83,10 +98,9 @@ CandidateIndex::Best BruteBest(const CandidateIndex& index, int n,
 }
 
 int BruteMinCandidate(const CandidateIndex& index, int n,
-                      const CandidateIndex::Candidacy& candidacy) {
+                      const ExactDoubleSum& sum, int finite) {
   for (int i = 0; i < n; ++i) {
-    const CandidateIndex::TenantKey& key = index.Key(i);
-    if (key.schedulable && candidacy.Admits(key.bound)) return i;
+    if (ExactlyAdmits(index.Key(i), sum, finite)) return i;
   }
   return kNone;
 }
@@ -100,13 +114,27 @@ TEST(CandidateIndexTest, DescentsMatchBruteForceUnderForcedThresholds) {
     index.SyncPlacement(SplitPlacement(kUsers, shards), users);
     ASSERT_TRUE(index.Validate(users).ok());
 
-    // Real aggregates...
-    ExactDoubleSum real_sum;
-    int real_finite = 0;
-    for (int s = 0; s < shards; ++s) {
-      real_sum.Merge(index.BoundSum(s));
-      real_finite += index.FiniteCount(s);
+    // Real aggregates, merged over the shards, checked against a fresh
+    // pass over the keys...
+    const CandidateIndex::Threshold merged = index.MergedThreshold();
+    const ExactDoubleSum& real_sum = merged.bound_sum;
+    const int real_finite = merged.finite_count;
+    ExactDoubleSum fresh_sum;
+    int fresh_finite = 0;
+    int schedulable = 0;
+    for (int i = 0; i < kUsers; ++i) {
+      const CandidateIndex::TenantKey& key = index.Key(i);
+      if (!key.schedulable) continue;
+      ++schedulable;
+      if (std::isfinite(key.bound)) {
+        fresh_sum.Add(key.bound);
+        ++fresh_finite;
+      }
     }
+    EXPECT_EQ(merged.schedulable, schedulable);
+    EXPECT_EQ(merged.min_bad_policy, kNone);
+    EXPECT_EQ(real_finite, fresh_finite);
+    EXPECT_EQ(real_sum.Compare(fresh_sum), 0);
     // ...plus artificial ones that push the threshold through the whole
     // bound range, forcing every pruning branch: thresholds between the
     // minimum and far above the maximum (global argmax not a candidate).
@@ -117,20 +145,35 @@ TEST(CandidateIndexTest, DescentsMatchBruteForceUnderForcedThresholds) {
       forced.Add(target);
       contexts.emplace_back(forced, 1);
     }
+    // Thresholds AT real bounds, where a cut off by one ulp would flip a
+    // tenant: a mean equal to a bound (the tenant must pass), and means
+    // one least-subnormal above or below it over three tenants (the mean
+    // is then not a double; the bound must fail, resp. pass).
+    for (int i = 0; i < kUsers; i += 5) {
+      const CandidateIndex::TenantKey& key = index.Key(i);
+      if (!key.schedulable || !std::isfinite(key.bound)) continue;
+      ExactDoubleSum tie;
+      tie.Add(key.bound);
+      contexts.emplace_back(tie, 1);
+      for (double nudge : {5e-324, -5e-324}) {
+        ExactDoubleSum near;
+        near.AddProduct(key.bound, 3);
+        near.Add(nudge);
+        contexts.emplace_back(near, 3);
+      }
+    }
     contexts.emplace_back(ExactDoubleSum(), 0);  // all-candidates mode
 
     for (const auto& [sum, finite] : contexts) {
-      CandidateIndex::Candidacy candidacy;
-      candidacy.sum = &sum;
-      candidacy.finite_count = finite;
-      candidacy.all_candidates = finite == 0;
+      const CandidateIndex::Candidacy candidacy =
+          CandidateIndex::Candidacy::Of(sum, finite);
       for (bool use_gap : {true, false}) {
         CandidateIndex::Best got;
         for (int s = 0; s < shards; ++s) {
           got = index.BestCandidate(s, candidacy, use_gap, got);
         }
         const CandidateIndex::Best expected =
-            BruteBest(index, kUsers, candidacy, use_gap);
+            BruteBest(index, kUsers, sum, finite, use_gap);
         EXPECT_EQ(got.user, expected.user)
             << "shards=" << shards << " finite=" << finite
             << " use_gap=" << use_gap;
@@ -142,7 +185,7 @@ TEST(CandidateIndexTest, DescentsMatchBruteForceUnderForcedThresholds) {
       for (int s = 0; s < shards; ++s) {
         got_min = std::min(got_min, index.MinCandidate(s, candidacy));
       }
-      EXPECT_EQ(got_min, BruteMinCandidate(index, kUsers, candidacy))
+      EXPECT_EQ(got_min, BruteMinCandidate(index, kUsers, sum, finite))
           << "shards=" << shards << " finite=" << finite;
     }
 
@@ -164,6 +207,75 @@ TEST(CandidateIndexTest, DescentsMatchBruteForceUnderForcedThresholds) {
       EXPECT_EQ(got, expected) << "floor=" << floor_id;
       EXPECT_EQ(got_count, expected_count) << "cap=" << floor_id;
     }
+  }
+}
+
+/// The cut-based test keeps the scan's rules for non-finite bounds: +inf
+/// always admits, NaN and -inf never — unless no finite bound exists, in
+/// which case every schedulable tenant is a candidate.
+TEST(CandidateIndexTest, CandidacyKeepsTheScanRulesForNonFiniteBounds) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  ExactDoubleSum sum;
+  for (double b : {0.25, 0.5, 0.75}) sum.Add(b);  // mean exactly 0.5
+  const auto candidacy = CandidateIndex::Candidacy::Of(sum, 3);
+  EXPECT_TRUE(candidacy.Admits(kInf));
+  EXPECT_FALSE(candidacy.Admits(kNaN));
+  EXPECT_FALSE(candidacy.Admits(-kInf));
+  EXPECT_TRUE(candidacy.Admits(0.5));
+  EXPECT_FALSE(candidacy.Admits(std::nextafter(0.5, 0.0)));
+  // A mean above every finite double: only +inf admits.
+  ExactDoubleSum huge;
+  huge.AddProduct(kMax, 2);
+  const auto unreachable = CandidateIndex::Candidacy::Of(huge, 1);
+  EXPECT_TRUE(unreachable.Admits(kInf));
+  EXPECT_FALSE(unreachable.Admits(kMax));
+  EXPECT_FALSE(unreachable.Admits(kNaN));
+  // No finite bound at all: the scan's all-candidates fallback.
+  const auto all = CandidateIndex::Candidacy::Of(ExactDoubleSum(), 0);
+  for (double b : {kInf, kNaN, -kInf, 0.0}) EXPECT_TRUE(all.Admits(b));
+}
+
+/// HYBRID's index-fed freeze pass against its scan reference on raw
+/// populations, including a shape engine campaigns rarely reach: the
+/// all-candidates mode (no finite bound) beside tenants that are not
+/// schedulable (exhausted, capped by an in-flight selection). Patience 2,
+/// so the third call on an unchanged population fires the switch.
+TEST(CandidateIndexTest, HybridFreezePassMatchesScanOnEveryLeafShape) {
+  std::vector<std::vector<UserState>> populations;
+  for (uint64_t seed : {3, 17, 29}) {
+    populations.push_back(MakePopulation(23, 4, seed));
+  }
+  std::vector<UserState> edge;
+  edge.push_back(MakeGpUser(0, 2));  // exhausted after two outcomes
+  for (int s = 0; s < 2; ++s) {
+    auto arm = edge[0].SelectArm();
+    ASSERT_TRUE(arm.ok());
+    ASSERT_TRUE(edge[0].RecordOutcome(*arm, 0.5).ok());
+  }
+  edge.push_back(MakeGpUser(1, 3));  // fresh: bound +inf, schedulable
+  edge.push_back(MakeGpUser(2, 3));  // fresh, but its one slot is in flight
+  ASSERT_TRUE(edge[2].SelectArm().ok());
+  populations.push_back(std::move(edge));
+
+  for (size_t p = 0; p < populations.size(); ++p) {
+    const std::vector<UserState>& users = populations[p];
+    const int n = static_cast<int>(users.size());
+    CandidateIndex index(2);
+    index.SyncPlacement(SplitPlacement(n, 2), users);
+    HybridScheduler scan(/*patience=*/2);
+    HybridScheduler indexed(/*patience=*/2);
+    for (int call = 0; call < 3; ++call) {
+      scan.OnOutcome(users, 0);
+      indexed.OnOutcomeIndexed(users, 0, index);
+      std::string want;
+      std::string got;
+      scan.SaveDurable(&want);
+      indexed.SaveDurable(&got);
+      EXPECT_EQ(got, want) << "population " << p << ", call " << call;
+    }
+    EXPECT_TRUE(indexed.switched()) << "population " << p;
   }
 }
 

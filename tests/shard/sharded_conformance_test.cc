@@ -11,7 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -19,6 +22,7 @@
 
 #include "common/rng.h"
 #include "core/multi_tenant_selector.h"
+#include "scheduler/hybrid.h"
 
 namespace easeml::shard {
 namespace {
@@ -73,9 +77,11 @@ std::string ToString(const Event& e) {
 /// Drives one full campaign: keep every device slot filled, then hand back
 /// a pseudo-randomly chosen outstanding completion (the same seeded choice
 /// sequence for every engine), optionally cancelling some completions and
-/// churning tenants. Returns the full event trace.
+/// churning tenants. Calls `after_report` (when set) after every
+/// successful Report. Returns the full event trace.
 std::vector<Event> Drive(MultiTenantSelector* selector, int tenants,
-                         int models, bool churn) {
+                         int models, bool churn,
+                         const std::function<void()>& after_report = {}) {
   Rng rng(2026);
   std::vector<Event> trace;
   std::vector<Assignment> outstanding;
@@ -111,6 +117,7 @@ std::vector<Event> Drive(MultiTenantSelector* selector, int tenants,
       trace.push_back(
           {'R', a.tenant, a.model, a.id, static_cast<int>(st.code())});
       ++reports;
+      if (st.ok() && after_report) after_report();
     }
     if (churn) {
       if (reports % 7 == 3) {
@@ -241,6 +248,63 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::ValuesIn(kAllKinds),
                        ::testing::Values(1, 3)),
     ParamName);
+
+/// HYBRID's freeze detector on the index (`OnOutcomeIndexed`: merged shard
+/// aggregates, one exact mean cut, a double compare per tenant) against
+/// its scan reference (`OnOutcome`: ComputeCandidateSet). The pick trace
+/// would expose a difference only once it changed a later pick; this
+/// compares the detector state itself: after every successful Report the
+/// policy's durable bytes (switch flag, frozen-step count, candidate
+/// snapshot, summed best reward, nested GREEDY/ROUNDROBIN state) must be
+/// identical. The switch must fire mid-campaign, so both phases and the
+/// switch itself are covered.
+TEST(HybridFreezeParityTest, IndexedDetectorMatchesScanAfterEveryReport) {
+  // Sized so that, with patience 3, the switch fires between a third and
+  // half-way through every configuration below, churn included.
+  constexpr int kTenants = 11;
+  constexpr int kModels = 6;
+  for (int shards : {1, 2}) {
+    for (int devices : {1, 3}) {
+      for (bool churn : {false, true}) {
+        const std::string label = "N=" + std::to_string(shards) +
+                                  "/D=" + std::to_string(devices) +
+                                  (churn ? "/churn" : "");
+        std::vector<std::string> states[2];
+        std::vector<bool> switched;
+        std::vector<Event> traces[2];
+        for (bool use_index : {false, true}) {
+          auto engine = MakeSelector(
+              MakeOptions(SchedulerKind::kHybrid, devices, shards, use_index));
+          ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+          const MultiTenantSelector* selector = engine->get();
+          const auto& policy = dynamic_cast<const scheduler::HybridScheduler&>(
+              selector->scheduler_policy());
+          std::vector<std::string>& out = states[use_index ? 1 : 0];
+          traces[use_index ? 1 : 0] =
+              Drive(engine->get(), kTenants, kModels, churn, [&] {
+                out.emplace_back();
+                policy.SaveDurable(&out.back());
+                if (use_index) switched.push_back(policy.switched());
+              });
+        }
+        ExpectSameTrace(traces[0], traces[1], label);
+        ASSERT_EQ(states[0].size(), states[1].size()) << label;
+        for (size_t i = 0; i < states[0].size(); ++i) {
+          ASSERT_EQ(states[0][i], states[1][i])
+              << label << ": freeze state diverged after report " << i;
+        }
+        // Not vacuous: the detector ran in both phases and fired between.
+        const auto first_switched =
+            std::find(switched.begin(), switched.end(), true);
+        ASSERT_NE(first_switched, switched.end()) << label << ": never fired";
+        EXPECT_GT(first_switched - switched.begin(), 0) << label;
+        EXPECT_LT(first_switched - switched.begin(),
+                  static_cast<std::ptrdiff_t>(switched.size()) - 1)
+            << label << ": fired only at the last report";
+      }
+    }
+  }
+}
 
 /// The factory must return the plain engine at 1 shard and the sharded one
 /// above, both accepting the full ticketed protocol.
