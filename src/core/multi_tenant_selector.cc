@@ -148,12 +148,12 @@ Result<int> MultiTenantSelector::AddTenantWithBelief(
   return id;
 }
 
-void MultiTenantSelector::OnTenantAdded(int tenant) {
-  // New ids are globally maximal, so the 1-shard index extends at the tail
-  // in O(log T) — never a rebuild on the add path.
-  if (index_ != nullptr) index_->AppendTenant(0, users_[tenant]);
+void MultiTenantSelector::AppendNewTenant(int tenant, int shard) {
+  // New ids are globally maximal, so the shard's index tree extends at the
+  // tail in O(log T) — never a rebuild on the add path.
+  if (index_ != nullptr) index_->AppendTenant(shard, users_[tenant]);
   if (options_.observer != nullptr) {
-    options_.observer->OnTenantPlaced(tenant, 0);
+    options_.observer->OnTenantPlaced(tenant, shard);
     NotifyTenantEvent(tenant);
   }
 }

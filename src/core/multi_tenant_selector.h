@@ -54,13 +54,14 @@ struct SelectorOptions {
   /// Number of selector shards. 1 (the default) folds every report inline;
   /// values > 1 select `shard::ShardedMultiTenantSelector` when the
   /// selector is built through `shard::MakeSelector` — tenants are
-  /// hash-partitioned across that many worker threads, and each `Report` /
-  /// `Cancel` queues its belief fold on the owning shard's worker, so folds
-  /// for tenants on different shards run concurrently. Picks and arm
-  /// selections stay on the calling thread; the selection trace is
-  /// bit-identical to the 1-shard engine. Plain
-  /// `MultiTenantSelector::Create` ignores the field (it IS the 1-shard
-  /// engine).
+  /// hash-partitioned across that many worker threads, and each `Cancel`,
+  /// and each `Report` under a policy that does not observe outcomes
+  /// (everything but HYBRID), queues its belief fold on the owning shard's
+  /// worker, so folds for tenants on different shards run concurrently.
+  /// HYBRID reports fold on the calling thread. Picks and arm selections
+  /// stay on the calling thread too; the selection trace is bit-identical
+  /// to the 1-shard engine. Plain `MultiTenantSelector::Create` ignores
+  /// the field (it IS the 1-shard engine).
   int num_shards = 1;
 
   /// Serve `Next()` from the incremental candidate index (the default):
@@ -156,13 +157,14 @@ int DefaultPriorCacheSizeForTesting();
 /// (`shard::ShardedMultiTenantSelector`), which wraps every public method
 /// in its selector lock and runs `Report`/`Cancel` through the protected
 /// `Begin*`/`Fold*`/`FinishReport` phases below, shipping the fold to a
-/// shard worker. The pick and the arm selection always run here, on the
-/// calling (in the sharded engine: quiesced coordinator) thread. The only
-/// virtual hooks are `OnTenantAdded`/`OnTenantRemoved`, which keep the
-/// shard map and the index placement in step with churn. `Create` ignores
-/// `num_shards`; build through `shard::MakeSelector` to honor it. The base
-/// engine is single-threaded (external synchronization required); the
-/// sharded override of every public method is thread-safe.
+/// shard worker unless the policy observes outcomes. The pick and the arm
+/// selection always run here, on the calling (in the sharded engine:
+/// quiesced coordinator) thread. The only virtual hooks are
+/// `OnTenantAdded`/`OnTenantRemoved`, which keep the shard map and the
+/// index placement in step with churn. `Create` ignores `num_shards`;
+/// build through `shard::MakeSelector` to honor it. The base engine is
+/// single-threaded (external synchronization required); the sharded
+/// override of every public method is thread-safe.
 class MultiTenantSelector {
  public:
   /// A unit of work: train model `model` for tenant `tenant`. `id` is the
@@ -314,11 +316,18 @@ class MultiTenantSelector {
   // API.
 
   /// Notification hooks for shard-map / index maintenance. The base add
-  /// hook appends the new tenant to the 1-shard index in O(log T); the
-  /// sharded engine overrides both to update its shard map and resync the
-  /// index placement (a rebalance may move OTHER tenants between shards).
-  virtual void OnTenantAdded(int tenant);
+  /// hook places the new tenant on shard 0 (`AppendNewTenant`); the sharded
+  /// engine overrides both to update its shard map. A new id is the largest
+  /// ever issued, so an add lands at the tail of its shard and moves no
+  /// other tenant; a removal may rebalance other tenants, so the sharded
+  /// remove hook resyncs the whole index placement.
+  virtual void OnTenantAdded(int tenant) { AppendNewTenant(tenant, 0); }
   virtual void OnTenantRemoved(int tenant) { (void)tenant; }
+
+  /// The add path both engines share: appends the new `tenant` to the tail
+  /// of `shard`'s index tree in O(log T) amortized, then announces it to
+  /// the observer (`OnTenantPlaced`, then its first tenant event).
+  void AppendNewTenant(int tenant, int shard);
 
   // --- Report pipeline seams ----------------------------------------------
   //
@@ -327,8 +336,9 @@ class MultiTenantSelector {
   // a FOLD phase (`Fold*`: the O(t^2) belief append / in-flight un-charge
   // plus the index-leaf refresh), and for Report a SEQUENCING phase
   // (`FinishReport`: scheduler outcome hook + global round advance). The
-  // base engine runs all three inline; the sharded engine runs `Begin*` /
-  // `FinishReport` under its coordinator lock and ships the fold to the
+  // base engine runs all three inline. The sharded engine runs all three
+  // under its coordinator lock too when the policy observes outcomes
+  // (HYBRID); otherwise it ships the fold (and every cancel's fold) to the
   // tenant's owning shard worker through a per-shard FIFO report queue, so
   // completions for tenants on different shards fold concurrently.
   // Per-tenant fold order equals Begin* order, which keeps the selection

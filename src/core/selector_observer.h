@@ -41,12 +41,14 @@ struct TenantObservation {
 ///
 /// Threading contract, inherited from the engines' fold discipline:
 ///  - `OnTenantEvent(obs)` fires on the thread that owns the tenant's shard
-///    state at that moment — the shard worker for a queued fold (report or
-///    cancel), the quiesced coordinator (lock held, fold queues drained)
-///    for selections and churn. Queued folds are the only events a worker
-///    fires. Events for tenants on DIFFERENT shards may fire concurrently;
-///    events for one shard never do. (The observer learns each tenant's
-///    shard from the placement hooks, which always precede its events.)
+///    state at that moment — the shard worker for a queued fold (a cancel,
+///    or a report under a policy whose `ObservesOutcomes()` is false), the
+///    quiesced coordinator (lock held, fold queues drained) for
+///    selections, churn and HYBRID's report folds, which run inline. Queued
+///    folds are the only events a worker fires. Events for tenants on
+///    DIFFERENT shards may fire concurrently; events for one shard never
+///    do. (The observer learns each tenant's shard from the placement
+///    hooks, which always precede its events.)
 ///  - `OnTenantPlaced` / `OnPlacementChanged` fire only while the engine is
 ///    quiesced (coordinator lock held, fold queues drained), never
 ///    concurrently with any other hook.
@@ -67,14 +69,16 @@ class SelectorObserver {
   virtual void OnTenantEvent(const TenantObservation& obs) { (void)obs; }
 
   /// A new tenant appeared on `shard` (placement grows at the tail; no
-  /// other tenant moved). Fired before the tenant's first OnTenantEvent.
+  /// other tenant moved — both engines add this way). Fired before the
+  /// tenant's first OnTenantEvent.
   virtual void OnTenantPlaced(int tenant, int shard) {
     (void)tenant;
     (void)shard;
   }
 
-  /// Churn rebalanced the shard map: `shard_tenants[s]` lists the live
-  /// tenants of shard `s` in ascending id order.
+  /// A tenant removal rebalanced the sharded engine's shard map:
+  /// `shard_tenants[s]` lists the live tenants of shard `s` in ascending id
+  /// order.
   virtual void OnPlacementChanged(
       const std::vector<std::vector<int>>& shard_tenants) {
     (void)shard_tenants;
@@ -89,9 +93,10 @@ class SelectorObserver {
     (void)arm_us;
   }
 
-  /// A `Report()` coordinator phase finished successfully after
-  /// `coord_us` thread-CPU microseconds (validation + ticket retirement +
-  /// fold hand-off; excludes the fold itself on sharded engines).
+  /// A `Report()` finished successfully after `coord_us` thread-CPU
+  /// microseconds on the calling thread (validation, ticket retirement,
+  /// fold hand-off, outcome hook, WAL sync), excluding the fold itself,
+  /// which `OnFold` reports.
   virtual void OnReport(double coord_us) { (void)coord_us; }
 
   /// A `Report()`/`Cancel()` ticket was rejected; `code` is the
@@ -100,12 +105,13 @@ class SelectorObserver {
   /// entry or non-finite accuracy).
   virtual void OnTicketRejected(int code) { (void)code; }
 
-  /// A belief fold was queued on `shard`'s report queue (sharded engine
-  /// coordinator side).
+  /// A belief fold was handed to `shard`: queued on its worker, or about
+  /// to run inline on the caller (base engine, HYBRID reports).
   virtual void OnFoldQueued(int shard) { (void)shard; }
 
-  /// A belief fold (report or cancel) ran on `shard`, costing `fold_us`
-  /// thread-CPU microseconds on the owning worker.
+  /// A belief fold (report or cancel) of a `shard` tenant ran, costing
+  /// `fold_us` thread-CPU microseconds on the thread that ran it (the
+  /// owning worker for a queued fold, the caller for an inline one).
   virtual void OnFold(int shard, double fold_us) {
     (void)shard;
     (void)fold_us;

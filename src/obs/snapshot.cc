@@ -167,9 +167,9 @@ void SnapshotPlane::SetPlacement(
     for (int pos = 0; pos < static_cast<int>(ids->size()); ++pos) {
       const int t = (*ids)[static_cast<size_t>(pos)];
       where_[static_cast<size_t>(t)] = {s, pos};
-      // A tenant placed here for the first time (sharded adds arrive via
-      // SetPlacement, not Place) has a default master entry; stamp its id
-      // so the immediate republish below never exposes tenant = -1.
+      // A tenant first placed here rather than through Place has a default
+      // master entry; stamp its id so the immediate republish below never
+      // exposes tenant = -1.
       master_[static_cast<size_t>(t)].tenant = t;
     }
     slot.ids = std::move(ids);

@@ -52,9 +52,10 @@ namespace easeml::obs {
 ///
 /// Threading contract (mirrors `core::SelectorObserver`):
 ///   - `Apply` runs on the tenant's owning thread: the shard worker for a
-///     queued fold, the quiesced coordinator for selections and churn.
-///     Applies for different shards may be concurrent; applies for one
-///     shard never are.
+///     queued fold (cancels, and reports under a policy that does not
+///     observe outcomes), the quiesced coordinator for selections, churn
+///     and HYBRID's report folds, which run inline. Applies for different
+///     shards may be concurrent; applies for one shard never are.
 ///   - `Place`, `SetPlacement`, `FlushAll` require a quiesced engine (no
 ///     concurrent `Apply` anywhere) — they rebuild writer-side state.
 ///   - `Snapshot` is safe from ANY thread at ANY time.
@@ -146,13 +147,13 @@ class SnapshotPlane {
   /// The tenant must have been placed (`Place`/`SetPlacement`) first.
   void Apply(const core::TenantObservation& obs);
 
-  /// Appends a new tenant to `shard`'s placement (quiesced; the base
-  /// engine's single-shard add path).
+  /// Appends a new tenant to `shard`'s placement (quiesced; the add path
+  /// of both engines).
   void Place(int tenant, int shard);
 
-  /// Replaces the whole placement (quiesced; sharded-engine churn). Every
-  /// shard republishes immediately so no block ever references a stale
-  /// partition.
+  /// Replaces the whole placement (quiesced; a sharded-engine removal).
+  /// Every shard republishes immediately so no block ever references a
+  /// stale partition.
   void SetPlacement(const std::vector<std::vector<int>>& shard_tenants);
 
   /// Publishes every shard with unpublished events (quiesced). After this,

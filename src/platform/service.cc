@@ -112,6 +112,7 @@ Status EaseMlService::Feed(int job, int count) {
     e.noisy = rng_.Bernoulli(options_.noisy_label_fraction);
     examples.push_back(e);
   }
+  jobs_[job].effective_examples.reset();
   return Status::OK();
 }
 
@@ -130,6 +131,7 @@ Status EaseMlService::Refine(int job, int example_index, bool enabled) {
     return Status::OutOfRange("Refine: example index out of range");
   }
   examples[example_index].enabled = enabled;
+  jobs_[job].effective_examples.reset();
   return Status::OK();
 }
 
@@ -154,15 +156,16 @@ Result<InferReport> EaseMlService::Infer(int job) const {
 }
 
 Result<AsyncTrainingJob> EaseMlService::MakeTrainingJob(
-    const core::MultiTenantSelector::Assignment& assignment) const {
-  const JobInfo& job = jobs_[assignment.tenant];
+    const core::MultiTenantSelector::Assignment& assignment) {
+  JobInfo& job = jobs_[assignment.tenant];
+  if (!job.effective_examples) job.effective_examples = EffectiveExamples(job);
   AsyncTrainingJob spec;
   spec.job_id = assignment.id;
   spec.candidate = job.candidates[assignment.model];
   EASEML_ASSIGN_OR_RETURN(
       spec.model, ModelRegistry::Builtin().Find(spec.candidate.base_model));
   spec.profile.difficulty = job.difficulty;
-  spec.profile.num_examples = std::max(1.0, EffectiveExamples(job));
+  spec.profile.num_examples = std::max(1.0, *job.effective_examples);
   spec.profile.dynamic_range = job.dynamic_range;
   return spec;
 }
@@ -287,10 +290,11 @@ Result<AsyncRunReport> EaseMlService::RunAsync(int num_workers,
       if (first_error.ok()) first_error = done.status;
       continue;
     }
-    // Report first: with a sharded selector the call returns right after
-    // ticket validation (the belief fold is queued on the tenant's owning
-    // shard worker), so the task-pool bookkeeping below overlaps the fold
-    // instead of extending the completion's critical path.
+    // Report first: with a sharded selector under a stateless-outcome
+    // policy the call returns right after ticket validation (the belief
+    // fold is queued on the tenant's owning shard worker), so the task-pool
+    // bookkeeping below overlaps the fold instead of extending the
+    // completion's critical path.
     EASEML_RETURN_NOT_OK(selector_->Report(a, done.outcome.accuracy));
     EASEML_RETURN_NOT_OK(pool_.MarkDone(task_id, done.outcome.accuracy,
                                         done.outcome.duration));

@@ -2,6 +2,7 @@
 #define EASEML_PLATFORM_SERVICE_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -59,11 +60,13 @@ class EaseMlService {
  public:
   struct Options {
     /// Selector engine configuration. `selector.num_shards > 1` selects the
-    /// sharded engine (`shard::ShardedMultiTenantSelector`): each completion
-    /// queues its belief fold on one of that many shard workers, while
-    /// picks stay on the calling thread, with the selection trace
-    /// bit-identical to the sequential engine. `selector.num_devices`
-    /// sizes the async pipeline as before; the two compose.
+    /// sharded engine (`shard::ShardedMultiTenantSelector`): a completion
+    /// under a policy that does not observe outcomes (everything but
+    /// HYBRID) queues its belief fold on one of that many shard workers,
+    /// while picks (and HYBRID's folds) stay on the calling thread, with
+    /// the selection trace bit-identical to the sequential engine.
+    /// `selector.num_devices` sizes the async pipeline as before; the two
+    /// compose.
     core::SelectorOptions selector;
     SimulatedTrainingExecutor::Options executor;
     /// Fraction of fed examples whose labels are noisy (weak supervision).
@@ -129,11 +132,12 @@ class EaseMlService {
   /// `AsyncTrainingExecutor` worker pool (one worker per device by
   /// default; pass `num_workers > 0` to override), reconciling completions
   /// in whatever order devices finish. Completions are handed to the
-  /// selector BEFORE the task-pool bookkeeping: a sharded selector's
-  /// `Report` returns after validating the ticket and enqueuing the belief
-  /// fold on the owning shard worker, so the fold runs concurrently with
-  /// the bookkeeping instead of blocking the dispatch loop. Every task moves through the pool's
-  /// kPending -> kRunning -> kDone transitions exactly as in `Step`; a
+  /// selector BEFORE the task-pool bookkeeping: unless the policy observes
+  /// outcomes (HYBRID), a sharded selector's `Report` returns after
+  /// validating the ticket and enqueuing the belief fold on the owning
+  /// shard worker, so the fold runs concurrently with the bookkeeping
+  /// instead of blocking the dispatch loop. Every task moves through the
+  /// pool's kPending -> kRunning -> kDone transitions exactly as in `Step`; a
   /// failed training run requeues its task, returns its selector ticket,
   /// and surfaces the error after the drain with the service in a
   /// consistent, re-runnable state. With `num_devices = 1` on a fresh
@@ -173,6 +177,11 @@ class EaseMlService {
     std::vector<Example> examples;
     double difficulty = 0.8;       // hidden task difficulty
     double dynamic_range = 100.0;
+    /// Memo of `EffectiveExamples(*this)`: empty until the next training
+    /// run needs it. `Feed` and `Refine` (the only writers of `examples`)
+    /// reset it, and `MakeTrainingJob` recomputes it with the same loop,
+    /// so a served run sees exactly the sum a fresh count would give.
+    std::optional<double> effective_examples;
   };
 
   EaseMlService(const Options& options,
@@ -191,9 +200,10 @@ class EaseMlService {
   bool ExhaustedLocked() const EASEML_REQUIRES(mu_);
 
   /// Resolves a selector assignment into the training request both the
-  /// sequential and the asynchronous path execute.
+  /// sequential and the asynchronous path execute (filling the job's
+  /// example-count memo when it is empty).
   Result<AsyncTrainingJob> MakeTrainingJob(
-      const core::MultiTenantSelector::Assignment& assignment) const
+      const core::MultiTenantSelector::Assignment& assignment)
       EASEML_REQUIRES(mu_);
 
   /// Effective supervision volume: disabled examples do not count and noisy

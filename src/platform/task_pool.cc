@@ -1,5 +1,7 @@
 #include "platform/task_pool.h"
 
+#include <cmath>
+
 namespace easeml::platform {
 
 Result<std::vector<int>> TaskPool::AddUserTasks(
@@ -21,6 +23,8 @@ Result<std::vector<int>> TaskPool::AddUserTasks(
     ids.push_back(t.task_id);
     tasks_.push_back(std::move(t));
   }
+  std::vector<int>& own = user_tasks_[user_id];
+  own.insert(own.end(), ids.begin(), ids.end());
   return ids;
 }
 
@@ -35,6 +39,12 @@ Status TaskPool::Validate(int task_id) const {
                               std::to_string(task_id));
   }
   return Status::OK();
+}
+
+const std::vector<int>& TaskPool::UserTaskIds(int user_id) const {
+  static const std::vector<int> no_tasks;
+  const auto it = user_tasks_.find(user_id);
+  return it == user_tasks_.end() ? no_tasks : it->second;
 }
 
 Result<Task> TaskPool::Get(int task_id) const {
@@ -59,11 +69,14 @@ Status TaskPool::MarkDone(int task_id, double accuracy, double duration) {
   if (tasks_[task_id].state != TaskState::kRunning) {
     return Status::FailedPrecondition("MarkDone: task not running");
   }
-  if (accuracy < 0.0 || accuracy > 1.0) {
+  // Negated range checks: every comparison with NaN is false, so a NaN
+  // accuracy or duration fails the test instead of slipping past it.
+  if (!(accuracy >= 0.0 && accuracy <= 1.0)) {
     return Status::InvalidArgument("MarkDone: accuracy out of [0,1]");
   }
-  if (duration < 0.0) {
-    return Status::InvalidArgument("MarkDone: negative duration");
+  if (!(duration >= 0.0 && std::isfinite(duration))) {
+    return Status::InvalidArgument(
+        "MarkDone: duration must be finite and non-negative");
   }
   tasks_[task_id].state = TaskState::kDone;
   tasks_[task_id].accuracy = accuracy;
@@ -84,10 +97,8 @@ Status TaskPool::Requeue(int task_id) {
 std::vector<Task> TaskPool::PendingForUser(int user_id) const {
   MutexLock lock(*mu_);
   std::vector<Task> out;
-  for (const auto& t : tasks_) {
-    if (t.user_id == user_id && t.state == TaskState::kPending) {
-      out.push_back(t);
-    }
+  for (int id : UserTaskIds(user_id)) {
+    if (tasks_[id].state == TaskState::kPending) out.push_back(tasks_[id]);
   }
   return out;
 }
@@ -95,17 +106,16 @@ std::vector<Task> TaskPool::PendingForUser(int user_id) const {
 std::vector<Task> TaskPool::TasksForUser(int user_id) const {
   MutexLock lock(*mu_);
   std::vector<Task> out;
-  for (const auto& t : tasks_) {
-    if (t.user_id == user_id) out.push_back(t);
-  }
+  for (int id : UserTaskIds(user_id)) out.push_back(tasks_[id]);
   return out;
 }
 
 Result<Task> TaskPool::BestForUser(int user_id) const {
   MutexLock lock(*mu_);
   const Task* best = nullptr;
-  for (const auto& t : tasks_) {
-    if (t.user_id != user_id || t.state != TaskState::kDone) continue;
+  for (int id : UserTaskIds(user_id)) {
+    const Task& t = tasks_[id];
+    if (t.state != TaskState::kDone) continue;
     if (best == nullptr || t.accuracy > best->accuracy) best = &t;
   }
   if (best == nullptr) {

@@ -1,6 +1,7 @@
 #ifndef EASEML_PLATFORM_TASK_POOL_H_
 #define EASEML_PLATFORM_TASK_POOL_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +29,13 @@ struct Task {
 /// The user-level task pool: every submitted job expands into one task per
 /// candidate model; the resource-allocation layer (the multi-tenant
 /// selector) decides execution order.
+///
+/// Task ids are dense and ascending in registration order. Each user's ids
+/// are also kept in a per-user list, keyed by the caller-chosen user id,
+/// so the per-user queries (`PendingForUser`, `TasksForUser`,
+/// `BestForUser` — the `infer` path) walk one job's tasks, not the whole
+/// pool. They visit those tasks in ascending id order, the order a
+/// whole-pool scan would, so ties resolve identically.
 ///
 /// Thread-safe: every public method locks the pool's own mutex (task rows
 /// are tiny and copied out, never referenced across calls). The service's
@@ -57,14 +65,15 @@ class TaskPool {
   /// or was aborted before producing a measurement).
   Status Requeue(int task_id) EASEML_EXCLUDES(mu_);
 
-  /// Pending tasks of one user.
+  /// Pending tasks of one user, ascending task id.
   std::vector<Task> PendingForUser(int user_id) const EASEML_EXCLUDES(mu_);
 
-  /// All tasks of one user.
+  /// All tasks of one user, ascending task id.
   std::vector<Task> TasksForUser(int user_id) const EASEML_EXCLUDES(mu_);
 
-  /// Completed task with the best accuracy for `user_id`; NotFound when the
-  /// user has no finished task (this backs the `infer` operator).
+  /// Completed task with the best accuracy for `user_id` (the lowest task
+  /// id among exact ties); NotFound when the user has no finished task
+  /// (this backs the `infer` operator).
   Result<Task> BestForUser(int user_id) const EASEML_EXCLUDES(mu_);
 
   /// Number of tasks in each state across the pool.
@@ -73,6 +82,9 @@ class TaskPool {
  private:
   Status Validate(int task_id) const EASEML_REQUIRES(mu_);
 
+  /// `user_id`'s task ids, ascending (empty for a user without tasks).
+  const std::vector<int>& UserTaskIds(int user_id) const EASEML_REQUIRES(mu_);
+
   /// Heap-allocated so the pool (and the service holding it by value)
   /// stays movable; `mu_` is the stable capability the annotations name.
   /// Default moves keep the pair consistent: the storage transfers and the
@@ -80,6 +92,8 @@ class TaskPool {
   std::unique_ptr<Mutex> mu_storage_{std::make_unique<Mutex>()};
   Mutex* mu_{mu_storage_.get()};
   std::vector<Task> tasks_ EASEML_GUARDED_BY(mu_);
+  /// user id -> that user's task ids, ascending (appends only: ids grow).
+  std::map<int, std::vector<int>> user_tasks_ EASEML_GUARDED_BY(mu_);
 };
 
 }  // namespace easeml::platform

@@ -60,10 +60,12 @@ namespace easeml::scheduler {
 /// Keys go stale the moment their tenant's state changes; the owning
 /// selector MUST call `Refresh` after every event that touches a tenant —
 /// arm selection, outcome fold, cancel, retire — before the next pick.
-/// Tenant churn additionally re-partitions shards (the shard map rebalances
-/// within +-1), which re-slots leaves: the selector calls `SyncPlacement`
-/// with the new shard->tenants lists (cached keys are reused; churn costs
-/// O(T) re-aggregation, no per-tenant O(K) diagnostics reads).
+/// A new tenant is appended to its shard's tail (`AppendTenant`). A
+/// removal in the sharded engine additionally re-partitions shards (the
+/// shard map rebalances within +-1), which re-slots leaves: the selector
+/// calls `SyncPlacement` with the new shard->tenants lists (cached keys are
+/// reused; a removal costs O(T) re-aggregation, no per-tenant O(K)
+/// diagnostics reads).
 ///
 /// ## External synchronization
 ///
@@ -74,15 +76,17 @@ namespace easeml::scheduler {
 /// guarded-by relation is expressed on the selector side
 /// (`EASEML_PT_GUARDED_BY`-style at the owner), not here — a struct cannot
 /// name a mutex it has never heard of. Picks, arm selections and churn run
-/// on the quiesced coordinator (lock held, fold queues drained). The one
-/// worker-side exception is a queued report fold: a shard's owning worker
-/// may `Refresh` leaves of ITS tree without holding the selector lock. The
-/// pool's internal mutex orders those writes before the coordinator's next
-/// read (the queue drain), and distinct shards own disjoint trees, so
-/// concurrent folds on different workers never touch the same node; the
-/// cached-key vector is indexed per tenant and never resized worker-side
-/// (churn drains the queues first). Any new caller must either hold the
-/// owning selector's lock on a quiesced engine or run as such a fold.
+/// on the quiesced coordinator (lock held, fold queues drained), and so do
+/// HYBRID's report folds. The one worker-side exception is a queued fold (a
+/// cancel, or a report under a policy that does not observe outcomes): a
+/// shard's owning worker may `Refresh` leaves of ITS tree without holding
+/// the selector lock. The pool's internal mutex orders those writes before
+/// the coordinator's next read (the queue drain), and distinct shards own
+/// disjoint trees, so concurrent folds on different workers never touch
+/// the same node; the cached-key vector is indexed per tenant and never
+/// resized worker-side (churn drains the queues first). Any new caller
+/// must either hold the owning selector's lock on a quiesced engine or run
+/// as such a fold.
 class CandidateIndex {
  public:
   /// Sentinel for "no tenant": merges below as min-identity, mirroring the
@@ -191,8 +195,8 @@ class CandidateIndex {
 
   /// Places a NEW tenant at the tail of `shard` in O(log T) amortized —
   /// valid because tenant ids grow monotonically, so a new id is above
-  /// every placed id. The single-shard engine's add path (the sharded
-  /// engine resyncs instead: its map may rebalance other tenants).
+  /// every placed id. The add path of both engines (the sharded engine's
+  /// shard map puts a new id at one shard's tail and moves nobody else).
   void AppendTenant(int shard, const UserState& user);
 
   /// Recomputes `user`'s key (the only O(K) step: the batched MaxUcb

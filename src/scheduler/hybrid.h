@@ -44,8 +44,8 @@ class HybridScheduler : public SchedulerPolicy {
   void OnOutcomeIndexed(const std::vector<UserState>& users, int served_user,
                         const CandidateIndex& index) override;
   /// The freeze detector reads every tenant's candidacy and best reward
-  /// after each outcome, so asynchronous report pipelines must drain their
-  /// queued folds before sequencing it.
+  /// after each outcome, so the sharded engine folds HYBRID's reports
+  /// inline, on its quiesced coordinator, before sequencing it.
   bool ObservesOutcomes() const override { return true; }
   bool RequiresInitialSweep() const override { return true; }
   std::string name() const override { return "hybrid"; }

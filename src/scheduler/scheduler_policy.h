@@ -75,9 +75,9 @@ class SchedulerPolicy {
   /// scan path, one exact mean cut plus a double compare per tenant on the
   /// indexed path). Engines that fold outcomes asynchronously must quiesce
   /// the fold pipeline before sequencing the outcome hook for such a
-  /// policy — and may sequence it immediately, with folds still queued,
-  /// when this is false (the default: the hook is a no-op for the other
-  /// policies).
+  /// policy (the sharded engine folds its reports inline instead) — and
+  /// may sequence it immediately, with folds still queued, when this is
+  /// false (the default: the hook is a no-op for the other policies).
   virtual bool ObservesOutcomes() const { return false; }
 
   /// Whether the algorithm requires the initialization sweep of Algorithm 2

@@ -46,7 +46,11 @@ class ShardMap {
   int max_shard_size() const;
 
   /// Maps a new tenant (hash placement + rebalance). Precondition: not
-  /// currently mapped.
+  /// currently mapped. When `tenant` is above every mapped id (the engine
+  /// issues ids in ascending order), the add only appends `tenant` to one
+  /// shard's tail: sizes were within one, so at most one move follows, and
+  /// it moves the overfull shard's highest id — `tenant` itself. The
+  /// sharded engine's append-only add path relies on this.
   void Add(int tenant);
 
   /// Unmaps a tenant (+ rebalance). Precondition: currently mapped.

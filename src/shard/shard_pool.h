@@ -20,10 +20,14 @@ namespace easeml::shard {
 /// asynchronous half of the report pipeline: the coordinator validates a
 /// completion's ticket, enqueues the O(t^2) belief fold on the tenant's
 /// owning shard, and returns — folds for tenants on different shards run
-/// concurrently. `DrainQueues()` blocks until every queued task has
-/// finished; the mutex hand-off gives the caller full happens-before
-/// visibility of everything the tasks wrote. Per-worker FIFO order is the
-/// fold-order determinism anchor.
+/// concurrently. Only folds whose caller need not wait for them are
+/// queued: cancels, and reports under a policy that does not observe
+/// outcomes. A HYBRID report folds on the quiesced coordinator instead,
+/// because its outcome hook reads the folded state right away and a queue
+/// round trip would only add a hand-off. `DrainQueues()` blocks until
+/// every queued task has finished; the mutex hand-off gives the caller full
+/// happens-before visibility of everything the tasks wrote. Per-worker FIFO
+/// order is the fold-order determinism anchor.
 ///
 /// Workers accumulate the CPU time (CLOCK_THREAD_CPUTIME_ID) they spend
 /// inside tasks; `WorkerCpuSeconds()` exposes it. Unlike wall clock, thread

@@ -6,6 +6,25 @@
 
 namespace easeml::shard {
 
+namespace {
+
+/// Runs `fold` and, when observed, reports its thread-CPU cost as a fold on
+/// `owner`. Returns that cost in microseconds (0 when unobserved).
+template <typename Fold>
+double RunFold(core::SelectorObserver* obs, int owner, const Fold& fold) {
+  if (obs == nullptr) {
+    fold();
+    return 0.0;
+  }
+  const double f0 = ThreadCpuSeconds();
+  fold();
+  const double fold_us = (ThreadCpuSeconds() - f0) * 1e6;
+  obs->OnFold(owner, fold_us);
+  return fold_us;
+}
+
+}  // namespace
+
 ShardedMultiTenantSelector::ShardedMultiTenantSelector(
     core::MultiTenantSelector&& base, int num_shards)
     : core::MultiTenantSelector(std::move(base)),
@@ -42,6 +61,15 @@ void ShardedMultiTenantSelector::SyncIndexPlacement() {
   locals.reserve(static_cast<size_t>(map_.num_shards()));
   for (int s = 0; s < map_.num_shards(); ++s) locals.push_back(map_.local(s));
   index->SyncPlacement(locals, users());
+}
+
+void ShardedMultiTenantSelector::OnTenantAdded(int tenant) {
+  map_.Add(tenant);
+  const int shard = map_.shard_of(tenant);
+  EASEML_CHECK(map_.local(shard).back() == tenant)
+      << "shard: new tenant " << tenant << " is not the tail of shard "
+      << shard << "; appending it would desynchronize the placement";
+  AppendNewTenant(tenant, shard);
 }
 
 Result<int> ShardedMultiTenantSelector::AddTenant(
@@ -105,83 +133,81 @@ ShardedMultiTenantSelector::Next() {
   return core::MultiTenantSelector::Next();
 }
 
+int ShardedMultiTenantSelector::OwnerOf(const Assignment& issued) const {
+  const int owner = map_.shard_of(issued.tenant);
+  EASEML_CHECK(owner >= 0)
+      << "shard: tenant " << issued.tenant << " of live ticket " << issued.id
+      << " is not mapped to any shard";
+  return owner;
+}
+
+void ShardedMultiTenantSelector::QueueFold(int owner,
+                                           std::function<void()> fold) {
+  // The fold emits its own tenant event (base Fold*), so the closure only
+  // adds worker-side timing around it when observed.
+  core::SelectorObserver* obs = observer();
+  const bool queued =
+      pool_.Enqueue(owner, [obs, owner, fold = std::move(fold)] {
+        RunFold(obs, owner, fold);
+      });
+  EASEML_CHECK(queued) << "shard: report queue rejected a validated fold "
+                          "(pool shut down under a live selector)";
+  if (obs != nullptr) obs->OnFoldQueued(owner);
+}
+
 Status ShardedMultiTenantSelector::Report(const Assignment& assignment,
                                           double accuracy) {
   // Observation (all guarded — zero clock reads when no observer is set):
-  // OnReport carries the coordinator's thread-CPU cost, which excludes the
-  // fold (it runs on the owning worker, timed inside the queued closure)
-  // and, on the HYBRID path, the drain (a condvar wait burns wall time,
-  // not this thread's CPU).
+  // OnReport carries the coordinator's thread-CPU cost minus the fold,
+  // which OnFold reports on its own (inline under HYBRID, timed on the
+  // worker otherwise); a drain's condvar wait burns wall time, not CPU.
   core::SelectorObserver* obs = observer();
   const double c0 = obs != nullptr ? ThreadCpuSeconds() : 0.0;
-  int tenant = -1;
-  {
-    MutexLock lock(mu_);
-    // Coordinator phase: validate + retire the ticket, then hand the fold
-    // to the tenant's owning shard worker. FIFO queue order under mu_ is
-    // the per-tenant fold order — identical to the sequential engine's.
-    Result<Assignment> begun = BeginReport(assignment, accuracy);
-    if (!begun.ok()) {
-      if (obs != nullptr) {
-        obs->OnTicketRejected(static_cast<int>(begun.status().code()));
-      }
-      return begun.status();
-    }
-    const Assignment issued = *begun;
-    tenant = issued.tenant;
-    const int owner = map_.shard_of(tenant);
-    EASEML_CHECK(owner >= 0)
-        << "shard: tenant " << tenant << " of live ticket " << issued.id
-        << " is not mapped to any shard";
-    // The fold emits its own tenant event (base FoldReportedOutcome), so
-    // the closure only adds worker-side timing around it when observed.
-    const bool queued = pool_.Enqueue(owner, [this, issued, accuracy, owner] {
-      if (observer() == nullptr) {
-        FoldReportedOutcome(issued, accuracy);
-        return;
-      }
-      const double f0 = ThreadCpuSeconds();
-      FoldReportedOutcome(issued, accuracy);
-      observer()->OnFold(owner, (ThreadCpuSeconds() - f0) * 1e6);
-    });
-    EASEML_CHECK(queued) << "shard: report queue rejected a validated fold "
-                            "(pool shut down under a live selector)";
-    if (obs != nullptr) obs->OnFoldQueued(owner);
-    if (!scheduler_observes_outcomes_) {
-      // Stateless-OnOutcome policies: sequence the scheduler now and
-      // return with the fold still queued. Readers quiesce on entry, so
-      // nothing can observe the tenant pre-fold. The sync runs under mu_
-      // like every WAL call (the record was appended in BeginReport, so
-      // one write covers the whole group) — the fold itself carries no
-      // durability obligation and keeps running on the worker.
-      FinishReport(tenant);
-      EASEML_RETURN_NOT_OK(SyncWal());
-      if (obs != nullptr) obs->OnReport((ThreadCpuSeconds() - c0) * 1e6);
-      return Status::OK();
-    }
-  }
-  // HYBRID's freeze detector reads every tenant's post-fold state. Wait
-  // for the queues outside mu_ first — concurrent reporters keep
-  // validating and enqueuing while the backlog folds — then re-lock and
-  // drain again: with mu_ held no new fold can slip in, so the outcome
-  // hook sees a quiescent engine and a fresh index. The backlog is bounded
-  // by num_devices (every fold stems from an issued ticket), so this
-  // converges.
-  pool_.DrainQueues();
   MutexLock lock(mu_);
-  DrainFolds();
-  FinishReport(tenant);
+  Result<Assignment> begun = BeginReport(assignment, accuracy);
+  if (!begun.ok()) {
+    if (obs != nullptr) {
+      obs->OnTicketRejected(static_cast<int>(begun.status().code()));
+    }
+    return begun.status();
+  }
+  const Assignment issued = *begun;
+  const int owner = OwnerOf(issued);
+  double fold_us = 0.0;
+  if (scheduler_observes_outcomes_) {
+    // HYBRID's freeze detector reads every tenant's post-fold state and
+    // the index right after this fold, so there is nothing to overlap:
+    // fold here, on the quiesced coordinator, as the base engine does. The
+    // drain retires queued cancels first (per-tenant fold order), and mu_
+    // keeps the pipeline empty until the call returns.
+    DrainFolds();
+    if (obs != nullptr) obs->OnFoldQueued(owner);
+    fold_us =
+        RunFold(obs, owner, [&] { FoldReportedOutcome(issued, accuracy); });
+  } else {
+    // Stateless-OnOutcome policies: sequence the scheduler now and return
+    // with the fold still queued. Readers quiesce on entry, so nothing can
+    // observe the tenant pre-fold; FIFO queue order under mu_ is the
+    // per-tenant fold order, identical to the sequential engine's.
+    QueueFold(owner, [this, issued, accuracy] {
+      FoldReportedOutcome(issued, accuracy);
+    });
+  }
+  FinishReport(issued.tenant);
+  // The sync runs under mu_ like every WAL call (the record was appended in
+  // BeginReport, so one write covers the whole group); a queued fold
+  // carries no durability obligation.
   EASEML_RETURN_NOT_OK(SyncWal());
-  if (obs != nullptr) obs->OnReport((ThreadCpuSeconds() - c0) * 1e6);
+  if (obs != nullptr) obs->OnReport((ThreadCpuSeconds() - c0) * 1e6 - fold_us);
   return Status::OK();
 }
 
 Status ShardedMultiTenantSelector::Cancel(const Assignment& assignment) {
   core::SelectorObserver* obs = observer();
   MutexLock lock(mu_);
-  // Same coordinator/shard split as Report, minus the scheduler sequencing
-  // (a cancel is not an outcome): retire the ticket, queue the un-charge
-  // on the owner, return immediately.
+  // Same coordinator/shard split as a stateless Report, minus the
+  // scheduler sequencing (a cancel is not an outcome): retire the ticket,
+  // queue the un-charge on the owner, return immediately.
   Result<Assignment> begun = BeginCancel(assignment);
   if (!begun.ok()) {
     if (obs != nullptr) {
@@ -190,22 +216,7 @@ Status ShardedMultiTenantSelector::Cancel(const Assignment& assignment) {
     return begun.status();
   }
   const Assignment issued = *begun;
-  const int owner = map_.shard_of(issued.tenant);
-  EASEML_CHECK(owner >= 0)
-      << "shard: tenant " << issued.tenant << " of live ticket " << issued.id
-      << " is not mapped to any shard";
-  const bool queued = pool_.Enqueue(owner, [this, issued, owner] {
-    if (observer() == nullptr) {
-      FoldCancel(issued);
-      return;
-    }
-    const double f0 = ThreadCpuSeconds();
-    FoldCancel(issued);
-    observer()->OnFold(owner, (ThreadCpuSeconds() - f0) * 1e6);
-  });
-  EASEML_CHECK(queued) << "shard: report queue rejected a validated cancel "
-                          "(pool shut down under a live selector)";
-  if (obs != nullptr) obs->OnFoldQueued(owner);
+  QueueFold(OwnerOf(issued), [this, issued] { FoldCancel(issued); });
   return SyncWal();
 }
 

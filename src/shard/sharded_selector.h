@@ -2,6 +2,7 @@
 #define EASEML_SHARD_SHARDED_SELECTOR_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -36,23 +37,29 @@ namespace easeml::shard {
 ///
 /// ## Report pipeline (coordinator / shard split)
 ///
-/// `Report`/`Cancel` run in two phases. The COORDINATOR phase holds `mu_`:
-/// it validates the ticket against the in-flight table, retires the entry
-/// (duplicate taxonomy is pinned the moment the call returns), and enqueues
-/// the FOLD — the O(t^2) Cholesky append plus the index-leaf refresh — on
-/// the tenant's owning shard worker through `ShardPool::Enqueue`. The
-/// worker drains its queue FIFO, so per-tenant fold order equals the order
-/// the coordinator validated the completions in — exactly the sequential
-/// engine's fold order — while folds for tenants on DIFFERENT shards run
-/// concurrently instead of serializing under the engine lock. For policies
-/// whose `ObservesOutcomes()` is false (everything but HYBRID) the
-/// scheduler is sequenced immediately and `Report` returns with the fold
-/// still in flight; HYBRID's freeze detector reads every tenant and the
-/// index, so its reports drain the queues before the outcome hook
-/// (`OnOutcomeIndexed`, or `OnOutcome` with the index off). Every reader
-/// of tenant or index state (`Next`, accessors, churn) quiesces the same
-/// way: it takes `mu_` — which stops new folds from being enqueued — then
-/// drains the queues, so it always observes a fully folded engine.
+/// `Report`/`Cancel` run a COORDINATOR phase under `mu_`: it validates the
+/// ticket against the in-flight table and retires the entry (duplicate
+/// taxonomy is pinned the moment the call returns). What happens to the
+/// FOLD — the O(t^2) Cholesky append plus the index-leaf refresh — depends
+/// on whether the caller has to wait for it:
+///
+///   - HYBRID (`ObservesOutcomes()`): the freeze detector reads every
+///     tenant and the index right after the fold, so `Report` drains the
+///     queues (pending cancels) and runs the base engine's inline sequence
+///     on the calling thread, still under `mu_`: fold, outcome hook
+///     (`OnOutcomeIndexed`, or `OnOutcome` with the index off), WAL sync.
+///     No worker hand-off, no wait outside the lock.
+///   - Every other policy, and every `Cancel`: the fold is enqueued on the
+///     tenant's owning shard worker through `ShardPool::Enqueue` and the
+///     call returns with it in flight. The worker drains its queue FIFO, so
+///     per-tenant fold order equals the order the coordinator validated the
+///     completions in — exactly the sequential engine's fold order — while
+///     folds for tenants on DIFFERENT shards run concurrently instead of
+///     serializing under the engine lock.
+///
+/// Every reader of tenant or index state (`Next`, accessors, churn)
+/// quiesces: it takes `mu_` — which stops new folds from being enqueued —
+/// then drains the queues, so it always observes a fully folded engine.
 ///
 /// Drop-in: the class IS a `core::MultiTenantSelector` (same ticketed
 /// `Next()/Report()/Cancel()` protocol, same Status taxonomy), selected via
@@ -61,8 +68,8 @@ namespace easeml::shard {
 /// serializes the protocol while queued folds run on the workers. (Sole
 /// exception: `scheduler_policy()` hands out a raw reference into policy
 /// state and is for quiescent diagnostics only.) Tenant churn
-/// (`AddTenant`/`RemoveTenant`) rebalances the shard map under the same
-/// lock.
+/// (`AddTenant`/`RemoveTenant`) updates the shard map under the same lock:
+/// an add appends the tenant to one shard's tail, a removal rebalances.
 class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
  public:
   /// Validates `options` (num_shards >= 1) and starts the shard workers.
@@ -112,11 +119,12 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
 
   /// Cumulative per-shard-worker CPU seconds spent running queued folds.
   /// Max over shards tracks the fold critical path even when the host has
-  /// fewer cores than shards (see ShardPool). Only `Report`/`Cancel` put
-  /// work on a worker, so `Next()` never moves these numbers. Locks and
-  /// drains the report queues first, so the numbers include every fold of
-  /// every completion already reported — same quiescence discipline as the
-  /// other const accessors.
+  /// fewer cores than shards (see ShardPool). Only `Cancel` and the
+  /// `Report` of a policy that does not observe outcomes put work on a
+  /// worker, so `Next()` and HYBRID's `Report` never move these numbers.
+  /// Locks and drains the report queues first, so the numbers include every
+  /// fold of every completion already reported — same quiescence discipline
+  /// as the other const accessors.
   std::vector<double> ShardCpuSeconds() const;
 
  private:
@@ -124,17 +132,13 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
                              int num_shards);
 
   // Churn hooks, called with mu_ held by the public overrides after a
-  // drain. Churn re-partitions the shard map (rebalanced within +-1, which
-  // may move OTHER tenants between shards); the candidate index mirrors
-  // the new placement via SyncIndexPlacement.
-  void OnTenantAdded(int tenant) override EASEML_REQUIRES(mu_) {
-    map_.Add(tenant);
-    SyncIndexPlacement();
-    // A rebalance may have moved OTHER tenants too: republish the whole
-    // placement, then the new tenant's first observation.
-    NotifyPlacementLocked();
-    NotifyTenantEvent(tenant);
-  }
+  // drain. A new id is the largest ever issued and shard sizes differ by at
+  // most one, so `ShardMap::Add` lands it at the tail of one shard (checked
+  // on every add) and moves no other tenant: the add appends to that
+  // shard's index tree and observer placement, as the base hook does on
+  // shard 0. A removal may rebalance OTHER tenants between shards, so it
+  // resyncs the whole index placement and republishes it.
+  void OnTenantAdded(int tenant) override EASEML_REQUIRES(mu_);
   void OnTenantRemoved(int tenant) override EASEML_REQUIRES(mu_) {
     map_.Remove(tenant);
     SyncIndexPlacement();
@@ -151,9 +155,17 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
   /// Rebuilds the index placement from the shard map's partition (no-op
   /// when the index is disabled): one tournament tree per shard over its
   /// local tenants, so a queued fold refreshes a leaf of its own worker's
-  /// tree only. Cached keys are reused — churn costs O(T) re-aggregation,
-  /// not O(T·K) re-reads.
+  /// tree only. Cached keys are reused — a removal costs O(T)
+  /// re-aggregation, not O(T·K) re-reads.
   void SyncIndexPlacement() EASEML_REQUIRES(mu_);
+
+  /// Owning shard of the live ticket `issued` (aborts if unmapped: a tenant
+  /// with an open ticket cannot have been removed).
+  int OwnerOf(const Assignment& issued) const EASEML_REQUIRES(mu_);
+
+  /// Queues `fold` on `owner`'s worker (timed there when observed) and
+  /// returns without waiting for it.
+  void QueueFold(int owner, std::function<void()> fold) EASEML_REQUIRES(mu_);
 
   /// Quiesces the report pipeline: blocks until every queued fold has
   /// finished. Callers hold `mu_`, so no new fold can be enqueued while
@@ -182,10 +194,10 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
   mutable Mutex mu_;
   ShardMap map_ EASEML_GUARDED_BY(mu_);
   ShardPool pool_;
-  /// Cached scheduler().ObservesOutcomes(): true (HYBRID) forces Report to
-  /// drain the fold queues before sequencing the outcome hook; false lets
-  /// Report return with its fold still queued (fully asynchronous
-  /// completions).
+  /// Cached scheduler().ObservesOutcomes(): true (HYBRID) makes Report
+  /// fold inline on the quiesced coordinator, right before the outcome hook
+  /// that reads the folded state; false lets Report return with its fold
+  /// still queued (fully asynchronous completions).
   const bool scheduler_observes_outcomes_;
 };
 

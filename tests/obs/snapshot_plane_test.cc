@@ -7,12 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "obs/fleet_observer.h"
 #include "obs/metrics.h"
+#include "shard/sharded_selector.h"
 
 namespace easeml::obs {
 namespace {
@@ -247,6 +252,78 @@ TEST(SnapshotPlaneTest, QuiescedSnapshotMatchesEngineSequential) {
 
 TEST(SnapshotPlaneTest, QuiescedSnapshotMatchesEngineSharded) {
   RunQuiescedConsistency(/*num_shards=*/4);
+}
+
+/// The sharded engine announces an add to the observer as one tenant
+/// appended to one shard (`OnTenantPlaced`) and a removal as a whole new
+/// placement (`OnPlacementChanged`). Under churn the plane's placement must
+/// stay the engine's: after every add and every remove, a quiesced and
+/// flushed snapshot holds each live tenant exactly once, and its per-shard
+/// sizes equal the engine's `ShardSizes()`.
+TEST(SnapshotPlaneTest, ChurnedShardedPlacementMatchesShardSizes) {
+  for (int num_shards : {2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(num_shards));
+    core::SelectorOptions options;
+    options.scheduler = core::SchedulerKind::kHybrid;
+    options.hybrid_patience = 3;
+    options.num_shards = num_shards;
+    FleetObserverOptions obs_options;
+    obs_options.publish_interval = 5;
+    auto observed = MakeObservedSelector(options, obs_options);
+    ASSERT_TRUE(observed.ok()) << observed.status().ToString();
+    auto* engine = dynamic_cast<shard::ShardedMultiTenantSelector*>(
+        observed->selector.get());
+    ASSERT_NE(engine, nullptr);
+    SnapshotPlane& plane = observed->observer->plane();
+
+    std::set<int> live;
+    const auto expect_placement_in_step = [&](const std::string& after) {
+      SCOPED_TRACE("after " + after);
+      // Quiesce (ValidateIndex locks the engine and drains its fold
+      // queues), then publish everything the observer has absorbed.
+      const Status valid = engine->ValidateIndex();
+      ASSERT_TRUE(valid.ok()) << valid.ToString();
+      plane.FlushAll();
+      const FleetSnapshot snap = plane.Snapshot();
+      const std::vector<int> sizes = engine->ShardSizes();
+      ASSERT_EQ(snap.shards.size(), sizes.size());
+      for (size_t sh = 0; sh < sizes.size(); ++sh) {
+        EXPECT_EQ(snap.shards[sh]->size(), sizes[sh]) << "shard " << sh;
+      }
+      std::map<int, int> seen;
+      snap.ForEachTenant(
+          [&](int, const TenantObservation& o) { ++seen[o.tenant]; });
+      EXPECT_EQ(seen.size(), live.size());
+      for (int t : live) EXPECT_EQ(seen[t], 1) << "tenant " << t;
+    };
+
+    constexpr int kModels = 4;
+    const std::vector<double> costs(kModels, 1.0);
+    Rng rng(static_cast<uint64_t>(40 + num_shards));
+    for (int step = 0; step < 160; ++step) {
+      const double op = rng.Uniform();
+      if (op < 0.25 || live.size() < 3) {
+        auto id = engine->AddTenantWithDefaultPrior(kModels, costs);
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        live.insert(*id);
+        expect_placement_in_step("adding " + std::to_string(*id));
+      } else if (op < 0.4) {
+        // Nothing is in flight between steps, so any live tenant may go.
+        auto victim = live.begin();
+        std::advance(victim,
+                     rng.UniformInt(0, static_cast<int>(live.size()) - 1));
+        const int t = *victim;
+        ASSERT_TRUE(engine->RemoveTenant(t).ok());
+        live.erase(victim);
+        expect_placement_in_step("removing " + std::to_string(t));
+      } else if (engine->HasDispatchableWork()) {
+        auto a = engine->Next();
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+        ASSERT_TRUE(engine->Report(*a, 0.1 + 0.8 * rng.Uniform()).ok());
+      }
+    }
+    EXPECT_GT(live.size(), 3u);
+  }
 }
 
 }  // namespace

@@ -151,6 +151,37 @@ TEST(ServiceTest, RefiningNoisyLabelsImprovesTraining) {
   EXPECT_TRUE(refined->Infer(0).ok());
 }
 
+TEST(ServiceTest, RefineAndFeedAfterServingReachTheNextTraining) {
+  // A training run's example count is memoized per job, and Refine and
+  // Feed must invalidate the memo. Twins with one seed serve one Step each;
+  // then one twin changes its examples. Both next pick the same task, so
+  // only the example count can make the two runs differ, and it must.
+  for (const bool refine : {true, false}) {
+    SCOPED_TRACE(refine ? "refine" : "feed");
+    EaseMlService untouched = MakeService(13);
+    EaseMlService changed = MakeService(13);
+    for (EaseMlService* svc : {&untouched, &changed}) {
+      ASSERT_TRUE(svc->SubmitJob(kImageProgram).ok());
+      ASSERT_TRUE(svc->Feed(0, 400).ok());
+      ASSERT_TRUE(svc->Step().ok());
+    }
+    if (refine) {
+      for (int i = 0; i < 400; i += 2) {
+        ASSERT_TRUE(changed.Refine(0, i, false).ok());
+      }
+    } else {
+      ASSERT_TRUE(changed.Feed(0, 1200).ok());
+    }
+    auto twin = untouched.Step();
+    auto task = changed.Step();
+    ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+    ASSERT_TRUE(task.ok()) << task.status().ToString();
+    EXPECT_EQ(task->task_id, twin->task_id);
+    EXPECT_NE(task->accuracy, twin->accuracy);
+    EXPECT_NE(task->duration, twin->duration);  // linear in the count
+  }
+}
+
 TEST(ServiceTest, ShardedEngineReplaysSequentialServiceBitIdentically) {
   // The num_shards service option swaps the selector engine under the
   // whole platform stack (task pool, async executor, RunAsync drain); the

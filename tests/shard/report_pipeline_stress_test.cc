@@ -6,8 +6,8 @@
 ///     shards with interleaved Cancel/RemoveTenant churn and raced
 ///     ValidateIndex()/ShardCpuSeconds() sweeps — once on GREEDY (the
 ///     fully asynchronous path: Report returns with the fold still
-///     queued) and once on HYBRID (the draining path: OnOutcome waits for
-///     quiescence).
+///     queued) and once on HYBRID (the inline path: the reporter drains
+///     queued cancels, then folds under the selector lock).
 ///  2. Run-to-exhaustion parity: a raced campaign must land on exactly the
 ///     sequential engine's final per-tenant state (bit-equal BestAccuracy,
 ///     same BestModel/RoundsServed) — the completion set is

@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace easeml::shard {
 namespace {
@@ -96,6 +100,47 @@ TEST(ShardMapTest, LayoutIsDeterministic) {
     b.Remove(t);
   }
   for (int s = 0; s < 5; ++s) EXPECT_EQ(a.local(s), b.local(s));
+}
+
+/// The sharded engine's add path appends instead of rebuilding, which is
+/// sound only because adding a new, largest-ever id moves no other tenant:
+/// after every Add(t) exactly one shard's list has changed, and only by
+/// gaining t at its tail. Random Add/Remove sequences (ids ascending, as
+/// the engine issues them) at several shard counts.
+TEST(ShardMapTest, AddOfANewLargestIdOnlyAppendsToOneShard) {
+  for (int shards : {1, 2, 3, 4, 7}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardMap map(shards);
+    Rng rng(static_cast<uint64_t>(100 + shards));
+    std::vector<int> live;
+    int next_id = 0;
+    for (int op = 0; op < 3000; ++op) {
+      if (live.empty() || rng.Uniform() < 0.6) {
+        std::vector<std::vector<int>> before;
+        for (int s = 0; s < shards; ++s) before.push_back(map.local(s));
+        const int t = next_id++;
+        map.Add(t);
+        live.push_back(t);
+        int changed = 0;
+        for (int s = 0; s < shards; ++s) {
+          if (map.local(s) == before[static_cast<size_t>(s)]) continue;
+          ++changed;
+          std::vector<int> expected = before[static_cast<size_t>(s)];
+          expected.push_back(t);
+          ASSERT_EQ(map.local(s), expected)
+              << "Add(" << t << ") rewrote shard " << s;
+        }
+        ASSERT_EQ(changed, 1) << "Add(" << t << ") changed " << changed
+                              << " shards";
+      } else {
+        const int pick =
+            rng.UniformInt(0, static_cast<int>(live.size()) - 1);
+        map.Remove(live[static_cast<size_t>(pick)]);
+        live.erase(live.begin() + pick);
+      }
+      CheckInvariants(map);
+    }
+  }
 }
 
 }  // namespace

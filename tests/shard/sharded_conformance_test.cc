@@ -434,5 +434,44 @@ TEST(MakeSelectorTest, ShardedNextRunsNoWorkerTask) {
   }
 }
 
+/// HYBRID's freeze detector reads the folded state right after every
+/// report, so its reports fold inline on the coordinator and never reach a
+/// worker. Driven through the initialization sweep and past the freeze
+/// switch (T=11, K=6 with patience 3 fires it mid-campaign, see
+/// HybridFreezeParityTest), every worker's CPU reading must stay untouched,
+/// bit for bit — on the index and on the reference scan alike.
+TEST(MakeSelectorTest, ShardedHybridReportRunsNoWorkerTask) {
+  constexpr int kTenants = 11;
+  constexpr int kModels = 6;
+  for (bool use_index : {false, true}) {
+    SCOPED_TRACE(use_index ? "index" : "scan");
+    auto created = ShardedMultiTenantSelector::Create(
+        MakeOptions(SchedulerKind::kHybrid, 1, 2, use_index));
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    ShardedMultiTenantSelector* engine = created->get();
+    for (int t = 0; t < kTenants; ++t) {
+      ASSERT_TRUE(
+          engine->AddTenantWithDefaultPrior(kModels, Costs(t, kModels)).ok());
+    }
+    const auto& policy = dynamic_cast<const scheduler::HybridScheduler&>(
+        engine->scheduler_policy());
+    const std::vector<double> before = engine->ShardCpuSeconds();
+    int reports = 0;
+    int after_switch = 0;
+    while (!engine->Exhausted()) {
+      auto a = engine->Next();
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(engine->Report(*a, Accuracy(a->tenant, a->model)).ok());
+      ++reports;
+      if (policy.switched()) ++after_switch;
+    }
+    EXPECT_EQ(reports, kTenants * kModels);
+    EXPECT_GT(after_switch, 0) << "the freeze switch never fired";
+    EXPECT_LT(after_switch, reports - kTenants)
+        << "the switch fired inside the initialization sweep";
+    EXPECT_EQ(engine->ShardCpuSeconds(), before);
+  }
+}
+
 }  // namespace
 }  // namespace easeml::shard
