@@ -185,11 +185,13 @@ TpCell RunReportThroughput(int tenants, int devices, int shards) {
   options.cost_aware = true;
   options.num_devices = devices;
   options.num_shards = shards;
-  // Build the sharded engine even at N=1: the serialized baseline must pay
-  // the same queue machinery, so the column isolates the parallelism.
+  // Build the sharded engine even at N=1, where MakeSelector would return
+  // the inline 1-shard engine: the serialized baseline must pay the same
+  // queue machinery, so the column isolates the parallelism.
   auto created = easeml::shard::ShardedMultiTenantSelector::Create(options);
   EASEML_CHECK(created.ok()) << created.status().ToString();
-  easeml::shard::ShardedMultiTenantSelector* selector = created->get();
+  const std::unique_ptr<MultiTenantSelector> selector =
+      std::move(created).value();
 
   auto prior = easeml::gp::MakeSharedGpPrior(
       easeml::linalg::Matrix::Identity(kModels), 1e-2);

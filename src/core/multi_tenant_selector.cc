@@ -92,6 +92,12 @@ void MultiTenantSelector::RefreshIndexEntry(int tenant) {
   index_->Refresh(users_[tenant]);
 }
 
+std::vector<int> MultiTenantSelector::ShardSizes() const {
+  int live = 0;
+  for (const scheduler::UserState& u : users_) live += u.retired() ? 0 : 1;
+  return {live};
+}
+
 Status MultiTenantSelector::ValidateIndex() const {
   if (index_ == nullptr) return Status::OK();
   return index_->Validate(users_);
@@ -316,11 +322,9 @@ Status MultiTenantSelector::RemoveTenant(int tenant) {
         " in-flight ticket(s); Report or Cancel them first");
   }
   user.Retire();
-  // Neutralize the leaf before the placement hook: the base engine keeps
-  // retired ids placed (neutral), the sharded engine unmaps + resyncs.
+  // Retire in place on both engines: the tenant keeps its leaf, now
+  // neutral, and its snapshot entry, now marked retired. No tenant moves.
   RefreshIndexEntry(tenant);
-  // The retirement event fires while the tenant is still placed; the
-  // sharded placement hook below then drops it from the observer's map.
   NotifyTenantEvent(tenant);
   OnTenantRemoved(tenant);
   if (options_.wal != nullptr) {
@@ -822,13 +826,10 @@ Status MultiTenantSelector::RestoreDurableState(
     const bool retired = user.retired();
     users_.push_back(std::move(user));
     best_model_.push_back(state.best_model[i]);
+    // A retired tenant is placed like any other, as RemoveTenant leaves
+    // it: its leaf and observation derive from the retired state.
     OnTenantAdded(static_cast<int>(i));
-    if (retired) {
-      // Mirror RemoveTenant's index/placement sequence: the base engine
-      // keeps the (neutral) leaf, the sharded engine unmaps the id.
-      RefreshIndexEntry(static_cast<int>(i));
-      OnTenantRemoved(static_cast<int>(i));
-    }
+    if (retired) OnTenantRemoved(static_cast<int>(i));
   }
   int64_t prev_id = -1;
   for (const DurableSelectorState::Ticket& t : state.in_flight) {

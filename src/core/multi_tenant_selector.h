@@ -53,8 +53,8 @@ struct SelectorOptions {
 
   /// Number of selector shards. 1 (the default) folds every report inline;
   /// values > 1 select `shard::ShardedMultiTenantSelector` when the
-  /// selector is built through `shard::MakeSelector` — tenants are
-  /// hash-partitioned across that many worker threads, and each `Cancel`,
+  /// selector is built through `shard::MakeSelector` — tenant `t` lives on
+  /// shard `t % num_shards`, one worker thread per shard, and each `Cancel`,
   /// and each `Report` under a policy that does not observe outcomes
   /// (everything but HYBRID), queues its belief fold on the owning shard's
   /// worker, so folds for tenants on different shards run concurrently.
@@ -160,11 +160,12 @@ int DefaultPriorCacheSizeForTesting();
 /// shard worker unless the policy observes outcomes. The pick and the arm
 /// selection always run here, on the calling (in the sharded engine:
 /// quiesced coordinator) thread. The only virtual hooks are
-/// `OnTenantAdded`/`OnTenantRemoved`, which keep the shard map and the
-/// index placement in step with churn. `Create` ignores `num_shards`;
-/// build through `shard::MakeSelector` to honor it. The base engine is
-/// single-threaded (external synchronization required); the sharded
-/// override of every public method is thread-safe.
+/// `OnTenantAdded`/`OnTenantRemoved`: the add hook places a new tenant on
+/// its shard, and both keep the sharded engine's per-shard live counts.
+/// Both engines retire a removed tenant in place. `Create` ignores
+/// `num_shards`; build through `shard::MakeSelector` to honor it. The base
+/// engine is single-threaded (external synchronization required); the
+/// sharded override of every public method is thread-safe.
 class MultiTenantSelector {
  public:
   /// A unit of work: train model `model` for tenant `tenant`. `id` is the
@@ -206,9 +207,10 @@ class MultiTenantSelector {
                                                std::vector<double> costs,
                                                double noise_variance = 1e-2);
 
-  /// Retires a tenant: it is never scheduled again, its belief memory is
-  /// released, and its shard slot is vacated (the sharded engine
-  /// rebalances). Refused with FailedPrecondition while the tenant has
+  /// Retires a tenant: it is never scheduled again and its belief memory
+  /// is released. It stays in place on its shard, with a neutral index
+  /// leaf and a snapshot entry marked retired; no other tenant moves, on
+  /// either engine. Refused with FailedPrecondition while the tenant has
   /// in-flight tickets — `Report` or `Cancel` them first — or when it was
   /// already removed; OutOfRange for ids never issued. Historical
   /// read-side queries (BestModel, BestAccuracy, RoundsServed) stay
@@ -230,6 +232,18 @@ class MultiTenantSelector {
 
   /// Configured device count (max outstanding assignments).
   int num_devices() const { return options_.num_devices; }
+
+  /// Shard count: 1 here, the worker count in the sharded engine.
+  virtual int num_shards() const { return 1; }
+
+  /// Live (non-retired) tenants per shard, ascending shard index
+  /// (diagnostics). This engine answers `{live tenants}`.
+  virtual std::vector<int> ShardSizes() const;
+
+  /// Cumulative per-shard-worker CPU seconds spent running queued folds.
+  /// This engine folds every report inline on the caller and answers
+  /// `{0.0}`.
+  virtual std::vector<double> ShardCpuSeconds() const { return {0.0}; }
 
   /// True iff `Next()` would hand out an assignment right now: a device
   /// slot is free and some tenant has an un-charged model remaining. False
@@ -280,9 +294,9 @@ class MultiTenantSelector {
   /// the serving path): re-derives every tenant key and replays every
   /// aggregate from scratch, failing with Internal on the first stale leaf,
   /// drifted exact sum, or out-of-date tournament node. OK when the index
-  /// is disabled. The sharded override additionally locks and checks the
-  /// index placement against its shard map, so AddTenant/RemoveTenant
-  /// rebalances cannot silently desynchronize the two.
+  /// is disabled. The sharded override additionally locks and checks that
+  /// every tenant ever added, retired ones included, sits on shard
+  /// `t % N`, and that its live counts match.
   virtual Status ValidateIndex() const;
 
   /// Serializes the COMPLETE engine state (priors deduplicated by
@@ -315,12 +329,12 @@ class MultiTenantSelector {
   // engine) is already in effect, so overrides must not re-enter the public
   // API.
 
-  /// Notification hooks for shard-map / index maintenance. The base add
-  /// hook places the new tenant on shard 0 (`AppendNewTenant`); the sharded
-  /// engine overrides both to update its shard map. A new id is the largest
-  /// ever issued, so an add lands at the tail of its shard and moves no
-  /// other tenant; a removal may rebalance other tenants, so the sharded
-  /// remove hook resyncs the whole index placement.
+  /// Placement hooks. The base add hook places the new tenant on shard 0
+  /// (`AppendNewTenant`); the sharded engine places it on shard `t % N`
+  /// and counts live tenants per shard. A new id is the largest ever
+  /// issued, so an add lands at the tail of its shard. A removal moves no
+  /// tenant: when the remove hook runs, the tenant's leaf is already
+  /// neutral and its retirement already published.
   virtual void OnTenantAdded(int tenant) { AppendNewTenant(tenant, 0); }
   virtual void OnTenantRemoved(int tenant) { (void)tenant; }
 
@@ -375,8 +389,8 @@ class MultiTenantSelector {
   // --- Candidate-index plumbing -------------------------------------------
   //
   // The base engine owns the index (absent when `use_candidate_index` is
-  // off); the sharded engine swaps in an N-shard instance and overrides
-  // the placement. Every path that mutates a tenant refreshes that
+  // off); the sharded engine swaps in an N-shard instance and places each
+  // tenant on shard `t % N`. Every path that mutates a tenant refreshes that
   // tenant's leaf, so the index is fresh whenever PickTenant runs.
 
   /// The index, or nullptr when `use_candidate_index` is off.

@@ -47,11 +47,12 @@ struct TenantObservation {
 ///    selections, churn and HYBRID's report folds, which run inline. Queued
 ///    folds are the only events a worker fires. Events for tenants on
 ///    DIFFERENT shards may fire concurrently; events for one shard never
-///    do. (The observer learns each tenant's shard from the placement
-///    hooks, which always precede its events.)
-///  - `OnTenantPlaced` / `OnPlacementChanged` fire only while the engine is
-///    quiesced (coordinator lock held, fold queues drained), never
-///    concurrently with any other hook.
+///    do. (The observer learns each tenant's shard from `OnTenantPlaced`,
+///    which always precedes its events; a tenant never changes shard, and
+///    its removal arrives as a retired `OnTenantEvent`.)
+///  - `OnTenantPlaced` fires only while the engine is quiesced
+///    (coordinator lock held, fold queues drained), never concurrently
+///    with any other hook.
 ///  - The timing/metrics hooks (`OnNext`, `OnReport`, `OnTicketRejected`,
 ///    `OnFoldQueued`, `OnFold`, `OnDrainWait`) may fire from the
 ///    coordinator and the shard workers concurrently.
@@ -69,16 +70,18 @@ class SelectorObserver {
   virtual void OnTenantEvent(const TenantObservation& obs) { (void)obs; }
 
   /// A new tenant appeared on `shard` (placement grows at the tail; no
-  /// other tenant moved — both engines add this way). Fired before the
-  /// tenant's first OnTenantEvent.
+  /// other tenant moved — both engines add this way), where it stays for
+  /// life. Fired before the tenant's first OnTenantEvent.
   virtual void OnTenantPlaced(int tenant, int shard) {
     (void)tenant;
     (void)shard;
   }
 
-  /// A tenant removal rebalanced the sharded engine's shard map:
-  /// `shard_tenants[s]` lists the live tenants of shard `s` in ascending id
-  /// order.
+  /// Unused: no engine fires this hook. A tenant's shard is a function of
+  /// its id and never changes after `OnTenantPlaced`, so there is no
+  /// placement change to announce. Still declared because perfbench's
+  /// `TracedObserver` overrides it; `shard_tenants[s]` would list shard
+  /// `s`'s tenants in ascending id order.
   virtual void OnPlacementChanged(
       const std::vector<std::vector<int>>& shard_tenants) {
     (void)shard_tenants;

@@ -39,11 +39,6 @@ void FleetObserver::OnTenantPlaced(int tenant, int shard) {
   plane_.Place(tenant, shard);
 }
 
-void FleetObserver::OnPlacementChanged(
-    const std::vector<std::vector<int>>& shard_tenants) {
-  plane_.SetPlacement(shard_tenants);
-}
-
 void FleetObserver::OnNext(bool ok, double pick_us, double arm_us) {
   if (next_total_ == nullptr) return;
   next_total_->Increment();

@@ -22,7 +22,7 @@ struct FleetObserverOptions {
 };
 
 /// The canonical `core::SelectorObserver`: routes tenant events and
-/// placement changes into a `SnapshotPlane` and the timing hooks into
+/// placements into a `SnapshotPlane` and the timing hooks into
 /// `Registry` instruments. Instrument pointers are resolved once at
 /// construction, so every hook is a plane apply and/or a couple of relaxed
 /// atomic RMWs — cheap enough for the fold closures and the `Next`/`Report`
@@ -50,8 +50,6 @@ class FleetObserver final : public core::SelectorObserver {
   // core::SelectorObserver hooks (threading contract in the base class).
   void OnTenantEvent(const core::TenantObservation& obs) override;
   void OnTenantPlaced(int tenant, int shard) override;
-  void OnPlacementChanged(
-      const std::vector<std::vector<int>>& shard_tenants) override;
   void OnNext(bool ok, double pick_us, double arm_us) override;
   void OnReport(double coord_us) override;
   void OnTicketRejected(int code) override;

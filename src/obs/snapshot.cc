@@ -42,7 +42,7 @@ struct SnapshotPlane::Slot {
 namespace {
 
 /// Per-tenant contribution to the integer aggregates; `Apply` diffs two of
-/// these, placement rebuilds sum them.
+/// these.
 ShardAggregates Contribution(const core::TenantObservation& o) {
   ShardAggregates c;
   c.tenants = 1;
@@ -127,8 +127,7 @@ void SnapshotPlane::Place(int tenant, int shard) {
   Slot& slot = *slots_[static_cast<size_t>(shard)];
   EASEML_CHECK(slot.ids->empty() || slot.ids->back() < tenant)
       << "obs: Place must append in ascending id order (tenant " << tenant
-      << " after " << slot.ids->back() << "); rebalances go through "
-      << "SetPlacement";
+      << " after " << slot.ids->back() << ")";
   auto grown = std::make_shared<std::vector<int>>(*slot.ids);
   grown->push_back(tenant);
   const int pos = static_cast<int>(grown->size()) - 1;
@@ -140,47 +139,6 @@ void SnapshotPlane::Place(int tenant, int shard) {
   slot.agg.tenants += 1;  // default-constructed entry contributes only this
   ++slot.events;
   ++slot.since_publish;  // placement is an event: it must reach readers
-}
-
-void SnapshotPlane::SetPlacement(
-    const std::vector<std::vector<int>>& shard_tenants) {
-  EASEML_CHECK(static_cast<int>(shard_tenants.size()) == num_shards())
-      << "obs: SetPlacement shard count " << shard_tenants.size()
-      << " != " << num_shards();
-  int max_tenant = -1;
-  for (const std::vector<int>& local : shard_tenants) {
-    for (int t : local) max_tenant = std::max(max_tenant, t);
-  }
-  if (max_tenant >= static_cast<int>(master_.size())) {
-    master_.resize(static_cast<size_t>(max_tenant) + 1);
-    where_.resize(static_cast<size_t>(max_tenant) + 1, {-1, -1});
-  }
-  // Tenants dropped from the placement (sharded removal) keep their master
-  // entry but leave the mapping; clear it wholesale, then rebuild.
-  for (auto& w : where_) w = {-1, -1};
-  for (int s = 0; s < num_shards(); ++s) {
-    Slot& slot = *slots_[static_cast<size_t>(s)];
-    auto ids = std::make_shared<std::vector<int>>(
-        shard_tenants[static_cast<size_t>(s)]);
-    EASEML_CHECK(std::is_sorted(ids->begin(), ids->end()))
-        << "obs: shard " << s << " placement is not ascending";
-    for (int pos = 0; pos < static_cast<int>(ids->size()); ++pos) {
-      const int t = (*ids)[static_cast<size_t>(pos)];
-      where_[static_cast<size_t>(t)] = {s, pos};
-      // A tenant first placed here rather than through Place has a default
-      // master entry; stamp its id so the immediate republish below never
-      // exposes tenant = -1.
-      master_[static_cast<size_t>(t)].tenant = t;
-    }
-    slot.ids = std::move(ids);
-    slot.chunk_dirty.assign(
-        static_cast<size_t>(NumChunks(static_cast<int>(slot.ids->size()))), 1);
-    RecountSlot(slot);
-    ++slot.events;
-    // Republish immediately: no published block may reference the old
-    // partition once churn has moved tenants between shards.
-    PublishSlot(s);
-  }
 }
 
 void SnapshotPlane::FlushAll() {
@@ -235,14 +193,6 @@ void SnapshotPlane::PublishSlot(int shard) {
   slot.since_publish = 0;
   MutexLock lock(slot.pub_mu);
   slot.published = std::move(block);
-}
-
-void SnapshotPlane::RecountSlot(Slot& slot) const {
-  ShardAggregates agg;
-  for (int t : *slot.ids) {
-    AddInPlace(agg, Contribution(master_[static_cast<size_t>(t)]), +1);
-  }
-  slot.agg = agg;
 }
 
 }  // namespace easeml::obs

@@ -23,12 +23,13 @@ namespace easeml::obs {
 ///
 /// Data model, writer side (one `Slot` per shard):
 ///   - `master_` holds the latest `TenantObservation` per tenant, indexed by
-///     tenant id (ids are never reused; a retired tenant keeps its slot).
-///     Shards own disjoint tenant sets and churn only mutates placement
-///     while the engine is quiesced, so every `master_` element has exactly
-///     one writer at any moment — no synchronization needed on the write.
+///     tenant id (ids are never reused; a retired tenant keeps its entry,
+///     marked retired). A tenant stays on the shard `Place` put it on for
+///     life and shards own disjoint tenant sets, so every `master_`
+///     element has exactly one writer at any moment — no synchronization
+///     needed on the write.
 ///   - Each slot tracks its local tenant-id list as a
-///     `shared_ptr<const vector<int>>` (replaced only on placement change,
+///     `shared_ptr<const vector<int>>` (replaced only when `Place` appends,
 ///     so steady-state publishes never copy it), per-chunk dirty bits
 ///     (chunks of `kChunk` positions), a monotone event counter, and
 ///     integer-only running aggregates maintained by old/new diff on every
@@ -56,8 +57,9 @@ namespace easeml::obs {
 ///     observe outcomes), the quiesced coordinator for selections, churn
 ///     and HYBRID's report folds, which run inline. Applies for different
 ///     shards may be concurrent; applies for one shard never are.
-///   - `Place`, `SetPlacement`, `FlushAll` require a quiesced engine (no
-///     concurrent `Apply` anywhere) — they rebuild writer-side state.
+///   - `Place` and `FlushAll` require a quiesced engine (no concurrent
+///     `Apply` anywhere): `Place` grows the tenant tables every `Apply`
+///     reads, and `FlushAll` publishes every shard.
 ///   - `Snapshot` is safe from ANY thread at ANY time.
 constexpr int kChunk = 64;
 
@@ -144,17 +146,12 @@ class SnapshotPlane {
 
   /// Folds one tenant observation into the master copy and the owning
   /// shard's dirty set; publishes the shard when its interval elapses.
-  /// The tenant must have been placed (`Place`/`SetPlacement`) first.
+  /// The tenant must have been placed (`Place`) first.
   void Apply(const core::TenantObservation& obs);
 
   /// Appends a new tenant to `shard`'s placement (quiesced; the add path
-  /// of both engines).
+  /// of both engines). The tenant stays there for life.
   void Place(int tenant, int shard);
-
-  /// Replaces the whole placement (quiesced; a sharded-engine removal).
-  /// Every shard republishes immediately so no block ever references a
-  /// stale partition.
-  void SetPlacement(const std::vector<std::vector<int>>& shard_tenants);
 
   /// Publishes every shard with unpublished events (quiesced). After this,
   /// `Snapshot()` reflects every event applied so far.
@@ -172,8 +169,6 @@ class SnapshotPlane {
 
   /// Builds and publishes a fresh block for `shard` from its dirty chunks.
   void PublishSlot(int shard);
-  /// Recomputes `slot`'s aggregates from `master_` over its current ids.
-  void RecountSlot(Slot& slot) const;
 
   std::vector<core::TenantObservation> master_;
   std::vector<std::pair<int, int>> where_;  // tenant -> (shard, pos); (-1,-1)

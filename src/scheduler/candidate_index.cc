@@ -6,6 +6,8 @@
 #include <string>
 #include <utility>
 
+#include "common/logging.h"
+
 namespace easeml::scheduler {
 
 namespace {
@@ -116,44 +118,6 @@ CandidateIndex::Candidacy CandidateIndex::Candidacy::Of(
 CandidateIndex::CandidateIndex(int num_shards, bool track_gap)
     : track_gap_(track_gap), shards_(static_cast<size_t>(num_shards)) {}
 
-void CandidateIndex::SyncPlacement(const std::vector<std::vector<int>>& locals,
-                                   const std::vector<UserState>& users) {
-  // Ids are dense and never reused, so only tenants the index has never
-  // seen (the tail) need a fresh key derivation; every other cached key is
-  // current by the invalidation contract.
-  const size_t old_size = keys_.size();
-  keys_.resize(users.size());
-  shard_of_.assign(users.size(), -1);
-  slot_of_.assign(users.size(), -1);
-  for (size_t id = old_size; id < users.size(); ++id) {
-    keys_[id] = DeriveKey(users[id]);
-  }
-  for (int s = 0; s < num_shards(); ++s) {
-    shards_[static_cast<size_t>(s)].tenants = locals[static_cast<size_t>(s)];
-    RebuildShard(s);
-  }
-}
-
-void CandidateIndex::RebuildShard(int shard) {
-  Shard& sh = shards_[static_cast<size_t>(shard)];
-  std::vector<IndexNode> leaves;
-  leaves.reserve(sh.tenants.size());
-  sh.bound_sum = ExactDoubleSum();
-  sh.finite_count = 0;
-  for (size_t slot = 0; slot < sh.tenants.size(); ++slot) {
-    const int id = sh.tenants[slot];
-    shard_of_[id] = shard;
-    slot_of_[id] = static_cast<int>(slot);
-    const TenantKey& key = keys_[id];
-    leaves.push_back(IndexNode::MakeLeaf(id, key));
-    if (key.schedulable && std::isfinite(key.bound)) {
-      sh.bound_sum.Add(key.bound);
-      ++sh.finite_count;
-    }
-  }
-  sh.tree.Assign(std::move(leaves));
-}
-
 void CandidateIndex::AppendTenant(int shard, const UserState& user) {
   const int id = user.user_id();
   if (id >= static_cast<int>(keys_.size())) {
@@ -180,31 +144,25 @@ void CandidateIndex::Refresh(const UserState& user) {
   // external-synchronization contract); either way this mutation is
   // ordered before the next pick's root read.
   const int id = user.user_id();
-  if (id >= static_cast<int>(keys_.size())) {
-    // Tenant added but never synced (callers sync on add; be defensive).
-    keys_.resize(static_cast<size_t>(id) + 1);
-    shard_of_.resize(static_cast<size_t>(id) + 1, -1);
-    slot_of_.resize(static_cast<size_t>(id) + 1, -1);
-  }
+  EASEML_DCHECK(id >= 0 && id < static_cast<int>(shard_of_.size()) &&
+                shard_of_[id] >= 0)
+      << "index: Refresh of unplaced tenant " << id;
   const TenantKey fresh = DeriveKey(user);
-  const int shard = shard_of_[id];
-  if (shard >= 0) {
-    Shard& sh = shards_[static_cast<size_t>(shard)];
-    const TenantKey& old = keys_[id];
-    // Exact +/- deltas: ExactDoubleSum is integer arithmetic, so the
-    // removal cancels the original addition bit-for-bit and the running
-    // sum always equals a fresh accumulation over the current members.
-    if (old.schedulable && std::isfinite(old.bound)) {
-      sh.bound_sum.AddProduct(old.bound, -1);
-      --sh.finite_count;
-    }
-    if (fresh.schedulable && std::isfinite(fresh.bound)) {
-      sh.bound_sum.Add(fresh.bound);
-      ++sh.finite_count;
-    }
-    sh.tree.Update(slot_of_[id], IndexNode::MakeLeaf(id, fresh));
+  Shard& sh = shards_[static_cast<size_t>(shard_of_[id])];
+  TenantKey& old = keys_[id];
+  // Exact +/- deltas: ExactDoubleSum is integer arithmetic, so the
+  // removal cancels the original addition bit-for-bit and the running sum
+  // always equals a fresh accumulation over the current members.
+  if (old.schedulable && std::isfinite(old.bound)) {
+    sh.bound_sum.AddProduct(old.bound, -1);
+    --sh.finite_count;
   }
-  keys_[id] = fresh;
+  if (fresh.schedulable && std::isfinite(fresh.bound)) {
+    sh.bound_sum.Add(fresh.bound);
+    ++sh.finite_count;
+  }
+  sh.tree.Update(slot_of_[id], IndexNode::MakeLeaf(id, fresh));
+  old = fresh;
 }
 
 CandidateIndex::Threshold CandidateIndex::MergedThreshold() const {

@@ -60,12 +60,10 @@ namespace easeml::scheduler {
 /// Keys go stale the moment their tenant's state changes; the owning
 /// selector MUST call `Refresh` after every event that touches a tenant —
 /// arm selection, outcome fold, cancel, retire — before the next pick.
-/// A new tenant is appended to its shard's tail (`AppendTenant`). A
-/// removal in the sharded engine additionally re-partitions shards (the
-/// shard map rebalances within +-1), which re-slots leaves: the selector
-/// calls `SyncPlacement` with the new shard->tenants lists (cached keys are
-/// reused; a removal costs O(T) re-aggregation, no per-tenant O(K)
-/// diagnostics reads).
+/// A new tenant is appended to its shard's tail (`AppendTenant`) and keeps
+/// that leaf for life: retirement is one more `Refresh`, which leaves a
+/// neutral leaf (never schedulable, never a candidate), so no event ever
+/// moves a tenant between shards or slots.
 ///
 /// ## External synchronization
 ///
@@ -185,24 +183,16 @@ class CandidateIndex {
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
-  /// Bulk (re)build: replaces the shard->tenants placement. `locals[s]`
-  /// lists shard s's tenant ids ascending; every id must be < users.size()
-  /// and appear in at most one shard. Cached keys are reused for tenants
-  /// the index already tracks; keys for new tenants are derived from
-  /// `users`. O(T) total — the rebalance path, not the add hot path.
-  void SyncPlacement(const std::vector<std::vector<int>>& locals,
-                     const std::vector<UserState>& users);
-
   /// Places a NEW tenant at the tail of `shard` in O(log T) amortized —
   /// valid because tenant ids grow monotonically, so a new id is above
-  /// every placed id. The add path of both engines (the sharded engine's
-  /// shard map puts a new id at one shard's tail and moves nobody else).
+  /// every placed id. The only placement path: both engines add this way,
+  /// and the tenant stays on that leaf for life.
   void AppendTenant(int shard, const UserState& user);
 
   /// Recomputes `user`'s key (the only O(K) step: the batched MaxUcb
   /// diagnostics read) and replays its leaf's O(log T) root path plus the
-  /// shard's scalar aggregates. No-op on the tree when the tenant is not
-  /// placed (e.g. already retired out of the placement).
+  /// shard's scalar aggregates. The tenant must have been placed
+  /// (`AppendTenant`).
   void Refresh(const UserState& user);
 
   // --- O(1) per-shard reads (merge across shards at the call site) -------
@@ -252,7 +242,8 @@ class CandidateIndex {
   Status Validate(const std::vector<UserState>& users) const;
 
   /// The placement the index currently reflects (ascending per shard);
-  /// the sharded engine's ValidateIndex checks it against its shard map.
+  /// the sharded engine's ValidateIndex checks it against its placement
+  /// rule.
   std::vector<std::vector<int>> Placement() const;
 
  private:
@@ -267,9 +258,6 @@ class CandidateIndex {
     int finite_count = 0;
   };
 
-  /// Rebuilds one shard's tree + scalars from cached keys. O(|tenants|).
-  void RebuildShard(int shard);
-
   /// MakeTenantKey with this index's gap-tracking mode (defined after the
   /// free function's declaration).
   TenantKey DeriveKey(const UserState& user) const;
@@ -278,12 +266,12 @@ class CandidateIndex {
   std::vector<Shard> shards_;
   // Indexed by tenant id (ids are dense and never reused).
   std::vector<TenantKey> keys_;
-  std::vector<int> shard_of_;  // -1 when not placed
+  std::vector<int> shard_of_;
   std::vector<int> slot_of_;
 };
 
-/// The ONE derivation of a tenant's index key from its runtime state; both
-/// the incremental refresh and the bulk build call this, and `Validate`
+/// The ONE derivation of a tenant's index key from its runtime state; the
+/// append and the incremental refresh call this, and `Validate`
 /// recomputes it to catch stale leaves. `track_gap` = false skips the
 /// O(K) UcbGap read (the key's gap stays -inf and never wins a tournament
 /// pair) for schedulers that never consume it.

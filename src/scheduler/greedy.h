@@ -63,7 +63,6 @@ class GreedyScheduler : public SchedulerPolicy {
   /// indexed.
   Result<int> PickUserIndexed(const std::vector<UserState>& users, int round,
                               const CandidateIndex& index) override;
-  bool RequiresInitialSweep() const override { return true; }
   std::string name() const override { return "greedy"; }
 
   /// The RNG stream (consumed only by the random line-8 rule, but saved

@@ -47,7 +47,6 @@ class HybridScheduler : public SchedulerPolicy {
   /// after each outcome, so the sharded engine folds HYBRID's reports
   /// inline, on its quiesced coordinator, before sequencing it.
   bool ObservesOutcomes() const override { return true; }
-  bool RequiresInitialSweep() const override { return true; }
   std::string name() const override { return "hybrid"; }
 
   /// Freeze-detector state + both phases' nested policy state.

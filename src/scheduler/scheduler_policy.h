@@ -80,10 +80,6 @@ class SchedulerPolicy {
   /// false (the default: the hook is a no-op for the other policies).
   virtual bool ObservesOutcomes() const { return false; }
 
-  /// Whether the algorithm requires the initialization sweep of Algorithm 2
-  /// (serve every user once before regular scheduling).
-  virtual bool RequiresInitialSweep() const { return false; }
-
   virtual std::string name() const = 0;
 
   /// Appends the policy's complete mutable state (cursors, RNG streams,

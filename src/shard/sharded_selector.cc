@@ -28,7 +28,7 @@ double RunFold(core::SelectorObserver* obs, int owner, const Fold& fold) {
 ShardedMultiTenantSelector::ShardedMultiTenantSelector(
     core::MultiTenantSelector&& base, int num_shards)
     : core::MultiTenantSelector(std::move(base)),
-      map_(num_shards),
+      live_(static_cast<size_t>(num_shards), 0),
       pool_(num_shards),
       scheduler_observes_outcomes_(scheduler().ObservesOutcomes()) {
   // The base Create built a 1-shard index when the option is on; swap in
@@ -43,33 +43,6 @@ ShardedMultiTenantSelector::Create(const core::SelectorOptions& options) {
                           core::MultiTenantSelector::Create(options));
   return std::unique_ptr<ShardedMultiTenantSelector>(
       new ShardedMultiTenantSelector(std::move(base), options.num_shards));
-}
-
-void ShardedMultiTenantSelector::NotifyPlacementLocked() {
-  core::SelectorObserver* obs = observer();
-  if (obs == nullptr) return;
-  std::vector<std::vector<int>> locals;
-  locals.reserve(static_cast<size_t>(map_.num_shards()));
-  for (int s = 0; s < map_.num_shards(); ++s) locals.push_back(map_.local(s));
-  obs->OnPlacementChanged(locals);
-}
-
-void ShardedMultiTenantSelector::SyncIndexPlacement() {
-  scheduler::CandidateIndex* index = candidate_index();
-  if (index == nullptr) return;
-  std::vector<std::vector<int>> locals;
-  locals.reserve(static_cast<size_t>(map_.num_shards()));
-  for (int s = 0; s < map_.num_shards(); ++s) locals.push_back(map_.local(s));
-  index->SyncPlacement(locals, users());
-}
-
-void ShardedMultiTenantSelector::OnTenantAdded(int tenant) {
-  map_.Add(tenant);
-  const int shard = map_.shard_of(tenant);
-  EASEML_CHECK(map_.local(shard).back() == tenant)
-      << "shard: new tenant " << tenant << " is not the tail of shard "
-      << shard << "; appending it would desynchronize the placement";
-  AppendNewTenant(tenant, shard);
 }
 
 Result<int> ShardedMultiTenantSelector::AddTenant(
@@ -133,14 +106,6 @@ ShardedMultiTenantSelector::Next() {
   return core::MultiTenantSelector::Next();
 }
 
-int ShardedMultiTenantSelector::OwnerOf(const Assignment& issued) const {
-  const int owner = map_.shard_of(issued.tenant);
-  EASEML_CHECK(owner >= 0)
-      << "shard: tenant " << issued.tenant << " of live ticket " << issued.id
-      << " is not mapped to any shard";
-  return owner;
-}
-
 void ShardedMultiTenantSelector::QueueFold(int owner,
                                            std::function<void()> fold) {
   // The fold emits its own tenant event (base Fold*), so the closure only
@@ -172,7 +137,7 @@ Status ShardedMultiTenantSelector::Report(const Assignment& assignment,
     return begun.status();
   }
   const Assignment issued = *begun;
-  const int owner = OwnerOf(issued);
+  const int owner = ShardOf(issued.tenant);
   double fold_us = 0.0;
   if (scheduler_observes_outcomes_) {
     // HYBRID's freeze detector reads every tenant's post-fold state and
@@ -216,7 +181,7 @@ Status ShardedMultiTenantSelector::Cancel(const Assignment& assignment) {
     return begun.status();
   }
   const Assignment issued = *begun;
-  QueueFold(OwnerOf(issued), [this, issued] { FoldCancel(issued); });
+  QueueFold(ShardOf(issued.tenant), [this, issued] { FoldCancel(issued); });
   return SyncWal();
 }
 
@@ -248,19 +213,21 @@ Result<int> ShardedMultiTenantSelector::RoundsServed(int tenant) const {
 Status ShardedMultiTenantSelector::ValidateIndex() const {
   MutexLock lock(mu_);
   DrainFolds();  // leaf refreshes ride the report queues
-  const scheduler::CandidateIndex* index = candidate_index();
-  if (index == nullptr) return Status::OK();
-  // Placement must mirror the shard map exactly (rebalances resync it).
-  const std::vector<std::vector<int>> placement = index->Placement();
-  if (static_cast<int>(placement.size()) != map_.num_shards()) {
-    return Status::Internal("index: shard count diverged from the map");
+  // Every tenant ever added, retired ones included, sits on ShardOf(t),
+  // and the live counts match the tenants' retirement flags.
+  std::vector<std::vector<int>> placement(live_.size());
+  std::vector<int> live(live_.size(), 0);
+  for (const scheduler::UserState& u : users()) {
+    const size_t shard = static_cast<size_t>(ShardOf(u.user_id()));
+    placement[shard].push_back(u.user_id());
+    if (!u.retired()) ++live[shard];
   }
-  for (int s = 0; s < map_.num_shards(); ++s) {
-    if (placement[static_cast<size_t>(s)] != map_.local(s)) {
-      return Status::Internal("index: placement of shard " +
-                              std::to_string(s) +
-                              " diverged from the shard map");
-    }
+  if (live != live_) {
+    return Status::Internal("shard: live tenant counts diverged");
+  }
+  const scheduler::CandidateIndex* index = candidate_index();
+  if (index != nullptr && index->Placement() != placement) {
+    return Status::Internal("index: placement diverged from ShardOf");
   }
   return core::MultiTenantSelector::ValidateIndex();
 }
@@ -280,13 +247,9 @@ Status ShardedMultiTenantSelector::RestoreDurableState(
 }
 
 std::vector<int> ShardedMultiTenantSelector::ShardSizes() const {
+  // Churn updates the counts under mu_; no quiescence needed to read them.
   MutexLock lock(mu_);
-  std::vector<int> sizes;
-  sizes.reserve(map_.num_shards());
-  for (int s = 0; s < map_.num_shards(); ++s) {
-    sizes.push_back(static_cast<int>(map_.local(s).size()));
-  }
-  return sizes;
+  return live_;
 }
 
 std::vector<double> ShardedMultiTenantSelector::ShardCpuSeconds() const {

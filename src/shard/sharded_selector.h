@@ -9,7 +9,6 @@
 #include "common/clock.h"
 #include "common/thread_annotations.h"
 #include "core/multi_tenant_selector.h"
-#include "shard/shard_map.h"
 #include "shard/shard_pool.h"
 
 namespace easeml::shard {
@@ -17,23 +16,24 @@ namespace easeml::shard {
 /// Sharded selector engine: tenant shards with a shard-parallel report
 /// pipeline.
 ///
-/// A `ShardMap` hash-partitions tenants over N shards, each owned by one
-/// `ShardPool` worker thread. Tenants are conditionally independent given
-/// the shared `SharedGpPrior`, so a tenant's belief fold — the O(t^2)
-/// Cholesky append plus its index-leaf refresh — touches only that tenant's
-/// state and its own shard's index tree, and folds for tenants on
-/// different shards run concurrently. Queued folds are the only work a
-/// worker ever does.
+/// Tenant `t` lives on shard `t % N` for its whole life (`ShardOf`), and
+/// each shard is owned by one `ShardPool` worker thread. Tenants are
+/// conditionally independent given the shared `SharedGpPrior`, so a
+/// tenant's belief fold — the O(t^2) Cholesky append plus its index-leaf
+/// refresh — touches only that tenant's state and its own shard's index
+/// tree, and folds for tenants on different shards run concurrently.
+/// Queued folds are the only work a worker ever does.
 ///
 /// `Next()` runs on the coordinator: it takes `mu_`, drains the fold
 /// queues, and then picks exactly like the base engine — from the N-shard
-/// candidate index (`scheduler::CandidateIndex`, placement mirroring the
-/// shard map: O(1) root reads per shard), or from the reference `PickUser`
+/// candidate index (`scheduler::CandidateIndex`, leaves placed by
+/// `ShardOf`: O(1) root reads per shard), or from the reference `PickUser`
 /// scan when `use_candidate_index` is off — and selects the arm inline.
-/// The selection trace is therefore BIT-IDENTICAL to the sequential
-/// engine's for every shard count and any thread interleaving; the
-/// conformance suite replays N ∈ {1,2,4,7} × index on/off against the
-/// unsharded selector across all five scheduler policies.
+/// The index merges its shard roots exactly, so placement never changes a
+/// pick: the selection trace is BIT-IDENTICAL to the sequential engine's
+/// for every shard count and any thread interleaving; the conformance
+/// suite replays N ∈ {1,2,4,7} × index on/off against the unsharded
+/// selector across all five scheduler policies.
 ///
 /// ## Report pipeline (coordinator / shard split)
 ///
@@ -68,8 +68,10 @@ namespace easeml::shard {
 /// serializes the protocol while queued folds run on the workers. (Sole
 /// exception: `scheduler_policy()` hands out a raw reference into policy
 /// state and is for quiescent diagnostics only.) Tenant churn
-/// (`AddTenant`/`RemoveTenant`) updates the shard map under the same lock:
-/// an add appends the tenant to one shard's tail, a removal rebalances.
+/// (`AddTenant`/`RemoveTenant`) runs under the same lock: an add appends
+/// the new tenant to the tail of its shard, and a removal retires the
+/// tenant in place, as the 1-shard engine does — it keeps its neutral
+/// index leaf and its snapshot entry, and no other tenant moves.
 class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
  public:
   /// Validates `options` (num_shards >= 1) and starts the shard workers.
@@ -98,16 +100,19 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
   Result<int> RoundsServed(int tenant) const override;
 
   /// Shard count (== options().num_shards).
-  int num_shards() const { return pool_.size(); }
+  int num_shards() const override { return pool_.size(); }
 
-  /// Current shard sizes, ascending shard index: how many tenants' folds
-  /// each worker owns (diagnostics; churn keeps them within +-1).
-  std::vector<int> ShardSizes() const;
+  /// Live (non-retired) tenants per shard, ascending shard index: how many
+  /// tenants' folds each worker owns (diagnostics). Adds spread ids
+  /// round-robin; a removal shrinks only its own shard, so churn lets the
+  /// counts drift apart — fold work follows picks, not tenant counts.
+  std::vector<int> ShardSizes() const override;
 
   /// Thread-safe index invariant check (see the base class): additionally
-  /// verifies the index placement mirrors the shard map exactly, so tenant
-  /// churn rebalances can never desynchronize leaf ownership. Wired into
-  /// the stress battery; OK when the index is disabled.
+  /// verifies that every tenant ever added, retired ones included, sits on
+  /// shard `ShardOf(t)` in the index, and that `ShardSizes()` counts each
+  /// shard's live tenants. Wired into the stress battery; with the index
+  /// disabled only the live counts are checked.
   Status ValidateIndex() const override;
 
   /// Thread-safe durable-state capture/restore (see the base class): both
@@ -125,43 +130,32 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
   /// Locks and drains the report queues first, so the numbers include every
   /// fold of every completion already reported — same quiescence discipline
   /// as the other const accessors.
-  std::vector<double> ShardCpuSeconds() const;
+  std::vector<double> ShardCpuSeconds() const override;
 
  private:
   ShardedMultiTenantSelector(core::MultiTenantSelector&& base,
                              int num_shards);
 
+  /// The one placement rule: tenant `t` lives on shard `t % N` for its
+  /// whole life. It names the fold owner, the shard of the tenant's index
+  /// leaf and the shard the observer learns from `OnTenantPlaced`.
+  int ShardOf(int tenant) const { return tenant % pool_.size(); }
+
   // Churn hooks, called with mu_ held by the public overrides after a
-  // drain. A new id is the largest ever issued and shard sizes differ by at
-  // most one, so `ShardMap::Add` lands it at the tail of one shard (checked
-  // on every add) and moves no other tenant: the add appends to that
-  // shard's index tree and observer placement, as the base hook does on
-  // shard 0. A removal may rebalance OTHER tenants between shards, so it
-  // resyncs the whole index placement and republishes it.
-  void OnTenantAdded(int tenant) override EASEML_REQUIRES(mu_);
-  void OnTenantRemoved(int tenant) override EASEML_REQUIRES(mu_) {
-    map_.Remove(tenant);
-    SyncIndexPlacement();
-    // The base hook already published the retirement event; dropping the
-    // tenant from the placement is what retires its snapshot entry.
-    NotifyPlacementLocked();
+  // drain (and tenant by tenant by RestoreDurableState). A new id is the
+  // largest ever issued, so the add appends it to the tail of its shard's
+  // index tree and observer placement, as the base hook does on shard 0.
+  // A removal moves nothing: the base engine has already neutralized the
+  // tenant's leaf and published its retirement, so only the live count
+  // changes.
+  void OnTenantAdded(int tenant) override EASEML_REQUIRES(mu_) {
+    const int shard = ShardOf(tenant);
+    ++live_[static_cast<size_t>(shard)];
+    AppendNewTenant(tenant, shard);
   }
-
-  /// Publishes the current shard->tenants partition to the observer (no-op
-  /// without one). Quiesced by construction: every caller holds mu_ right
-  /// after a drain, so no worker-side tenant event runs concurrently.
-  void NotifyPlacementLocked() EASEML_REQUIRES(mu_);
-
-  /// Rebuilds the index placement from the shard map's partition (no-op
-  /// when the index is disabled): one tournament tree per shard over its
-  /// local tenants, so a queued fold refreshes a leaf of its own worker's
-  /// tree only. Cached keys are reused — a removal costs O(T)
-  /// re-aggregation, not O(T·K) re-reads.
-  void SyncIndexPlacement() EASEML_REQUIRES(mu_);
-
-  /// Owning shard of the live ticket `issued` (aborts if unmapped: a tenant
-  /// with an open ticket cannot have been removed).
-  int OwnerOf(const Assignment& issued) const EASEML_REQUIRES(mu_);
+  void OnTenantRemoved(int tenant) override EASEML_REQUIRES(mu_) {
+    --live_[static_cast<size_t>(ShardOf(tenant))];
+  }
 
   /// Queues `fold` on `owner`'s worker (timed there when observed) and
   /// returns without waiting for it.
@@ -184,15 +178,16 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
     obs->OnDrainWait((MonotonicSeconds() - w0) * 1e6);
   }
 
-  /// Serializes the ticketed protocol. Guards the shard map (and, through
-  /// the base-engine calls it wraps, all base-engine tenant state: users,
-  /// in-flight table, candidate index — owned by the base class and
+  /// Serializes the ticketed protocol. Guards the live counts (and,
+  /// through the base-engine calls it wraps, all base-engine tenant state:
+  /// users, in-flight table, candidate index — owned by the base class and
   /// therefore not annotatable here). pool_ is internally synchronized;
   /// queued folds touch only their own tenant's belief and shard-local
   /// index tree, and every path that reads or resizes tenant state drains
   /// them first (DrainFolds), so fold writes never race an engine read.
   mutable Mutex mu_;
-  ShardMap map_ EASEML_GUARDED_BY(mu_);
+  /// Live (non-retired) tenants per shard; what `ShardSizes()` reports.
+  std::vector<int> live_ EASEML_GUARDED_BY(mu_);
   ShardPool pool_;
   /// Cached scheduler().ObservesOutcomes(): true (HYBRID) makes Report
   /// fold inline on the quiesced coordinator, right before the outcome hook

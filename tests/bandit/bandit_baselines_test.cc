@@ -1,86 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <vector>
 
-#include "bandit/epsilon_greedy.h"
 #include "bandit/fixed_order.h"
-#include "bandit/random_policy.h"
-#include "bandit/ucb1.h"
 
 namespace easeml::bandit {
 namespace {
-
-TEST(Ucb1Test, SweepsUnplayedArmsFirst) {
-  Ucb1Policy policy(4);
-  std::set<int> seen;
-  std::vector<int> available = {0, 1, 2, 3};
-  for (int t = 1; t <= 4; ++t) {
-    auto arm = policy.SelectArm(available, t);
-    ASSERT_TRUE(arm.ok());
-    seen.insert(*arm);
-    ASSERT_TRUE(policy.Update(*arm, 0.5).ok());
-    available.erase(std::find(available.begin(), available.end(), *arm));
-  }
-  EXPECT_EQ(seen.size(), 4u);
-}
-
-TEST(Ucb1Test, ExploitsBestEmpiricalMean) {
-  Ucb1Policy policy(2);
-  // Lots of evidence: arm 1 is clearly better.
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(policy.Update(0, 0.2).ok());
-    ASSERT_TRUE(policy.Update(1, 0.9).ok());
-  }
-  auto arm = policy.SelectArm({0, 1}, 101);
-  ASSERT_TRUE(arm.ok());
-  EXPECT_EQ(*arm, 1);
-  EXPECT_NEAR(policy.EmpiricalMean(1), 0.9, 1e-12);
-  EXPECT_EQ(policy.Count(0), 50);
-}
-
-TEST(Ucb1Test, UpdateValidatesArm) {
-  Ucb1Policy policy(2);
-  EXPECT_FALSE(policy.Update(2, 0.5).ok());
-  EXPECT_FALSE(policy.Update(-1, 0.5).ok());
-}
-
-TEST(EpsilonGreedyTest, ZeroEpsilonIsPureExploitation) {
-  EpsilonGreedyPolicy policy(3, 0.0, 1);
-  ASSERT_TRUE(policy.Update(0, 0.3).ok());
-  ASSERT_TRUE(policy.Update(1, 0.8).ok());
-  ASSERT_TRUE(policy.Update(2, 0.5).ok());
-  for (int t = 0; t < 20; ++t) {
-    auto arm = policy.SelectArm({0, 1, 2}, t + 4);
-    ASSERT_TRUE(arm.ok());
-    EXPECT_EQ(*arm, 1);
-  }
-}
-
-TEST(EpsilonGreedyTest, FullEpsilonExploresUniformly) {
-  EpsilonGreedyPolicy policy(3, 1.0, 2);
-  for (int a = 0; a < 3; ++a) ASSERT_TRUE(policy.Update(a, 0.5).ok());
-  std::set<int> seen;
-  for (int t = 0; t < 100; ++t) {
-    auto arm = policy.SelectArm({0, 1, 2}, t + 4);
-    ASSERT_TRUE(arm.ok());
-    seen.insert(*arm);
-  }
-  EXPECT_EQ(seen.size(), 3u);
-}
-
-TEST(RandomPolicyTest, OnlyPicksAvailableArms) {
-  RandomPolicy policy(5, 3);
-  for (int t = 0; t < 50; ++t) {
-    auto arm = policy.SelectArm({1, 3}, t + 1);
-    ASSERT_TRUE(arm.ok());
-    EXPECT_TRUE(*arm == 1 || *arm == 3);
-  }
-  EXPECT_FALSE(policy.SelectArm({}, 1).ok());
-  EXPECT_TRUE(policy.Update(0, 0.5).ok());
-  EXPECT_FALSE(policy.Update(9, 0.5).ok());
-}
 
 TEST(FixedOrderTest, CreateValidatesPermutation) {
   EXPECT_FALSE(FixedOrderPolicy::Create({}, "x").ok());

@@ -1,7 +1,8 @@
-/// MultiTenantSelector::RemoveTenant — the tenant-churn primitive shard
-/// rebalancing builds on: refusal taxonomy (in-flight tickets, double
-/// removal, unknown ids), exclusion from every scheduling path, retained
-/// read-side history, and continued campaign progress for the survivors.
+/// MultiTenantSelector::RemoveTenant — the tenant-churn primitive; both
+/// engines retire the tenant in place. Covers the refusal taxonomy
+/// (in-flight tickets, double removal, unknown ids), exclusion from every
+/// scheduling path, retained read-side history, and continued campaign
+/// progress for the survivors.
 #include "core/multi_tenant_selector.h"
 
 #include <gtest/gtest.h>

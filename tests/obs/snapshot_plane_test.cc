@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "obs/fleet_observer.h"
 #include "obs/metrics.h"
-#include "shard/sharded_selector.h"
 
 namespace easeml::obs {
 namespace {
@@ -152,24 +151,6 @@ TEST(SnapshotPlaneTest, AggregatesEqualRecountUnderRandomApplies) {
   }
 }
 
-TEST(SnapshotPlaneTest, SetPlacementRepublishesImmediately) {
-  SnapshotPlane plane(/*num_shards=*/2, /*publish_interval=*/1000);
-  for (int t = 0; t < 6; ++t) plane.Place(t, 0);
-  for (int t = 0; t < 6; ++t) plane.Apply(MakeObs(t, t, true));
-  // Rebalance 3 tenants onto shard 1; no FlushAll — SetPlacement itself
-  // must publish so no reader ever sees the stale partition.
-  plane.SetPlacement({{0, 2, 4}, {1, 3, 5}});
-  const FleetSnapshot snap = plane.Snapshot();
-  ASSERT_EQ(snap.shards[0]->size(), 3);
-  ASSERT_EQ(snap.shards[1]->size(), 3);
-  EXPECT_EQ(*snap.shards[0]->ids, (std::vector<int>{0, 2, 4}));
-  EXPECT_EQ(*snap.shards[1]->ids, (std::vector<int>{1, 3, 5}));
-  // Observations moved with their tenants, aggregates recounted.
-  EXPECT_EQ(snap.shards[1]->at(1).rounds_served, 3);
-  EXPECT_TRUE(snap.shards[0]->agg == Recount(*snap.shards[0]));
-  EXPECT_TRUE(snap.shards[1]->agg == Recount(*snap.shards[1]));
-}
-
 /// The headline property: drive a real campaign through an observed engine,
 /// quiesce, flush — the published snapshot must agree EXACTLY with the
 /// engine's own accessors, and the candidate index must validate at the
@@ -254,12 +235,13 @@ TEST(SnapshotPlaneTest, QuiescedSnapshotMatchesEngineSharded) {
   RunQuiescedConsistency(/*num_shards=*/4);
 }
 
-/// The sharded engine announces an add to the observer as one tenant
-/// appended to one shard (`OnTenantPlaced`) and a removal as a whole new
-/// placement (`OnPlacementChanged`). Under churn the plane's placement must
-/// stay the engine's: after every add and every remove, a quiesced and
-/// flushed snapshot holds each live tenant exactly once, and its per-shard
-/// sizes equal the engine's `ShardSizes()`.
+/// Both engines announce an add to the observer as one tenant appended to
+/// its shard (`OnTenantPlaced`, shard `t % N`) and a removal as a retired
+/// tenant event; no tenant ever moves. Under churn, after every add and
+/// every remove, a quiesced and flushed snapshot holds every tenant ever
+/// added exactly once, on shard `t % N`, marked retired exactly when it was
+/// removed, and its per-shard count of live entries equals the engine's
+/// `ShardSizes()`.
 TEST(SnapshotPlaneTest, ChurnedShardedPlacementMatchesShardSizes) {
   for (int num_shards : {2, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(num_shards));
@@ -271,12 +253,11 @@ TEST(SnapshotPlaneTest, ChurnedShardedPlacementMatchesShardSizes) {
     obs_options.publish_interval = 5;
     auto observed = MakeObservedSelector(options, obs_options);
     ASSERT_TRUE(observed.ok()) << observed.status().ToString();
-    auto* engine = dynamic_cast<shard::ShardedMultiTenantSelector*>(
-        observed->selector.get());
-    ASSERT_NE(engine, nullptr);
+    core::MultiTenantSelector* engine = observed->selector.get();
     SnapshotPlane& plane = observed->observer->plane();
 
     std::set<int> live;
+    int added = 0;
     const auto expect_placement_in_step = [&](const std::string& after) {
       SCOPED_TRACE("after " + after);
       // Quiesce (ValidateIndex locks the engine and drains its fold
@@ -285,16 +266,18 @@ TEST(SnapshotPlaneTest, ChurnedShardedPlacementMatchesShardSizes) {
       ASSERT_TRUE(valid.ok()) << valid.ToString();
       plane.FlushAll();
       const FleetSnapshot snap = plane.Snapshot();
-      const std::vector<int> sizes = engine->ShardSizes();
-      ASSERT_EQ(snap.shards.size(), sizes.size());
-      for (size_t sh = 0; sh < sizes.size(); ++sh) {
-        EXPECT_EQ(snap.shards[sh]->size(), sizes[sh]) << "shard " << sh;
-      }
+      std::vector<int> live_sizes(snap.shards.size(), 0);
       std::map<int, int> seen;
-      snap.ForEachTenant(
-          [&](int, const TenantObservation& o) { ++seen[o.tenant]; });
-      EXPECT_EQ(seen.size(), live.size());
-      for (int t : live) EXPECT_EQ(seen[t], 1) << "tenant " << t;
+      snap.ForEachTenant([&](int shard, const TenantObservation& o) {
+        ++seen[o.tenant];
+        EXPECT_EQ(shard, o.tenant % num_shards) << "tenant " << o.tenant;
+        EXPECT_EQ(o.retired, live.count(o.tenant) == 0)
+            << "tenant " << o.tenant;
+        if (!o.retired) ++live_sizes[static_cast<size_t>(shard)];
+      });
+      EXPECT_EQ(live_sizes, engine->ShardSizes());
+      EXPECT_EQ(static_cast<int>(seen.size()), added);
+      for (const auto& [t, n] : seen) EXPECT_EQ(n, 1) << "tenant " << t;
     };
 
     constexpr int kModels = 4;
@@ -306,6 +289,7 @@ TEST(SnapshotPlaneTest, ChurnedShardedPlacementMatchesShardSizes) {
         auto id = engine->AddTenantWithDefaultPrior(kModels, costs);
         ASSERT_TRUE(id.ok()) << id.status().ToString();
         live.insert(*id);
+        ++added;
         expect_placement_in_step("adding " + std::to_string(*id));
       } else if (op < 0.4) {
         // Nothing is in flight between steps, so any live tenant may go.
@@ -323,6 +307,71 @@ TEST(SnapshotPlaneTest, ChurnedShardedPlacementMatchesShardSizes) {
       }
     }
     EXPECT_GT(live.size(), 3u);
+  }
+}
+
+/// A checkpoint restore rebuilds the placement of the engine that never
+/// crashed. Placement is a function of the tenant id alone, so after a
+/// seeded mix of adds, removes and Next/Report, an engine restored from
+/// the captured state publishes every shard's tenant-id list exactly as
+/// the original does, with retired tenants included and marked alike.
+TEST(SnapshotPlaneTest, RestoredShardedPlacementMatchesNeverCrashed) {
+  for (int num_shards : {2, 3, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(num_shards));
+    core::SelectorOptions options;
+    options.scheduler = core::SchedulerKind::kHybrid;
+    options.hybrid_patience = 3;
+    options.num_shards = num_shards;
+    auto original = MakeObservedSelector(options, FleetObserverOptions());
+    ASSERT_TRUE(original.ok()) << original.status().ToString();
+    core::MultiTenantSelector* engine = original->selector.get();
+
+    constexpr int kModels = 4;
+    const std::vector<double> costs(kModels, 1.0);
+    std::vector<int> live;
+    Rng rng(static_cast<uint64_t>(70 + num_shards));
+    for (int step = 0; step < 200; ++step) {
+      const double op = rng.Uniform();
+      if (op < 0.2 || live.size() < 3) {
+        auto id = engine->AddTenantWithDefaultPrior(kModels, costs);
+        ASSERT_TRUE(id.ok()) << id.status().ToString();
+        live.push_back(*id);
+      } else if (op < 0.35) {
+        // Nothing is in flight between steps, so any live tenant may go.
+        const int pick = rng.UniformInt(0, static_cast<int>(live.size()) - 1);
+        ASSERT_TRUE(engine->RemoveTenant(live[pick]).ok());
+        live.erase(live.begin() + pick);
+      } else if (engine->HasDispatchableWork()) {
+        auto a = engine->Next();
+        ASSERT_TRUE(a.ok()) << a.status().ToString();
+        ASSERT_TRUE(engine->Report(*a, 0.1 + 0.8 * rng.Uniform()).ok());
+      }
+    }
+    auto state = engine->CaptureDurableState();
+    ASSERT_TRUE(state.ok()) << state.status().ToString();
+    auto restored = MakeObservedSelector(options, FleetObserverOptions());
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    const Status restore = restored->selector->RestoreDurableState(*state);
+    ASSERT_TRUE(restore.ok()) << restore.ToString();
+
+    for (ObservedSelector* side : {&*original, &*restored}) {
+      const Status valid = side->selector->ValidateIndex();
+      ASSERT_TRUE(valid.ok()) << valid.ToString();
+      side->observer->plane().FlushAll();
+    }
+    const FleetSnapshot want = original->observer->plane().Snapshot();
+    const FleetSnapshot got = restored->observer->plane().Snapshot();
+    ASSERT_EQ(got.shards.size(), want.shards.size());
+    for (size_t sh = 0; sh < want.shards.size(); ++sh) {
+      SCOPED_TRACE("shard " + std::to_string(sh));
+      const ShardBlock& w = *want.shards[sh];
+      const ShardBlock& g = *got.shards[sh];
+      ASSERT_EQ(*g.ids, *w.ids);
+      for (int pos = 0; pos < w.size(); ++pos) {
+        EXPECT_EQ(g.at(pos).retired, w.at(pos).retired)
+            << "tenant " << w.at(pos).tenant;
+      }
+    }
   }
 }
 

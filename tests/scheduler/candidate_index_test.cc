@@ -2,7 +2,7 @@
 /// checked against brute force over the same keys — including ARTIFICIAL
 /// candidacy thresholds that force the pruned-argmax slow path (global
 /// argmax not a candidate), which real campaigns hit only occasionally —
-/// plus incremental-vs-rebuild equivalence and the Validate() invariant.
+/// plus the Validate() invariant under every tenant event.
 #include "scheduler/candidate_index.h"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,8 @@
 #include <string>
 #include <vector>
 
+#include "bandit/fixed_order.h"
 #include "bandit/gp_ucb.h"
-#include "bandit/ucb1.h"
 #include "common/rng.h"
 #include "linalg/matrix.h"
 #include "scheduler/hybrid.h"
@@ -59,10 +59,12 @@ std::vector<UserState> MakePopulation(int n, int k, uint64_t seed) {
   return users;
 }
 
-std::vector<std::vector<int>> SplitPlacement(int n, int shards) {
-  std::vector<std::vector<int>> locals(shards);
-  for (int i = 0; i < n; ++i) locals[i % shards].push_back(i);
-  return locals;  // each ascending
+/// Places every user on shard `id % num_shards` in id order — the sharded
+/// engine's placement rule, through the engines' only placement path.
+void PlaceAll(CandidateIndex& index, const std::vector<UserState>& users) {
+  for (const UserState& u : users) {
+    index.AppendTenant(u.user_id() % index.num_shards(), u);
+  }
 }
 
 /// Algorithm 2 line 7 evaluated from first principles — the exact scaled
@@ -111,7 +113,7 @@ TEST(CandidateIndexTest, DescentsMatchBruteForceUnderForcedThresholds) {
   for (int shards : {1, 3, 4}) {
     auto users = MakePopulation(kUsers, kModels, 1234 + shards);
     CandidateIndex index(shards);
-    index.SyncPlacement(SplitPlacement(kUsers, shards), users);
+    PlaceAll(index, users);
     ASSERT_TRUE(index.Validate(users).ok());
 
     // Real aggregates, merged over the shards, checked against a fresh
@@ -261,9 +263,8 @@ TEST(CandidateIndexTest, HybridFreezePassMatchesScanOnEveryLeafShape) {
 
   for (size_t p = 0; p < populations.size(); ++p) {
     const std::vector<UserState>& users = populations[p];
-    const int n = static_cast<int>(users.size());
     CandidateIndex index(2);
-    index.SyncPlacement(SplitPlacement(n, 2), users);
+    PlaceAll(index, users);
     HybridScheduler scan(/*patience=*/2);
     HybridScheduler indexed(/*patience=*/2);
     for (int call = 0; call < 3; ++call) {
@@ -284,7 +285,7 @@ TEST(CandidateIndexTest, RefreshTracksEveryTenantEvent) {
   constexpr int kModels = 3;
   auto users = MakePopulation(kUsers, kModels, 99);
   CandidateIndex index(2);
-  index.SyncPlacement(SplitPlacement(kUsers, 2), users);
+  PlaceAll(index, users);
   Rng rng(5);
   for (int step = 0; step < 300; ++step) {
     const int i = rng.UniformInt(0, kUsers - 1);
@@ -323,7 +324,7 @@ TEST(CandidateIndexTest, ValidateCatchesStaleLeaf) {
   constexpr int kUsers = 6;
   auto users = MakePopulation(kUsers, 3, 7);
   CandidateIndex index(2);
-  index.SyncPlacement(SplitPlacement(kUsers, 2), users);
+  PlaceAll(index, users);
   ASSERT_TRUE(index.Validate(users).ok());
   // Mutate a tenant WITHOUT refreshing: the invalidation-contract breach
   // the invariant check exists to catch.
@@ -346,13 +347,15 @@ TEST(CandidateIndexTest, ValidateCatchesStaleLeaf) {
 TEST(CandidateIndexTest, BadPolicyTenantsSurfaceInRoots) {
   std::vector<UserState> users;
   users.push_back(MakeGpUser(0, 3));
-  auto ucb1 = std::make_unique<bandit::Ucb1Policy>(3);
-  auto state =
-      UserState::Create(1, std::move(ucb1), std::vector<double>(3, 1.0));
+  auto fixed = bandit::FixedOrderPolicy::Create({0, 1, 2}, "fixed");
+  ASSERT_TRUE(fixed.ok());
+  auto state = UserState::Create(
+      1, std::make_unique<bandit::FixedOrderPolicy>(std::move(fixed).value()),
+      std::vector<double>(3, 1.0));
   ASSERT_TRUE(state.ok());
   users.push_back(std::move(state).value());
   CandidateIndex index(1);
-  index.SyncPlacement({{0, 1}}, users);
+  PlaceAll(index, users);
   EXPECT_EQ(index.Root(0).min_bad_policy, 1);
   EXPECT_EQ(index.Root(0).min_uninitialized, 0);
   EXPECT_EQ(index.Root(0).cnt_schedulable, 2);

@@ -3,8 +3,8 @@
 #include <memory>
 #include <vector>
 
+#include "bandit/fixed_order.h"
 #include "bandit/gp_ucb.h"
-#include "bandit/ucb1.h"
 #include "linalg/matrix.h"
 #include "scheduler/greedy.h"
 #include "scheduler/hybrid.h"
@@ -61,8 +61,11 @@ TEST(CandidateSetTest, AboveAverageRuleSelectsHighBoundUsers) {
 
 TEST(GreedyTest, RequiresGpPolicies) {
   std::vector<UserState> users;
+  auto fixed = bandit::FixedOrderPolicy::Create({0, 1}, "fixed");
+  ASSERT_TRUE(fixed.ok());
   auto state = UserState::Create(
-      0, std::make_unique<bandit::Ucb1Policy>(2), {1.0, 1.0});
+      0, std::make_unique<bandit::FixedOrderPolicy>(std::move(fixed).value()),
+      {1.0, 1.0});
   ASSERT_TRUE(state.ok());
   users.push_back(std::move(state).value());
   GreedyScheduler greedy;
@@ -80,7 +83,6 @@ TEST(GreedyTest, PicksUserWithLargestUcbGap) {
   auto pick = greedy.PickUser(users, 3);
   ASSERT_TRUE(pick.ok());
   EXPECT_EQ(*pick, 1);
-  EXPECT_TRUE(greedy.RequiresInitialSweep());
 }
 
 TEST(GreedyTest, FailsWhenAllExhausted) {
@@ -106,7 +108,6 @@ TEST(GreedyTest, SkipsExhaustedUsers) {
 TEST(HybridTest, StartsInGreedyMode) {
   HybridScheduler hybrid(10);
   EXPECT_FALSE(hybrid.switched());
-  EXPECT_TRUE(hybrid.RequiresInitialSweep());
   EXPECT_EQ(hybrid.name(), "hybrid");
 }
 

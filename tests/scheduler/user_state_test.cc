@@ -5,8 +5,8 @@
 #include <cmath>
 #include <memory>
 
+#include "bandit/fixed_order.h"
 #include "bandit/gp_ucb.h"
-#include "bandit/ucb1.h"
 #include "linalg/matrix.h"
 
 namespace easeml::scheduler {
@@ -176,8 +176,11 @@ TEST(UserStateTest, MaxUcbOverAvailableArms) {
 }
 
 TEST(UserStateTest, NonGpPolicyHasNoConfidenceBounds) {
+  auto fixed = bandit::FixedOrderPolicy::Create({2, 0, 1}, "fixed");
+  ASSERT_TRUE(fixed.ok());
   auto state = UserState::Create(
-      0, std::make_unique<bandit::Ucb1Policy>(3), {1.0, 1.0, 1.0});
+      0, std::make_unique<bandit::FixedOrderPolicy>(std::move(fixed).value()),
+      {1.0, 1.0, 1.0});
   ASSERT_TRUE(state.ok());
   UserState u = std::move(state).value();
   EXPECT_FALSE(u.policy().HasConfidenceBounds());

@@ -312,12 +312,15 @@ TEST(MakeSelectorTest, SelectsEngineByShardCount) {
   auto plain = MakeSelector(MakeOptions(SchedulerKind::kGreedy, 1, 1));
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(dynamic_cast<ShardedMultiTenantSelector*>(plain->get()), nullptr);
+  EXPECT_EQ((*plain)->num_shards(), 1);
+  EXPECT_EQ((*plain)->ShardCpuSeconds(), std::vector<double>{0.0});
 
   auto sharded = MakeSelector(MakeOptions(SchedulerKind::kGreedy, 1, 4));
   ASSERT_TRUE(sharded.ok());
-  auto* engine = dynamic_cast<ShardedMultiTenantSelector*>(sharded->get());
-  ASSERT_NE(engine, nullptr);
-  EXPECT_EQ(engine->num_shards(), 4);
+  EXPECT_NE(dynamic_cast<ShardedMultiTenantSelector*>(sharded->get()),
+            nullptr);
+  EXPECT_EQ((*sharded)->num_shards(), 4);
+  EXPECT_EQ((*sharded)->ShardCpuSeconds().size(), 4u);
 
   auto bad = MakeSelector(MakeOptions(SchedulerKind::kGreedy, 1, 0));
   EXPECT_FALSE(bad.ok());
@@ -325,7 +328,7 @@ TEST(MakeSelectorTest, SelectsEngineByShardCount) {
 }
 
 /// Golden trace: the full HYBRID campaign (T=6, K=3, D=2) on the 4-shard
-/// engine, pinned event by event. Guards the whole stack — shard map, fold
+/// engine, pinned event by event. Guards the whole stack — placement, fold
 /// queues, exact candidate threshold, argmax tie-breaks, ticket
 /// accounting — against silent drift; by the conformance tests above the
 /// same trace is what the sequential engine and every other shard count
@@ -381,32 +384,31 @@ TEST(ShardedGoldenTraceTest, PinnedHybridCampaign) {
   }
 }
 
-TEST(MakeSelectorTest, ShardSizesStayBalancedUnderChurn) {
-  auto engine = MakeSelector(MakeOptions(SchedulerKind::kFcfs, 1, 4));
-  ASSERT_TRUE(engine.ok());
-  auto* sharded = dynamic_cast<ShardedMultiTenantSelector*>(engine->get());
-  ASSERT_NE(sharded, nullptr);
-  for (int t = 0; t < 18; ++t) {
-    ASSERT_TRUE(
-        sharded->AddTenantWithDefaultPrior(3, {1.0, 1.0, 1.0}).ok());
+/// Placement is a function of the id: adds spread tenants round-robin over
+/// the shards, and a removal retires its tenant in place — only its own
+/// shard's live count drops and no other tenant moves. The 1-shard engine
+/// reports every live tenant on its one shard.
+TEST(MakeSelectorTest, RemovalShrinksOnlyItsOwnShard) {
+  for (int num_shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(num_shards));
+    auto engine =
+        MakeSelector(MakeOptions(SchedulerKind::kFcfs, 1, num_shards));
+    ASSERT_TRUE(engine.ok());
+    MultiTenantSelector* selector = engine->get();
+    std::vector<int> expected(static_cast<size_t>(num_shards), 0);
+    for (int t = 0; t < 18; ++t) {
+      ASSERT_TRUE(selector->AddTenantWithDefaultPrior(3, {1.0, 1.0, 1.0}).ok());
+      ++expected[static_cast<size_t>(t % num_shards)];
+    }
+    EXPECT_EQ(selector->ShardSizes(), expected);
+    for (int victim : {2, 9, 6}) {
+      ASSERT_TRUE(selector->RemoveTenant(victim).ok());
+      --expected[static_cast<size_t>(victim % num_shards)];
+      EXPECT_EQ(selector->ShardSizes(), expected) << "removed " << victim;
+      const Status valid = selector->ValidateIndex();
+      EXPECT_TRUE(valid.ok()) << valid.ToString();
+    }
   }
-  std::vector<int> sizes = sharded->ShardSizes();
-  EXPECT_EQ(sizes.size(), 4u);
-  int total = 0;
-  for (int s : sizes) {
-    total += s;
-    EXPECT_GE(s, 4);
-    EXPECT_LE(s, 5);
-  }
-  EXPECT_EQ(total, 18);
-  ASSERT_TRUE(sharded->RemoveTenant(2).ok());
-  ASSERT_TRUE(sharded->RemoveTenant(9).ok());
-  total = 0;
-  for (int s : sharded->ShardSizes()) {
-    total += s;
-    EXPECT_EQ(s, 4);
-  }
-  EXPECT_EQ(total, 16);
 }
 
 /// Picks and arm selections run on the coordinator; only Report/Cancel
@@ -418,10 +420,10 @@ TEST(MakeSelectorTest, ShardedNextRunsNoWorkerTask) {
   constexpr int kModels = 3;
   for (bool use_index : {false, true}) {
     SCOPED_TRACE(use_index ? "index" : "scan");
-    auto created = ShardedMultiTenantSelector::Create(
+    auto created = MakeSelector(
         MakeOptions(SchedulerKind::kGreedy, kDevices, 2, use_index));
     ASSERT_TRUE(created.ok()) << created.status().ToString();
-    ShardedMultiTenantSelector* engine = created->get();
+    MultiTenantSelector* engine = created->get();
     for (int t = 0; t < 6; ++t) {
       ASSERT_TRUE(
           engine->AddTenantWithDefaultPrior(kModels, Costs(t, kModels)).ok());
@@ -445,10 +447,10 @@ TEST(MakeSelectorTest, ShardedHybridReportRunsNoWorkerTask) {
   constexpr int kModels = 6;
   for (bool use_index : {false, true}) {
     SCOPED_TRACE(use_index ? "index" : "scan");
-    auto created = ShardedMultiTenantSelector::Create(
-        MakeOptions(SchedulerKind::kHybrid, 1, 2, use_index));
+    auto created =
+        MakeSelector(MakeOptions(SchedulerKind::kHybrid, 1, 2, use_index));
     ASSERT_TRUE(created.ok()) << created.status().ToString();
-    ShardedMultiTenantSelector* engine = created->get();
+    MultiTenantSelector* engine = created->get();
     for (int t = 0; t < kTenants; ++t) {
       ASSERT_TRUE(
           engine->AddTenantWithDefaultPrior(kModels, Costs(t, kModels)).ok());

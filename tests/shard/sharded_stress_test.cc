@@ -28,8 +28,8 @@ using Assignment = MultiTenantSelector::Assignment;
 
 /// Shared battery body; `use_index` flips the selector onto the
 /// index-backed pick path so the same races cover the tournament trees,
-/// with the churn thread interleaving debug ValidateIndex() sweeps (the
-/// rebalance-consistency invariant of the churn satellite).
+/// with the churn thread interleaving debug ValidateIndex() sweeps (every
+/// tenant on shard `t % N` in the index, live counts in step with churn).
 void RunConcurrentChurnBattery(bool use_index) {
   constexpr int kShards = 4;
   constexpr int kInitialTenants = 24;
