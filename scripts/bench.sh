@@ -10,11 +10,15 @@
 #                                 and wall time; parsed into the JSON's
 #                                 report_throughput section. And the
 #                                 HYBRID_REPORT rows: HYBRID's Report()
-#                                 cost with the scan freeze detector vs
-#                                 the index-fed one at T=1e3/1e4, parsed
-#                                 into the hybrid_report section. The scan
-#                                 arm's T=1e4 initialization sweep adds
-#                                 ~11-15 s to this bench on a 4-vCPU Xeon.)
+#                                 cost with the scan freeze detector (one
+#                                 exact CompareScaled per tenant) vs the
+#                                 index-fed one (one exact mean cut plus
+#                                 the tenants the index logged as
+#                                 changed) at T=1e3/1e4, and the index
+#                                 arm alone at T=1e5, parsed into the
+#                                 hybrid_report section. The scan arm's
+#                                 T=1e4 initialization sweep adds ~11-15 s
+#                                 to this bench on a 4-vCPU Xeon.)
 #   bench/analytics_interference (obs-plane interference: Next/Report
 #                                 means with the observer off, on, and on
 #                                 with a continuous full-fleet snapshot
@@ -316,14 +320,19 @@ doc = {
         'columns': ['tenants', 'engine', 'report_us_mean', 'switched'],
         'rows': hybrid_rows,
         'headline':
-            'HYBRID Report(): the freeze detector rebuilds the line-7 '
-            'candidate set after every outcome. At T=1e4 it costs {} us '
-            'per Report on the scan (one exact CompareScaled per tenant) '
-            'and {} us on the index (one exact mean cut, then one double '
-            'compare per tenant). switched = the detector had fired by the '
-            'last measured step (round-robin phase, detector off).'.format(
+            'HYBRID Report(): the freeze detector tests after every '
+            'outcome whether the line-7 candidate set or the summed best '
+            'reward changed. At T=1e4 it costs {} us per Report on the scan '
+            '(rebuilds the set with one exact CompareScaled per tenant) and '
+            '{} us on the index (one exact mean cut, then only the tenants '
+            'the index logged as changed and those whose bound lies between '
+            'the old and the new cut); the index arm reads {} us at T=1e5, '
+            'where the scan arm is not run. switched = the detector had '
+            'fired by the last measured step (round-robin phase, detector '
+            'off).'.format(
                 hybrid_cell(10000, 'scan')[2],
-                hybrid_cell(10000, 'index')[2]),
+                hybrid_cell(10000, 'index')[2],
+                hybrid_cell(100000, 'index')[2]),
     },
     'recovery_durability': {
         'scheduler': 'greedy',

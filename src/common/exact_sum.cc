@@ -127,8 +127,14 @@ double ExactDoubleSum::MeanCut(int64_t n) const {
 long double ExactDoubleSum::WideValue() const {
   ExactDoubleSum tmp = *this;
   tmp.Normalize();
+  // A sum of doubles of similar magnitude fills a few limbs of the 70, and
+  // the long-double ldexp is most of this function's cost, so zero limbs
+  // are skipped. That keeps every bit: acc starts at +0 and adding a
+  // nonzero term can round to +0 but never to -0, so acc is never -0, and
+  // acc + (+0) == acc exactly.
   long double acc = 0.0L;
   for (int limb = kLimbs - 1; limb >= 0; --limb) {
+    if (tmp.limb_[limb] == 0) continue;
     acc += std::ldexp(static_cast<long double>(tmp.limb_[limb]),
                       32 * limb - kBias);
   }

@@ -55,9 +55,10 @@ class ExactDoubleSum {
   /// c * n >= sum. Because x * n - sum grows strictly with x, for every
   /// finite x:  CompareScaled(x, n) >= 0  <=>  x >= MeanCut(n).  Returns
   /// +inf when no finite double reaches the mean. Precondition: n >= 1.
-  /// Costs one `Value()`-like pass plus two or three `CompareScaled` calls
-  /// (~1 us), so compute it once per threshold and only where several
-  /// membership tests follow.
+  /// Costs one `Value()` plus two or three `CompareScaled` calls, each a
+  /// copy and a carry pass over the 70 limbs (about 1 us in all), so
+  /// compute it once per threshold and only where several membership
+  /// tests follow.
   double MeanCut(int64_t n) const;
 
   /// Exact sign of the accumulated sum.
@@ -86,7 +87,8 @@ class ExactDoubleSum {
 
   /// The sum in long double (`Value()` before its final rounding). The
   /// wider exponent range keeps sums beyond DBL_MAX finite, so dividing
-  /// by n still lands next to the mean.
+  /// by n still lands next to the mean. One carry pass, then one ldexp
+  /// per NONZERO limb: a sum of similar-magnitude doubles fills a few.
   long double WideValue() const;
 
   /// Sign(), but normalizing this accumulator in place (no copy) — the

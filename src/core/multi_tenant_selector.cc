@@ -80,11 +80,13 @@ Result<MultiTenantSelector> MultiTenantSelector::Create(
 
 void MultiTenantSelector::ResetIndex(int num_shards) {
   // Only GREEDY (and HYBRID's greedy phase) read bounds/gaps; the other
-  // schedulers' keys skip the O(K) UcbGap derivation per event.
-  const bool track_gap = options_.scheduler == SchedulerKind::kGreedy ||
-                         options_.scheduler == SchedulerKind::kHybrid;
-  index_ =
-      std::make_unique<scheduler::CandidateIndex>(num_shards, track_gap);
+  // schedulers' keys skip the O(K) UcbGap derivation per event. Only
+  // HYBRID's freeze detector reads the change log.
+  const bool hybrid = options_.scheduler == SchedulerKind::kHybrid;
+  const bool track_gap =
+      hybrid || options_.scheduler == SchedulerKind::kGreedy;
+  index_ = std::make_unique<scheduler::CandidateIndex>(num_shards, track_gap,
+                                                       /*log_changes=*/hybrid);
 }
 
 void MultiTenantSelector::RefreshIndexEntry(int tenant) {

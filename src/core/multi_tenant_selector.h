@@ -401,7 +401,8 @@ class MultiTenantSelector {
 
   /// Replaces the index with an empty `num_shards`-shard instance (the
   /// sharded engine calls this before any tenant exists). Keys track the
-  /// line-8 gap only for schedulers that consume it (GREEDY/HYBRID).
+  /// line-8 gap only for schedulers that consume it (GREEDY/HYBRID), and
+  /// the change log is on only for HYBRID, whose freeze detector reads it.
   void ResetIndex(int num_shards);
 
   /// Recomputes `tenant`'s key and replays its leaf path (no-op when

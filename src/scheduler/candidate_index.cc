@@ -115,8 +115,27 @@ CandidateIndex::Candidacy CandidateIndex::Candidacy::Of(
   return Candidacy{sum.MeanCut(finite_count), false};
 }
 
-CandidateIndex::CandidateIndex(int num_shards, bool track_gap)
-    : track_gap_(track_gap), shards_(static_cast<size_t>(num_shards)) {}
+CandidateIndex::CandidateIndex(int num_shards, bool track_gap,
+                               bool log_changes)
+    : track_gap_(track_gap),
+      log_changes_(log_changes),
+      shards_(static_cast<size_t>(num_shards)) {}
+
+void CandidateIndex::NoteEvent(Shard& sh, int id) {
+  ++sh.events;
+  if (!log_changes_ || logged_[id] != 0) return;
+  logged_[id] = 1;
+  sh.changed.push_back(id);
+}
+
+void CandidateIndex::TakeChanged(std::vector<int>* out) {
+  out->clear();
+  for (Shard& sh : shards_) {
+    for (const int id : sh.changed) logged_[id] = 0;
+    out->insert(out->end(), sh.changed.begin(), sh.changed.end());
+    sh.changed.clear();
+  }
+}
 
 void CandidateIndex::AppendTenant(int shard, const UserState& user) {
   const int id = user.user_id();
@@ -124,6 +143,7 @@ void CandidateIndex::AppendTenant(int shard, const UserState& user) {
     keys_.resize(static_cast<size_t>(id) + 1);
     shard_of_.resize(static_cast<size_t>(id) + 1, -1);
     slot_of_.resize(static_cast<size_t>(id) + 1, -1);
+    logged_.resize(static_cast<size_t>(id) + 1, 0);
   }
   keys_[id] = DeriveKey(user);
   Shard& sh = shards_[static_cast<size_t>(shard)];
@@ -136,6 +156,7 @@ void CandidateIndex::AppendTenant(int shard, const UserState& user) {
     sh.bound_sum.Add(key.bound);
     ++sh.finite_count;
   }
+  NoteEvent(sh, id);
 }
 
 void CandidateIndex::Refresh(const UserState& user) {
@@ -163,10 +184,19 @@ void CandidateIndex::Refresh(const UserState& user) {
   }
   sh.tree.Update(slot_of_[id], IndexNode::MakeLeaf(id, fresh));
   old = fresh;
+  NoteEvent(sh, id);
 }
 
 CandidateIndex::Threshold CandidateIndex::MergedThreshold() const {
+  // Every aggregate below changes only through a tenant event, which bumps
+  // its shard's count, so equal counts mean an equal threshold.
+  bool same = merged_events_.size() == shards_.size();
+  for (size_t s = 0; same && s < shards_.size(); ++s) {
+    same = merged_events_[s] == shards_[s].events;
+  }
+  if (same) return merged_;
   Threshold merged;
+  merged_events_.clear();
   for (const Shard& sh : shards_) {
     const IndexNode& root = sh.tree.Root();
     merged.schedulable += root.cnt_schedulable;
@@ -174,7 +204,9 @@ CandidateIndex::Threshold CandidateIndex::MergedThreshold() const {
         std::min(merged.min_bad_policy, root.min_bad_policy);
     merged.finite_count += sh.finite_count;
     merged.bound_sum.Merge(sh.bound_sum);
+    merged_events_.push_back(sh.events);
   }
+  merged_ = merged;
   return merged;
 }
 

@@ -1,6 +1,7 @@
 #ifndef EASEML_SCHEDULER_CANDIDATE_INDEX_H_
 #define EASEML_SCHEDULER_CANDIDATE_INDEX_H_
 
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -52,10 +53,21 @@ namespace easeml::scheduler {
 ///   - HYBRID: delegates to the active phase (GREEDY before the freeze
 ///     switch, ROUNDROBIN after). Its freeze detector runs on the report
 ///     path (`OnOutcomeIndexed`): it merges the shard aggregates
-///     (`MergedThreshold`), computes the cut once, and rebuilds the whole
-///     candidate set in one pass over the cached keys at one double
-///     compare per tenant — the same set the scan's `ComputeCandidateSet`
+///     (`MergedThreshold`), computes the cut once, and updates its copy
+///     of the candidate set from the change log below — each changed
+///     tenant's key, plus the unchanged tenants whose bound lies between
+///     the previous cut and this one — instead of reading every tenant.
+///     The set it keeps is the one the scan's `ComputeCandidateSet`
 ///     builds with one exact `CompareScaled` per tenant.
+///
+/// ## Change log
+///
+/// An index built with `log_changes` records every tenant whose key was
+/// appended or refreshed, once per tenant, until `TakeChanged` hands the
+/// list over and clears it. Between two HYBRID outcomes that list is
+/// exactly the set of tenants whose key or best reward may have moved,
+/// since every fold refreshes its tenant. Engines turn the log on for
+/// HYBRID only; no other policy reads it.
 ///
 /// Keys go stale the moment their tenant's state changes; the owning
 /// selector MUST call `Refresh` after every event that touches a tenant —
@@ -82,9 +94,15 @@ namespace easeml::scheduler {
 /// the coordinator's next read (the queue drain), and distinct shards own
 /// disjoint trees, so concurrent folds on different workers never touch
 /// the same node; the cached-key vector is indexed per tenant and never
-/// resized worker-side (churn drains the queues first). Any new caller
-/// must either hold the owning selector's lock on a quiesced engine or run
-/// as such a fold.
+/// resized worker-side (churn drains the queues first). The change log
+/// and the event counts follow the same split: each shard keeps its own
+/// list and count, and the per-tenant "already logged" flags are bytes
+/// indexed by tenant, so a worker's fold writes only its own shard's list
+/// and count and its own tenants' flags. `TakeChanged` and
+/// `MergedThreshold` (which keeps its last result in the index) read every
+/// shard, so they run on the quiesced coordinator, like a pick. Any new
+/// caller must either hold the owning selector's lock on a quiesced engine
+/// or run as such a fold.
 class CandidateIndex {
  public:
   /// Sentinel for "no tenant": merges below as min-identity, mirroring the
@@ -179,7 +197,10 @@ class CandidateIndex {
   /// O(K) derivation (the batched MaxUcb read). Only GREEDY/HYBRID picks
   /// consume it; engines serving the other schedulers pass false so the
   /// per-event refresh stays O(log T) with no posterior reads at all.
-  explicit CandidateIndex(int num_shards, bool track_gap = true);
+  /// `log_changes` turns on the change log (see the class comment), which
+  /// only HYBRID's freeze detector consumes.
+  explicit CandidateIndex(int num_shards, bool track_gap = true,
+                          bool log_changes = false);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
 
@@ -192,7 +213,7 @@ class CandidateIndex {
   /// Recomputes `user`'s key (the only O(K) step: the batched MaxUcb
   /// diagnostics read) and replays its leaf's O(log T) root path plus the
   /// shard's scalar aggregates. The tenant must have been placed
-  /// (`AppendTenant`).
+  /// (`AppendTenant`). Both calls log the tenant when the log is on.
   void Refresh(const UserState& user);
 
   // --- O(1) per-shard reads (merge across shards at the call site) -------
@@ -201,7 +222,10 @@ class CandidateIndex {
   // --- Cross-shard convenience reads (exact min/sum merges) --------------
   /// GREEDY's phase-A statistics over all shards, N exact merges: the one
   /// read of the threshold aggregates, shared by GREEDY's indexed pick and
-  /// HYBRID's indexed freeze detector.
+  /// HYBRID's indexed freeze detector. The result is kept until the next
+  /// tenant event in any shard, so a HYBRID outcome and the pick right
+  /// after it pay for one merge. Coordinator only, like every read that
+  /// spans shards.
   Threshold MergedThreshold() const;
   /// Lowest tenant id the initialization sweep must serve; kNone if none.
   int MinUninitialized() const;
@@ -234,6 +258,14 @@ class CandidateIndex {
   /// Whether keys carry the line-8 gap (see the constructor).
   bool track_gap() const { return track_gap_; }
 
+  /// Whether the change log is on (see the constructor).
+  bool logs_changes() const { return log_changes_; }
+
+  /// Replaces `*out` with every tenant appended or refreshed since the
+  /// last call, each once, and empties the log. The order is by shard,
+  /// then by first change. Always empty when the log is off.
+  void TakeChanged(std::vector<int>* out);
+
   /// Invariant check (tests / debug builds): recomputes every key from
   /// `users` and every aggregate from scratch and compares against the
   /// incrementally maintained state — keys bit-for-bit, sums by exact
@@ -256,18 +288,34 @@ class CandidateIndex {
     // accumulation over the current members.
     ExactDoubleSum bound_sum;
     int finite_count = 0;
+    // This shard's part of the change log, in first-change order.
+    std::vector<int> changed;
+    // Appends and refreshes so far: MergedThreshold's staleness test.
+    uint64_t events = 0;
   };
 
   /// MakeTenantKey with this index's gap-tracking mode (defined after the
   /// free function's declaration).
   TenantKey DeriveKey(const UserState& user) const;
 
+  /// Counts a tenant event in `sh` and appends `id` to its change log
+  /// unless the log is off or already holds it.
+  void NoteEvent(Shard& sh, int id);
+
   bool track_gap_ = true;
+  bool log_changes_ = false;
   std::vector<Shard> shards_;
   // Indexed by tenant id (ids are dense and never reused).
   std::vector<TenantKey> keys_;
   std::vector<int> shard_of_;
   std::vector<int> slot_of_;
+  // 1 while the tenant sits in its shard's change log. Bytes, not
+  // vector<bool>, so workers on different shards write disjoint objects.
+  std::vector<uint8_t> logged_;
+  // MergedThreshold's last result and each shard's event count when it
+  // was computed (empty before the first call).
+  mutable Threshold merged_;
+  mutable std::vector<uint64_t> merged_events_;
 };
 
 /// The ONE derivation of a tenant's index key from its runtime state; the

@@ -140,8 +140,8 @@ Status ShardedMultiTenantSelector::Report(const Assignment& assignment,
   const int owner = ShardOf(issued.tenant);
   double fold_us = 0.0;
   if (scheduler_observes_outcomes_) {
-    // HYBRID's freeze detector reads every tenant's post-fold state and
-    // the index right after this fold, so there is nothing to overlap:
+    // HYBRID's freeze detector reads the post-fold index and its change
+    // log right after this fold, so there is nothing to overlap:
     // fold here, on the quiesced coordinator, as the base engine does. The
     // drain retires queued cancels first (per-tenant fold order), and mu_
     // keeps the pipeline empty until the call returns.

@@ -43,8 +43,8 @@ namespace easeml::shard {
 /// FOLD — the O(t^2) Cholesky append plus the index-leaf refresh — depends
 /// on whether the caller has to wait for it:
 ///
-///   - HYBRID (`ObservesOutcomes()`): the freeze detector reads every
-///     tenant and the index right after the fold, so `Report` drains the
+///   - HYBRID (`ObservesOutcomes()`): the freeze detector reads the
+///     index and its change log right after the fold, so `Report` drains the
 ///     queues (pending cancels) and runs the base engine's inline sequence
 ///     on the calling thread, still under `mu_`: fold, outcome hook
 ///     (`OnOutcomeIndexed`, or `OnOutcome` with the index off), WAL sync.

@@ -11,6 +11,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bandit/fixed_order.h"
@@ -239,6 +240,20 @@ TEST(CandidateIndexTest, CandidacyKeepsTheScanRulesForNonFiniteBounds) {
   for (double b : {kInf, kNaN, -kInf, 0.0}) EXPECT_TRUE(all.Admits(b));
 }
 
+/// Runs one outcome through HYBRID's scan detector and its index-fed twin
+/// and expects identical durable bytes.
+void ExpectSameFreezeState(HybridScheduler& scan, HybridScheduler& indexed,
+                           const std::vector<UserState>& users,
+                           CandidateIndex& index, const std::string& label) {
+  scan.OnOutcome(users, 0);
+  indexed.OnOutcomeIndexed(users, 0, index);
+  std::string want;
+  std::string got;
+  scan.SaveDurable(&want);
+  indexed.SaveDurable(&got);
+  EXPECT_EQ(got, want) << label;
+}
+
 /// HYBRID's index-fed freeze pass against its scan reference on raw
 /// populations, including a shape engine campaigns rarely reach: the
 /// all-candidates mode (no finite bound) beside tenants that are not
@@ -262,21 +277,229 @@ TEST(CandidateIndexTest, HybridFreezePassMatchesScanOnEveryLeafShape) {
   populations.push_back(std::move(edge));
 
   for (size_t p = 0; p < populations.size(); ++p) {
-    const std::vector<UserState>& users = populations[p];
-    CandidateIndex index(2);
-    PlaceAll(index, users);
-    HybridScheduler scan(/*patience=*/2);
-    HybridScheduler indexed(/*patience=*/2);
-    for (int call = 0; call < 3; ++call) {
-      scan.OnOutcome(users, 0);
-      indexed.OnOutcomeIndexed(users, 0, index);
-      std::string want;
-      std::string got;
-      scan.SaveDurable(&want);
-      indexed.SaveDurable(&got);
-      EXPECT_EQ(got, want) << "population " << p << ", call " << call;
+    // Without a change log every call is the O(T) rebuild; with one, the
+    // calls after the first take the incremental path.
+    for (bool log_changes : {false, true}) {
+      const std::vector<UserState>& users = populations[p];
+      CandidateIndex index(2, /*track_gap=*/true, log_changes);
+      PlaceAll(index, users);
+      HybridScheduler scan(/*patience=*/2);
+      HybridScheduler indexed(/*patience=*/2);
+      for (int call = 0; call < 3; ++call) {
+        ExpectSameFreezeState(scan, indexed, users, index,
+                              "population " + std::to_string(p) + ", log " +
+                                  std::to_string(log_changes) + ", call " +
+                                  std::to_string(call));
+      }
+      EXPECT_TRUE(indexed.switched()) << "population " << p;
     }
-    EXPECT_TRUE(indexed.switched()) << "population " << p;
+  }
+}
+
+void ServeOnce(UserState& u, double reward) {
+  auto arm = u.SelectArm();
+  ASSERT_TRUE(arm.ok());
+  ASSERT_TRUE(u.RecordOutcome(*arm, reward).ok());
+}
+
+/// The regret half of HYBRID's freeze test on rises too small for the
+/// rounding bound to settle, so the index-fed detector must fall back to
+/// the scan's naive sums. One tenant's best reward rises while no key that
+/// decides candidacy moves: the tenant is in flight before the outcome and
+/// exhausted after it, so it is in no candidate set and no bound sum. With
+/// patience 1 the second outcome switches iff the scan finds the total
+/// "not dropped". Two rises: 5e-13, under the scan's 1e-12 slack; and 13
+/// ulps of 512 (about 1.48e-12), over the slack but lost to the rounding
+/// of a sum of 9728, where the scan still finds no drop.
+TEST(CandidateIndexTest, HybridRegretTestMatchesScanOnNearTieRises) {
+  const struct {
+    const char* what;
+    double others;  // best reward of the nine bystanders
+    double before;  // the riser's best before the outcome
+    double after;   // and after it
+  } kCases[] = {
+      {"rise of 5e-13", 0.25, 0.5, 0.5 + 5e-13},
+      {"rise lost to rounding", 1024.0, 512.0, 512.0 + 13 * 0x1p-43},
+  };
+  for (const auto& c : kCases) {
+    std::vector<UserState> users;
+    for (int i = 0; i < 9; ++i) {
+      users.push_back(MakeGpUser(i, 3));
+      ServeOnce(users.back(), c.others);
+    }
+    users.push_back(MakeGpUser(9, 2));
+    UserState& riser = users.back();
+    ServeOnce(riser, c.before);
+    auto arm = riser.SelectArm();
+    ASSERT_TRUE(arm.ok());
+    CandidateIndex index(2, /*track_gap=*/true, /*log_changes=*/true);
+    PlaceAll(index, users);
+    HybridScheduler scan(/*patience=*/1);
+    HybridScheduler indexed(/*patience=*/1);
+    ExpectSameFreezeState(scan, indexed, users, index,
+                          std::string(c.what) + ", first outcome");
+    ASSERT_FALSE(scan.switched());
+
+    ASSERT_TRUE(riser.RecordOutcome(*arm, c.after).ok());
+    ASSERT_TRUE(riser.Exhausted());
+    ASSERT_GT(riser.best_reward(), c.before);
+    index.Refresh(riser);
+    ExpectSameFreezeState(scan, indexed, users, index,
+                          std::string(c.what) + ", second outcome");
+    EXPECT_TRUE(scan.switched()) << c.what << ": the scan saw a drop";
+    EXPECT_TRUE(indexed.switched()) << c.what;
+  }
+}
+
+/// LoadDurable replaces whatever the index-fed detector tracked before: a
+/// detector that followed one population and then loads the state the
+/// scan reached on another must carry on exactly like that scan.
+TEST(CandidateIndexTest, HybridFreezeDetectorRestartsFromLoadedState) {
+  const auto first = MakePopulation(23, 4, 3);
+  const auto second = MakePopulation(23, 4, 17);
+  CandidateIndex first_index(2, /*track_gap=*/true, /*log_changes=*/true);
+  PlaceAll(first_index, first);
+  CandidateIndex second_index(2, /*track_gap=*/true, /*log_changes=*/true);
+  PlaceAll(second_index, second);
+  HybridScheduler scan(/*patience=*/2);
+  HybridScheduler indexed(/*patience=*/2);
+  indexed.OnOutcomeIndexed(first, 0, first_index);
+  scan.OnOutcome(second, 0);
+  std::string state;
+  scan.SaveDurable(&state);
+  std::string_view in = state;
+  ASSERT_TRUE(indexed.LoadDurable(&in).ok());
+  for (int call = 0; call < 2; ++call) {
+    ExpectSameFreezeState(scan, indexed, second, second_index,
+                          "call " + std::to_string(call));
+  }
+  EXPECT_TRUE(indexed.switched());
+}
+
+/// A tenant policy with one fixed confidence bound B for every arm. A NaN
+/// or -inf bound leaves the tenant's sigma~ NaN or -inf after its first
+/// outcome: keys no GP-UCB tenant produces, which line 7 admits only in
+/// the all-candidates mode (no finite bound anywhere).
+class FixedBoundPolicy : public bandit::BanditPolicy {
+ public:
+  FixedBoundPolicy(int arms, double ucb) : arms_(arms), ucb_(ucb) {}
+  int num_arms() const override { return arms_; }
+  Result<int> SelectArm(const std::vector<int>& available, int t) override {
+    (void)t;
+    if (available.empty()) return Status::InvalidArgument("no arm left");
+    return available.front();
+  }
+  Status Update(int arm, double reward) override {
+    (void)arm;
+    (void)reward;
+    return Status::OK();
+  }
+  std::string name() const override { return "fixed-bound"; }
+  bool HasConfidenceBounds() const override { return true; }
+  double Ucb(int arm, int t) const override {
+    (void)arm;
+    (void)t;
+    return ucb_;
+  }
+  double MaxUcb(const std::vector<int>& arms, int t) const override {
+    (void)t;
+    return arms.empty() ? -std::numeric_limits<double>::infinity() : ucb_;
+  }
+
+ private:
+  int arms_;
+  double ucb_;
+};
+
+UserState MakeFixedBoundUser(int id, int k, double ucb) {
+  auto state = UserState::Create(
+      id, std::make_unique<FixedBoundPolicy>(k, ucb),
+      std::vector<double>(k, 1.0));
+  EXPECT_TRUE(state.ok());
+  return std::move(state).value();
+}
+
+/// HYBRID's index-fed detector through the scan's all-candidates mode.
+/// When the one tenant with a finite bound goes in flight, no finite bound
+/// is left and every schedulable tenant is a candidate, including the two
+/// whose sigma~ is NaN and -inf although neither key changed; when its
+/// outcome lands they drop out again. The durable bytes must match the
+/// scan after every event, on one shard and on two.
+TEST(CandidateIndexTest, HybridFreezeDetectorFollowsAllCandidatesMode) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (int shards : {1, 2}) {
+    std::vector<UserState> users;
+    users.push_back(MakeFixedBoundUser(0, 3, kNaN));
+    ServeOnce(users.back(), 0.5);
+    users.push_back(MakeFixedBoundUser(1, 3, -kInf));
+    ServeOnce(users.back(), 0.5);
+    users.push_back(MakeGpUser(2, 3));  // fresh: bound +inf
+    users.push_back(MakeGpUser(3, 3));  // the one finite bound
+    ServeOnce(users.back(), 0.4);
+    users.push_back(MakeGpUser(4, 2));  // exhausted
+    ServeOnce(users.back(), 0.3);
+    ServeOnce(users.back(), 0.6);
+    ASSERT_TRUE(std::isnan(users[0].empirical_bound()));
+    ASSERT_EQ(users[1].empirical_bound(), -kInf);
+    ASSERT_TRUE(std::isfinite(users[3].empirical_bound()));
+
+    CandidateIndex index(shards, /*track_gap=*/true, /*log_changes=*/true);
+    PlaceAll(index, users);
+    HybridScheduler scan(/*patience=*/100);
+    HybridScheduler indexed(/*patience=*/100);
+    const std::string label = "shards=" + std::to_string(shards) + ", ";
+    ExpectSameFreezeState(scan, indexed, users, index, label + "start");
+
+    auto arm = users[3].SelectArm();
+    ASSERT_TRUE(arm.ok());
+    index.Refresh(users[3]);
+    ASSERT_EQ(index.MergedThreshold().finite_count, 0);
+    ExpectSameFreezeState(scan, indexed, users, index,
+                          label + "all-candidates mode");
+    ExpectSameFreezeState(scan, indexed, users, index,
+                          label + "all-candidates mode, unchanged");
+
+    ASSERT_TRUE(users[3].RecordOutcome(*arm, 0.45).ok());
+    index.Refresh(users[3]);
+    ExpectSameFreezeState(scan, indexed, users, index,
+                          label + "finite cut again");
+
+    ServeOnce(users[2], 0.2);
+    index.Refresh(users[2]);
+    ExpectSameFreezeState(scan, indexed, users, index,
+                          label + "two finite bounds");
+  }
+}
+
+/// MergedThreshold keeps its last result until the next tenant event, so
+/// every kind of event must invalidate it: after each append (of served
+/// tenants, whose finite bounds enter the sum) and each refresh, the kept
+/// result must equal the threshold of a fresh index over the same users.
+TEST(CandidateIndexTest, MergedThresholdFollowsEveryEvent) {
+  auto users = MakePopulation(13, 3, 41);
+  CandidateIndex index(3);
+  size_t placed = 0;
+  const auto expect_fresh = [&](const std::string& label) {
+    CandidateIndex fresh(3);
+    for (size_t i = 0; i < placed; ++i) fresh.AppendTenant(i % 3, users[i]);
+    const CandidateIndex::Threshold want = fresh.MergedThreshold();
+    const CandidateIndex::Threshold got = index.MergedThreshold();
+    EXPECT_EQ(got.schedulable, want.schedulable) << label;
+    EXPECT_EQ(got.min_bad_policy, want.min_bad_policy) << label;
+    EXPECT_EQ(got.finite_count, want.finite_count) << label;
+    EXPECT_EQ(got.bound_sum.Compare(want.bound_sum), 0) << label;
+  };
+  for (const UserState& u : users) {
+    index.AppendTenant(u.user_id() % 3, u);
+    ++placed;
+    expect_fresh("after appending " + std::to_string(u.user_id()));
+  }
+  for (UserState& u : users) {
+    if (!u.Schedulable()) continue;
+    ASSERT_TRUE(u.SelectArm().ok());
+    index.Refresh(u);
+    expect_fresh("after selecting for " + std::to_string(u.user_id()));
   }
 }
 

@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "bandit/fixed_order.h"
 #include "bandit/gp_ucb.h"
+#include "common/binary_io.h"
 #include "linalg/matrix.h"
 #include "scheduler/greedy.h"
 #include "scheduler/hybrid.h"
+#include "scheduler/round_robin.h"
 
 namespace easeml::scheduler {
 namespace {
@@ -233,6 +238,56 @@ TEST(Line8RuleTest, HybridAcceptsRuleAndSeed) {
   HybridScheduler hybrid(10, Line8Rule::kRandom, 3);
   EXPECT_EQ(hybrid.name(), "hybrid");
   EXPECT_FALSE(hybrid.switched());
+}
+
+/// HYBRID's durable blob with a chosen frozen-step count and candidate
+/// snapshot, followed by the nested GREEDY/ROUNDROBIN state of a fresh
+/// policy: what a checkpoint holds, with only the freeze fields crafted.
+std::string CraftedHybridState(int32_t frozen_steps,
+                               const std::vector<int>& candidates) {
+  std::string out;
+  PutU8(&out, 0);  // not switched
+  PutI32(&out, frozen_steps);
+  PutU8(&out, 1);  // snapshot present
+  PutI32Vec(&out, candidates);
+  PutDouble(&out, 1.5);
+  GreedyScheduler().SaveDurable(&out);
+  RoundRobinScheduler().SaveDurable(&out);
+  return out;
+}
+
+/// State corrupt enough to pass a checkpoint's CRC must fail the load
+/// loudly (DataLoss) instead of steering the freeze detector: the detector
+/// never writes a negative frozen-step count, a negative tenant id, or a
+/// candidate list that is not strictly ascending.
+TEST(HybridTest, LoadDurableRejectsCorruptFreezeState) {
+  {
+    const std::string good = CraftedHybridState(2, {0, 3, 7});
+    std::string_view in = good;
+    HybridScheduler hybrid;
+    ASSERT_TRUE(hybrid.LoadDurable(&in).ok());
+    EXPECT_TRUE(in.empty());
+    std::string again;
+    hybrid.SaveDurable(&again);
+    EXPECT_EQ(again, good);
+  }
+  const struct {
+    const char* what;
+    int32_t frozen_steps;
+    std::vector<int> candidates;
+  } kCorrupt[] = {
+      {"negative frozen-step count", -1, {0, 3}},
+      {"negative tenant id", 0, {-2, 3}},
+      {"descending ids", 0, {3, 1}},
+      {"duplicate id", 0, {2, 2, 5}},
+  };
+  for (const auto& c : kCorrupt) {
+    const std::string bytes = CraftedHybridState(c.frozen_steps, c.candidates);
+    std::string_view in = bytes;
+    HybridScheduler hybrid;
+    const Status loaded = hybrid.LoadDurable(&in);
+    EXPECT_EQ(loaded.code(), StatusCode::kDataLoss) << c.what;
+  }
 }
 
 }  // namespace

@@ -249,9 +249,10 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 3)),
     ParamName);
 
-/// HYBRID's freeze detector on the index (`OnOutcomeIndexed`: merged shard
-/// aggregates, one exact mean cut, a double compare per tenant) against
-/// its scan reference (`OnOutcome`: ComputeCandidateSet). The pick trace
+/// HYBRID's freeze detector on the index (`OnOutcomeIndexed`: one exact
+/// mean cut from the merged shard aggregates, then the tenants the index
+/// logged as changed) against its scan reference (`OnOutcome`:
+/// ComputeCandidateSet). The pick trace
 /// would expose a difference only once it changed a later pick; this
 /// compares the detector state itself: after every successful Report the
 /// policy's durable bytes (switch flag, frozen-step count, candidate
@@ -302,6 +303,123 @@ TEST(HybridFreezeParityTest, IndexedDetectorMatchesScanAfterEveryReport) {
                   static_cast<std::ptrdiff_t>(switched.size()) - 1)
             << label << ": fired only at the last report";
       }
+    }
+  }
+}
+
+/// HYBRID's incremental freeze detector (the index engine) against the
+/// scan detector (the index-off engine) in lockstep, under traffic that
+/// moves many keys between two outcomes: cancel storms (most completions
+/// handed back, so cancels fold on the shard workers at N > 1) and churn
+/// storms (a removal and an add after every completion), at D in {1, 3}
+/// and N in {1, 2, 4}. Every call must return the same result on both,
+/// and after every successful Report the policies' durable bytes must
+/// match, so the switch fires at the same report. After 30 reports, well
+/// before the switch, the index engine is captured and restored into a
+/// fresh engine that carries on in lockstep, so the detector's rebuild
+/// after a load is held to the scan as well.
+TEST(HybridFreezeParityTest, IncrementalDetectorMatchesScanUnderStorms) {
+  constexpr int kTenants = 12;
+  constexpr int kModels = 6;
+  constexpr int kMaxTenants = 40;
+  constexpr int kPhase = 15;  // reports per traffic phase
+  const auto hybrid = [](const MultiTenantSelector& s) -> const auto& {
+    return dynamic_cast<const scheduler::HybridScheduler&>(
+        s.scheduler_policy());
+  };
+  for (int devices : {1, 3}) {
+    for (int shards : {1, 2, 4}) {
+      const std::string label =
+          "D=" + std::to_string(devices) + "/N=" + std::to_string(shards);
+      auto scan_engine =
+          MakeSelector(MakeOptions(SchedulerKind::kHybrid, devices, 1));
+      auto index_engine = MakeSelector(
+          MakeOptions(SchedulerKind::kHybrid, devices, shards, true));
+      ASSERT_TRUE(scan_engine.ok() && index_engine.ok()) << label;
+      MultiTenantSelector* scan = scan_engine->get();
+      std::unique_ptr<MultiTenantSelector> subject = std::move(*index_engine);
+      int tenants = 0;
+      const auto add_tenant = [&] {
+        const std::vector<double> costs = Costs(tenants, kModels);
+        auto want = scan->AddTenantWithDefaultPrior(kModels, costs);
+        auto got = subject->AddTenantWithDefaultPrior(kModels, costs);
+        ASSERT_TRUE(want.ok() && got.ok()) << label;
+        ASSERT_EQ(*want, *got) << label;
+        ++tenants;
+      };
+      for (int t = 0; t < kTenants; ++t) add_tenant();
+
+      Rng rng(4242u + static_cast<uint64_t>(10 * devices + shards));
+      std::vector<Assignment> outstanding;
+      int reports = 0;
+      int switched_at = -1;
+      bool restored = false;
+      while (true) {
+        while (scan->HasDispatchableWork()) {
+          auto want = scan->Next();
+          auto got = subject->Next();
+          ASSERT_TRUE(want.ok() && got.ok()) << label;
+          ASSERT_EQ(want->tenant, got->tenant) << label;
+          ASSERT_EQ(want->model, got->model) << label;
+          ASSERT_EQ(want->id, got->id) << label;
+          outstanding.push_back(*want);
+        }
+        ASSERT_FALSE(subject->HasDispatchableWork()) << label;
+        if (outstanding.empty()) break;
+        const int phase = (reports / kPhase) % 3;  // 0 calm, 1 cancel, 2 churn
+        const int pick =
+            rng.UniformInt(0, static_cast<int>(outstanding.size()) - 1);
+        const Assignment a = outstanding[pick];
+        outstanding.erase(outstanding.begin() + pick);
+        if (rng.UniformInt(0, 9) < (phase == 1 ? 7 : 1)) {
+          ASSERT_EQ(scan->Cancel(a).code(), subject->Cancel(a).code())
+              << label;
+        } else {
+          const double accuracy = Accuracy(a.tenant, a.model);
+          ASSERT_TRUE(scan->Report(a, accuracy).ok()) << label;
+          ASSERT_TRUE(subject->Report(a, accuracy).ok()) << label;
+          ++reports;
+          std::string want;
+          std::string got;
+          hybrid(*scan).SaveDurable(&want);
+          hybrid(*subject).SaveDurable(&got);
+          ASSERT_EQ(want, got)
+              << label << ": freeze state diverged after report " << reports;
+          if (switched_at < 0 && hybrid(*scan).switched()) {
+            switched_at = reports;
+          }
+        }
+        if (phase == 2) {
+          // May be refused (tickets in flight); the refusal must match.
+          const int victim = rng.UniformInt(0, tenants - 1);
+          ASSERT_EQ(scan->RemoveTenant(victim).code(),
+                    subject->RemoveTenant(victim).code())
+              << label;
+          if (tenants < kMaxTenants) add_tenant();
+        }
+        if (!restored && reports == 2 * kPhase) {
+          // Mid-campaign checkpoint of the index engine, restored into a
+          // fresh one that replaces it.
+          ASSERT_LT(switched_at, 0) << label << ": switched before restore";
+          auto state = subject->CaptureDurableState();
+          ASSERT_TRUE(state.ok()) << label << ": " << state.status().ToString();
+          auto fresh = MakeSelector(
+              MakeOptions(SchedulerKind::kHybrid, devices, shards, true));
+          ASSERT_TRUE(fresh.ok()) << label;
+          const Status loaded = (*fresh)->RestoreDurableState(*state);
+          ASSERT_TRUE(loaded.ok()) << label << ": " << loaded.ToString();
+          subject = std::move(*fresh);
+          restored = true;
+        }
+      }
+      EXPECT_TRUE(restored) << label;
+      // Not vacuous: the detector ran after the restore and fired later.
+      ASSERT_GT(switched_at, 2 * kPhase) << label << ": never fired after "
+                                         << "the restore";
+      EXPECT_LT(switched_at, reports) << label << ": fired at the last report";
+      EXPECT_TRUE(hybrid(*subject).switched()) << label;
+      const Status valid = subject->ValidateIndex();
+      EXPECT_TRUE(valid.ok()) << label << ": " << valid.ToString();
     }
   }
 }
