@@ -152,6 +152,9 @@ struct ServeArm {
 std::vector<Cell> RunServeCampaigns(int tenants,
                                     const std::vector<WalArm>& arms) {
   easeml::wal::FileSystem* fs = easeml::wal::GetPosixFileSystem();
+  // The arm directories live under kBenchDir, and CreateDir makes one
+  // level only.
+  EASEML_CHECK(fs->CreateDir(kBenchDir).ok());
   std::vector<ServeArm> live;
   for (size_t i = 0; i < arms.size(); ++i) {
     ServeArm arm;
@@ -332,13 +335,13 @@ int main(int argc, char** argv) {
     // gate statistic is the MINIMUM delta over the off x wal pairs — the
     // intrinsic cost — and the off-vs-off spread is printed as the run's
     // noise floor.
-    std::vector<WalArm> arms;
+    std::vector<WalArm> arms{WalArm::kOff, WalArm::kDeferred};
     if (tenants == 100000) {
-      arms = {WalArm::kOff, WalArm::kDeferred, WalArm::kOff,
-              WalArm::kDeferred};
+      arms.push_back(WalArm::kOff);
+      arms.push_back(WalArm::kDeferred);
       if (!gate_only) arms.push_back(WalArm::kBuffered);
     } else {
-      arms = {WalArm::kOff, WalArm::kDeferred, WalArm::kBuffered};
+      arms.push_back(WalArm::kBuffered);
       if (tenants <= 1000) arms.push_back(WalArm::kFsync);
     }
     const std::vector<Cell> cells = RunServeCampaigns(tenants, arms);

@@ -11,13 +11,20 @@ namespace easeml {
 /// deterministic replay — lives in exactly one place.
 ///
 /// Two clocks, two jobs:
-///  - `MonotonicSeconds()` (CLOCK_MONOTONIC) measures wall time: makespans,
-///    drain stalls, refresh intervals. Advances while a thread sleeps.
+///  - `MonotonicSeconds()` (CLOCK_MONOTONIC) measures wall time, and it
+///    times the serving path: the engines' observer hooks, drain stalls,
+///    makespans, refresh intervals. Linux answers it in the vDSO without
+///    entering the kernel (about 43 ns a read on a shared 4-vCPU Xeon VM),
+///    cheap enough for hooks that run on every decision. It advances while
+///    a thread sleeps or is preempted, so a span includes time off the CPU.
 ///  - `ThreadCpuSeconds()` (CLOCK_THREAD_CPUTIME_ID) measures CPU time
-///    consumed by the *calling thread only*: per-phase engine costs and
-///    bench latencies. Immune to scheduling noise on oversubscribed hosts
-///    (the bench protocol runs on single-core containers), but meaningless
-///    across threads — never difference readings taken on different threads.
+///    consumed by the *calling thread only*: the shard workers' accounting
+///    (`ShardCpuSeconds`) and bench latencies. Immune to scheduling noise
+///    on oversubscribed hosts, but each read is a real system call (about
+///    315 ns on the same VM), and it is meaningless across threads — never
+///    difference readings taken on different threads. The `thread-cpu-clock`
+///    lint rule keeps it out of `src/` outside `common/`; a read there needs
+///    a reasoned suppression.
 
 /// Seconds on the monotonic wall clock. Only differences are meaningful.
 inline double MonotonicSeconds() {

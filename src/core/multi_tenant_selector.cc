@@ -403,10 +403,10 @@ Result<MultiTenantSelector::Assignment> MultiTenantSelector::Next() {
   // Timed only when observed: the unobserved serving path reads no clocks.
   SelectorObserver* obs = options_.observer;
   double t0 = 0.0;
-  if (obs != nullptr) t0 = ThreadCpuSeconds();
+  if (obs != nullptr) t0 = MonotonicSeconds();
   Result<int> picked = PickTenant(round_ + 1);
   double t1 = 0.0;
-  if (obs != nullptr) t1 = ThreadCpuSeconds();
+  if (obs != nullptr) t1 = MonotonicSeconds();
   if (!picked.ok()) {
     if (obs != nullptr) obs->OnNext(false, (t1 - t0) * 1e6, 0.0);
     return picked.status();
@@ -416,7 +416,7 @@ Result<MultiTenantSelector::Assignment> MultiTenantSelector::Next() {
   RefreshIndexEntry(tenant);  // in-flight mask changed: key is stale
   NotifyTenantEvent(tenant);
   if (obs != nullptr) {
-    const double t2 = ThreadCpuSeconds();
+    const double t2 = MonotonicSeconds();
     obs->OnNext(selected.ok(), (t1 - t0) * 1e6, (t2 - t1) * 1e6);
   }
   if (!selected.ok()) return selected.status();
@@ -527,21 +527,22 @@ Status MultiTenantSelector::Report(const Assignment& assignment,
   }
   // Observed path: identical calls, plus the coordinator/fold timing split
   // (the base engine folds inline, so the split is derived from one pass).
-  const double t0 = ThreadCpuSeconds();
+  const double t0 = MonotonicSeconds();
   Result<Assignment> issued = BeginReport(assignment, accuracy);
   if (!issued.ok()) {
     obs->OnTicketRejected(static_cast<int>(issued.status().code()));
     return issued.status();
   }
-  const double t1 = ThreadCpuSeconds();
+  const double t1 = MonotonicSeconds();
   obs->OnFoldQueued(0);  // inline fold: queued and executed back-to-back
   FoldReportedOutcome(*issued, accuracy);
-  const double t2 = ThreadCpuSeconds();
+  const double t2 = MonotonicSeconds();
   FinishReport(issued->tenant);
-  const double t3 = ThreadCpuSeconds();
+  const Status synced = SyncWal();
+  const double t3 = MonotonicSeconds();
   obs->OnFold(0, (t2 - t1) * 1e6);
-  obs->OnReport(((t1 - t0) + (t3 - t2)) * 1e6);
-  return SyncWal();
+  if (synced.ok()) obs->OnReport(((t1 - t0) + (t3 - t2)) * 1e6);
+  return synced;
 }
 
 Result<MultiTenantSelector::Assignment> MultiTenantSelector::BeginCancel(

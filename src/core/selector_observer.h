@@ -57,6 +57,15 @@ struct TenantObservation {
 ///    `OnFoldQueued`, `OnFold`, `OnDrainWait`) may fire from the
 ///    coordinator and the shard workers concurrently.
 ///
+/// Timing contract: every duration a hook receives is wall time
+/// (`MonotonicSeconds()`) measured on the thread that ran the timed
+/// section. A thread preempted inside a section is charged the time it
+/// spent off the CPU, so on an oversubscribed host the histograms carry
+/// scheduling delay as well as work. The split of one `Report` is
+/// disjoint: its coordinator time (`OnReport`), its inline fold
+/// (`OnFold`, HYBRID) and its drain wait (`OnDrainWait`) cover separate
+/// intervals of the call, so together they never exceed its wall time.
+///
 /// Every hook has an empty default so implementations subscribe only to
 /// what they consume. The engines skip all derivation work when
 /// `SelectorOptions::observer` is null — the serving path is untouched
@@ -88,18 +97,20 @@ class SelectorObserver {
   }
 
   /// A `Next()` call finished its pick + arm-selection phases. `pick_us` is
-  /// the tenant-pick (index descent / scan) thread-CPU cost, `arm_us` the
-  /// arm-selection cost; `ok` is false when no assignment was handed out.
+  /// the tenant-pick (index descent / scan) wall time, `arm_us` the
+  /// arm-selection time; `ok` is false when no assignment was handed out.
   virtual void OnNext(bool ok, double pick_us, double arm_us) {
     (void)ok;
     (void)pick_us;
     (void)arm_us;
   }
 
-  /// A `Report()` finished successfully after `coord_us` thread-CPU
+  /// A `Report()` finished successfully after `coord_us` wall
   /// microseconds on the calling thread (validation, ticket retirement,
-  /// fold hand-off, outcome hook, WAL sync), excluding the fold itself,
-  /// which `OnFold` reports.
+  /// fold hand-off, outcome hook, WAL sync), excluding the inline fold,
+  /// which `OnFold` reports, and the drain wait, which `OnDrainWait`
+  /// reports. The sharded engine starts this clock once it holds its lock,
+  /// so time spent waiting for the lock is in no hook.
   virtual void OnReport(double coord_us) { (void)coord_us; }
 
   /// A `Report()`/`Cancel()` ticket was rejected; `code` is the
@@ -112,9 +123,9 @@ class SelectorObserver {
   /// to run inline on the caller (base engine, HYBRID reports).
   virtual void OnFoldQueued(int shard) { (void)shard; }
 
-  /// A belief fold (report or cancel) of a `shard` tenant ran, costing
-  /// `fold_us` thread-CPU microseconds on the thread that ran it (the
-  /// owning worker for a queued fold, the caller for an inline one).
+  /// A belief fold (report or cancel) of a `shard` tenant ran for
+  /// `fold_us` wall microseconds on the thread that ran it (the owning
+  /// worker for a queued fold, the caller for an inline one).
   virtual void OnFold(int shard, double fold_us) {
     (void)shard;
     (void)fold_us;
@@ -122,6 +133,8 @@ class SelectorObserver {
 
   /// A reader blocked `wait_us` wall-microseconds in `DrainQueues()`
   /// waiting for in-flight folds (queue-stall time on the serving path).
+  /// Fired once per drain; `wait_us` is 0, with no clock read, when
+  /// nothing was queued.
   virtual void OnDrainWait(double wait_us) { (void)wait_us; }
 };
 

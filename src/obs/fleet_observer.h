@@ -28,16 +28,17 @@ struct FleetObserverOptions {
 /// atomic RMWs — cheap enough for the fold closures and the `Next`/`Report`
 /// coordinator paths it sits on.
 ///
-/// Instruments (all prefixed `easeml_`):
+/// Instruments (all prefixed `easeml_`; every `_us` histogram is wall time,
+/// see the timing contract in `core::SelectorObserver`):
 ///   next_total / next_rejected          Next() calls / calls with no work
-///   next_pick_us / next_arm_us          tenant-pick and arm-selection CPU
-///   report_total / report_coord_us      Report() successes / coordinator CPU
+///   next_pick_us / next_arm_us          tenant-pick and arm-selection time
+///   report_total / report_coord_us      Report() successes / coordinator time
 ///   report_rejected_unknown_ticket      BeginReport/Cancel NotFound
 ///   report_rejected_stale_ticket        ... FailedPrecondition (duplicate)
 ///   report_rejected_mismatch_or_invalid ... InvalidArgument (forged/NaN)
 ///   report_rejected_other               any other rejection code
 ///   folds_queued / folds_executed       report-queue depth = queued-executed
-///   report_fold_us                      per-fold worker CPU
+///   report_fold_us                      per-fold time on the folding thread
 ///   drain_wait_us                       reader stalls behind queued folds
 ///   tenant_events                       snapshot-plane applies
 class FleetObserver final : public core::SelectorObserver {

@@ -44,9 +44,12 @@ bool ShardPool::Enqueue(int worker, std::function<void()> fn) {
   return true;
 }
 
-void ShardPool::DrainQueues() const {
+double ShardPool::DrainQueues() const {
   MutexLock lock(mu_);
+  if (queued_ == 0) return 0.0;
+  const double start = MonotonicSeconds();
   while (queued_ != 0) queues_drained_.Wait(lock);
+  return MonotonicSeconds() - start;
 }
 
 void ShardPool::WorkerLoop(int worker) {
@@ -64,8 +67,13 @@ void ShardPool::WorkerLoop(int worker) {
       slot.queue.pop_front();
     }
 
+    // The worker accounting behind ShardCpuSeconds() stays on thread-CPU:
+    // it is off the decision path, and its contract is CPU time that core
+    // oversubscription does not inflate.
+    // easeml-lint: allow(thread-cpu-clock) worker accounting is CPU time
     const double cpu_before = ThreadCpuSeconds();
     task();
+    // easeml-lint: allow(thread-cpu-clock) worker accounting is CPU time
     const double cpu_after = ThreadCpuSeconds();
 
     {

@@ -72,8 +72,9 @@ class ShardPool {
 
   /// Blocks until every queued task (across all workers) has finished.
   /// The internal mutex hand-off orders all queued writes before the
-  /// return. Returns immediately when the queues are empty.
-  void DrainQueues() const EASEML_EXCLUDES(mu_);
+  /// return. Returns the wall seconds it blocked: 0 — without reading a
+  /// clock — when the queues were empty at entry.
+  double DrainQueues() const EASEML_EXCLUDES(mu_);
 
   /// Drains all queued work, then stops and joins the workers. Idempotent;
   /// also invoked by the destructor.

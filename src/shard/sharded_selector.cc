@@ -2,23 +2,24 @@
 
 #include <utility>
 
+#include "common/clock.h"
 #include "common/logging.h"
 
 namespace easeml::shard {
 
 namespace {
 
-/// Runs `fold` and, when observed, reports its thread-CPU cost as a fold on
-/// `owner`. Returns that cost in microseconds (0 when unobserved).
+/// Runs `fold` and, when observed, reports its wall time as a fold on
+/// `owner`. Returns that time in microseconds (0 when unobserved).
 template <typename Fold>
 double RunFold(core::SelectorObserver* obs, int owner, const Fold& fold) {
   if (obs == nullptr) {
     fold();
     return 0.0;
   }
-  const double f0 = ThreadCpuSeconds();
+  const double f0 = MonotonicSeconds();
   fold();
-  const double fold_us = (ThreadCpuSeconds() - f0) * 1e6;
+  const double fold_us = (MonotonicSeconds() - f0) * 1e6;
   obs->OnFold(owner, fold_us);
   return fold_us;
 }
@@ -122,13 +123,15 @@ void ShardedMultiTenantSelector::QueueFold(int owner,
 
 Status ShardedMultiTenantSelector::Report(const Assignment& assignment,
                                           double accuracy) {
-  // Observation (all guarded — zero clock reads when no observer is set):
-  // OnReport carries the coordinator's thread-CPU cost minus the fold,
-  // which OnFold reports on its own (inline under HYBRID, timed on the
-  // worker otherwise); a drain's condvar wait burns wall time, not CPU.
+  // Observation (guarded: unobserved, the call reads a clock only inside a
+  // drain that blocks): OnReport carries the coordinator's wall time from
+  // lock acquisition to the end of the WAL sync, minus the drain wait and
+  // the inline fold, which OnDrainWait and OnFold report on their own (a
+  // queued fold is timed on its worker). The three parts are disjoint, so
+  // they never sum past the wall time of the call.
   core::SelectorObserver* obs = observer();
-  const double c0 = obs != nullptr ? ThreadCpuSeconds() : 0.0;
   MutexLock lock(mu_);
+  const double c0 = obs != nullptr ? MonotonicSeconds() : 0.0;
   Result<Assignment> begun = BeginReport(assignment, accuracy);
   if (!begun.ok()) {
     if (obs != nullptr) {
@@ -138,6 +141,7 @@ Status ShardedMultiTenantSelector::Report(const Assignment& assignment,
   }
   const Assignment issued = *begun;
   const int owner = ShardOf(issued.tenant);
+  double wait_us = 0.0;
   double fold_us = 0.0;
   if (scheduler_observes_outcomes_) {
     // HYBRID's freeze detector reads the post-fold index and its change
@@ -145,7 +149,7 @@ Status ShardedMultiTenantSelector::Report(const Assignment& assignment,
     // fold here, on the quiesced coordinator, as the base engine does. The
     // drain retires queued cancels first (per-tenant fold order), and mu_
     // keeps the pipeline empty until the call returns.
-    DrainFolds();
+    wait_us = DrainFolds();
     if (obs != nullptr) obs->OnFoldQueued(owner);
     fold_us =
         RunFold(obs, owner, [&] { FoldReportedOutcome(issued, accuracy); });
@@ -163,7 +167,9 @@ Status ShardedMultiTenantSelector::Report(const Assignment& assignment,
   // BeginReport, so one write covers the whole group); a queued fold
   // carries no durability obligation.
   EASEML_RETURN_NOT_OK(SyncWal());
-  if (obs != nullptr) obs->OnReport((ThreadCpuSeconds() - c0) * 1e6 - fold_us);
+  if (obs != nullptr) {
+    obs->OnReport((MonotonicSeconds() - c0) * 1e6 - wait_us - fold_us);
+  }
   return Status::OK();
 }
 

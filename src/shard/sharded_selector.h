@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/thread_annotations.h"
 #include "core/multi_tenant_selector.h"
 #include "shard/shard_pool.h"
@@ -164,18 +163,15 @@ class ShardedMultiTenantSelector final : public core::MultiTenantSelector {
   /// Quiesces the report pipeline: blocks until every queued fold has
   /// finished. Callers hold `mu_`, so no new fold can be enqueued while
   /// they proceed — from here to unlock the engine is fully folded. Every
-  /// reader of tenant/index state must call this right after locking. The
-  /// observed wall-time stall (readers blocked behind in-flight folds) is
-  /// the pipeline's queue-stall metric.
-  void DrainFolds() const EASEML_REQUIRES(mu_) {
+  /// reader of tenant/index state must call this right after locking.
+  /// Returns the wall microseconds it blocked (0 when nothing was queued),
+  /// which an observer also receives as the pipeline's queue-stall metric,
+  /// once per drain.
+  double DrainFolds() const EASEML_REQUIRES(mu_) {
+    const double wait_us = pool_.DrainQueues() * 1e6;
     core::SelectorObserver* obs = observer();
-    if (obs == nullptr) {
-      pool_.DrainQueues();
-      return;
-    }
-    const double w0 = MonotonicSeconds();
-    pool_.DrainQueues();
-    obs->OnDrainWait((MonotonicSeconds() - w0) * 1e6);
+    if (obs != nullptr) obs->OnDrainWait(wait_us);
+    return wait_us;
   }
 
   /// Serializes the ticketed protocol. Guards the live counts (and,

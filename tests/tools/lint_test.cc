@@ -56,8 +56,8 @@ TEST(LintCli, HelpListsEveryRule) {
   EXPECT_EQ(run.exit_code, 0);
   for (const char* rule :
        {"unordered-container", "raw-rng", "chrono-seed", "raw-double-accum",
-        "raw-sync", "unguarded-mutex", "raw-clock", "raw-file-io",
-        "bad-suppression"}) {
+        "raw-sync", "unguarded-mutex", "raw-clock", "thread-cpu-clock",
+        "raw-file-io", "bad-suppression"}) {
     EXPECT_NE(run.output.find(rule), std::string::npos)
         << "--help does not document rule: " << rule;
   }
@@ -156,6 +156,29 @@ TEST(LintRules, RawClockAllowedInCommon) {
   LintRun run = RunLint(Fixture("common/clock_ok.cc"));
   EXPECT_EQ(run.exit_code, 0) << run.output;
   EXPECT_EQ(run.output.find("raw-clock"), std::string::npos) << run.output;
+}
+
+TEST(LintRules, ThreadCpuClockInSrcOutsideCommon) {
+  const std::string rel = "src/obs/thread_cpu_clock.cc";
+  LintRun run = RunLint(Fixture(rel));
+  EXPECT_EQ(run.exit_code, 1);
+  EXPECT_NE(run.output.find(Anchor(rel, 7, "thread-cpu-clock")),
+            std::string::npos)
+      << run.output;
+}
+
+TEST(LintRules, ThreadCpuClockReasonedSuppressionPasses) {
+  // The allow() directive on line 11 silences the read on line 12: the
+  // fixture's only finding is the unsuppressed read on line 7.
+  LintRun run = RunLint(Fixture("src/obs/thread_cpu_clock.cc"));
+  EXPECT_EQ(run.output.find(":12:"), std::string::npos) << run.output;
+  const size_t first = run.output.find("[thread-cpu-clock]");
+  ASSERT_NE(first, std::string::npos) << run.output;
+  EXPECT_EQ(run.output.find("[thread-cpu-clock]", first + 1),
+            std::string::npos)
+      << run.output;
+  EXPECT_EQ(run.output.find("bad-suppression"), std::string::npos)
+      << run.output;
 }
 
 TEST(LintRules, RawFileIoOutsideWal) {

@@ -35,6 +35,12 @@
 //                        (easeml::MonotonicSeconds/ThreadCpuSeconds) so the
 //                        clock choice, and any future virtualization for
 //                        deterministic replay, lives in one place.
+//   thread-cpu-clock     no easeml::ThreadCpuSeconds() in src/ outside
+//                        common/ — a thread-CPU read is a real system call
+//                        (~315 ns against ~43 ns for the vDSO monotonic
+//                        clock), so the serving path times itself with
+//                        MonotonicSeconds(); CPU-time accounting that needs
+//                        the thread clock carries a reasoned suppression.
 //   raw-file-io          no direct fopen/open/write/fsync/... calls outside
 //                        src/wal/ — durable state goes through the
 //                        wal::FileSystem seam so the fault-injection harness
@@ -123,6 +129,9 @@ constexpr RuleInfo kRules[] = {
     {"raw-clock",
      "raw clock reads outside common/ (read time through the "
      "common/clock.h seam: easeml::MonotonicSeconds/ThreadCpuSeconds)"},
+    {"thread-cpu-clock",
+     "easeml::ThreadCpuSeconds() in src/ outside common/ (a system call per "
+     "read; time the serving path with MonotonicSeconds)"},
     {"raw-file-io",
      "direct file I/O calls (fopen/open/write/fsync/...) outside src/wal/ "
      "(durable bytes must flow through the wal::FileSystem seam)"},
@@ -354,6 +363,12 @@ bool InCommonDir(const std::string& path) {
   return PathContains(path, "common/");
 }
 
+// The thread-cpu-clock rule covers the library tree only: benches and tools
+// time with the thread clock on purpose.
+bool InSrcDir(const std::string& path) {
+  return PathContains(path, "src/");
+}
+
 // The raw-file-io rule exempts all of src/wal/ (file.cc IS the seam — the
 // one translation unit allowed to issue POSIX file calls).
 bool InWalDir(const std::string& path) {
@@ -443,6 +458,7 @@ void CheckFile(const std::string& path, const std::vector<Token>& tokens,
   const bool exact_sum_home = IsExactSumHome(path);
   const bool annotations_home = IsAnnotationsHome(path);
   const bool common_dir = InCommonDir(path);
+  const bool thread_cpu_clock_scope = InSrcDir(path) && !common_dir;
 
   int brace_depth = 0;
   int paren_depth = 0;
@@ -606,6 +622,14 @@ void CheckFile(const std::string& path, const std::vector<Token>& tokens,
               "' outside common/: read time through "
               "easeml::MonotonicSeconds()/ThreadCpuSeconds() (common/clock.h) "
               "so every clock read shares one virtualizable seam");
+    }
+
+    // --- thread-cpu-clock -------------------------------------------------
+    if (thread_cpu_clock_scope && t == "ThreadCpuSeconds") {
+      add(tok.line, "thread-cpu-clock",
+          "'ThreadCpuSeconds' in src/ outside common/: each read is a system "
+          "call; time the serving path with easeml::MonotonicSeconds(), or "
+          "suppress with the reason CPU time is required");
     }
 
     // --- raw-file-io ------------------------------------------------------
