@@ -1,8 +1,11 @@
 /// EXTENSION (paper Sections 4.5 and 5.3.2, "Single- vs Multi-Devices"):
 /// the paper treats the whole GPU pool as one device and argues this beats
 /// the one-GPU-per-user alternative because models finish sooner. This
-/// bench quantifies that trade-off with the event-driven multi-device
-/// simulator: a fixed 8-GPU capacity split into 1 / 2 / 4 / 8 devices.
+/// bench quantifies that trade-off with `sim::RunSimulation` at
+/// `num_devices` = 1 / 2 / 4 / 8: the cluster is split evenly into D
+/// devices of 1/D speed (linear scaling), a run of cost c holds one device
+/// for c * D, each user runs at most one job at a time, and the budget is
+/// half the time one device needs to train every model.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -15,7 +18,7 @@
 #include "data/splits.h"
 #include "gp/kernel.h"
 #include "scheduler/round_robin.h"
-#include "sim/multi_device.h"
+#include "sim/simulator.h"
 
 namespace {
 
@@ -63,11 +66,11 @@ easeml::sim::LossCurve RunRep(const easeml::data::Dataset& ds, int devices,
     users.push_back(std::move(state).value());
   }
   easeml::scheduler::RoundRobinScheduler rr;
-  easeml::sim::MultiDeviceOptions opts;
+  easeml::sim::SimulationOptions opts;
   opts.num_devices = devices;
-  opts.total_capacity = 8.0;
+  opts.cost_aware_budget = true;
   opts.budget_fraction = 0.5;
-  auto result = easeml::sim::RunMultiDeviceSimulation(*env, users, rr, opts);
+  auto result = easeml::sim::RunSimulation(*env, users, rr, opts);
   EASEML_CHECK(result.ok());
   return std::move(result->curve);
 }

@@ -140,3 +140,40 @@ if failures:
     sys.exit(1)
 print('fig09 digits match BENCH_baseline.json for %d strategies' % len(base))
 PYEOF
+
+# EXT-DEVICES digit parity gate: the same check for the D > 1 path of
+# sim::RunSimulation. bench/extension_multi_device prints one row per device
+# count (1, 2, 4, 8), and every printed digit has to match the
+# ext_devices_summary section of BENCH_baseline.json (the 30-rep default,
+# so EASEML_BENCH_REPS is unset here too).
+echo "== extension_multi_device digit parity vs BENCH_baseline.json"
+env -u EASEML_BENCH_REPS ./bench/extension_multi_device \
+  --benchmark_filter='^$' > ext_devices_parity.out
+python3 - ext_devices_parity.out ../BENCH_baseline.json <<'PYEOF'
+import json, re, sys
+table = {}
+for line in open(sys.argv[1]):
+    m = re.match(r'\|\s*(\d+)\s*\|\s*([0-9.]+)\s*\|\s*([0-9.]+)\s*\|'
+                 r'\s*([0-9.]+)\s*\|', line)
+    if m:
+        table[int(m.group(1))] = (m.group(2), m.group(3), m.group(4))
+base = json.load(open(sys.argv[2]))['ext_devices_summary']['rows']
+failures = []
+for entry in base:
+    want = tuple('%.5f' % entry[k]
+                 for k in ('mean_auc', 'final_avg_loss', 'loss_at_25pct'))
+    got = table.get(entry['devices'])
+    if got != want:
+        failures.append((entry['devices'], want, got))
+extra = sorted(set(table) - {entry['devices'] for entry in base})
+if extra:
+    failures.append(('rows not in the baseline', None, extra))
+if not table:
+    failures.append(('<no EXT-DEVICES table parsed>', None, None))
+for name, want, got in failures:
+    print('EXT-DEVICES PARITY FAILURE:', name, 'expected', want, 'got', got)
+if failures:
+    sys.exit(1)
+print('EXT-DEVICES digits match BENCH_baseline.json for %d device counts'
+      % len(base))
+PYEOF

@@ -7,10 +7,9 @@
 
 namespace easeml {
 
-/// Monotone tournament tree: the incremental twin of `ReduceTree`.
+/// Monotone tournament tree: an incremental binary reduction.
 ///
-/// Where `ReduceTree` folds a vector of per-shard summaries once per query,
-/// a `TournamentTree` KEEPS the whole reduction materialized — a fixed-shape
+/// A `TournamentTree` KEEPS the whole reduction materialized — a fixed-shape
 /// perfect binary tree whose leaves are per-tenant summaries and whose
 /// internal nodes each hold `Summary::Merge(left, right)` of their children.
 /// Changing one leaf replays only the O(log n) internal nodes on its
@@ -21,9 +20,10 @@ namespace easeml {
 /// The tree SHAPE is a pure function of the leaf count (leaves padded to the
 /// next power of two, missing slots holding the identity summary), never of
 /// update order or thread timing. When `Merge` is additionally associative
-/// with a total-order tie-break — the same contract `ReduceTree` documents —
-/// the root is independent of how tenants are partitioned into leaves, which
-/// is what lets the index replay the scan path bit-identically.
+/// with a total-order tie-break (min-index argmax, exact integer sums,
+/// `ExactDoubleSum::Merge`), the root is independent of how tenants are
+/// partitioned into leaves, which is what lets the index replay the scan
+/// path bit-identically.
 ///
 /// `Summary` requirements:
 ///   - default-constructible, and the default value is the merge identity

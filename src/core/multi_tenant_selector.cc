@@ -569,15 +569,23 @@ void MultiTenantSelector::FoldCancel(const Assignment& issued) {
 }
 
 Status MultiTenantSelector::Cancel(const Assignment& assignment) {
+  SelectorObserver* obs = options_.observer;
   Result<Assignment> issued = BeginCancel(assignment);
   if (!issued.ok()) {
-    if (options_.observer != nullptr) {
-      options_.observer->OnTicketRejected(
-          static_cast<int>(issued.status().code()));
+    if (obs != nullptr) {
+      obs->OnTicketRejected(static_cast<int>(issued.status().code()));
     }
     return issued.status();
   }
+  if (obs == nullptr) {
+    FoldCancel(*issued);
+    return SyncWal();
+  }
+  // The un-charge is an inline fold, timed like a Report's.
+  obs->OnFoldQueued(0);
+  const double t0 = MonotonicSeconds();
   FoldCancel(*issued);
+  obs->OnFold(0, (MonotonicSeconds() - t0) * 1e6);
   return SyncWal();
 }
 

@@ -119,13 +119,16 @@ class SelectorObserver {
   /// entry or non-finite accuracy).
   virtual void OnTicketRejected(int code) { (void)code; }
 
-  /// A belief fold was handed to `shard`: queued on its worker, or about
-  /// to run inline on the caller (base engine, HYBRID reports).
+  /// A belief fold (a report or a cancel) was handed to `shard`: queued on
+  /// its worker, or about to run inline on the caller (every fold of the
+  /// base engine, HYBRID reports on the sharded one). Both engines fire it
+  /// once per accepted `Report` and once per accepted `Cancel`.
   virtual void OnFoldQueued(int shard) { (void)shard; }
 
   /// A belief fold (report or cancel) of a `shard` tenant ran for
   /// `fold_us` wall microseconds on the thread that ran it (the owning
-  /// worker for a queued fold, the caller for an inline one).
+  /// worker for a queued fold, the caller for an inline one). Fires once
+  /// per `OnFoldQueued`, on every engine.
   virtual void OnFold(int shard, double fold_us) {
     (void)shard;
     (void)fold_us;

@@ -36,7 +36,7 @@ struct TaskProfile {
 /// run it (a) grid-searches the learning rate like the real system ("the
 /// system automatically grid-searches the initial learning rate in {0.1,
 /// 0.01, 0.001, 0.0001} and runs each setting for 100 epochs"), taking the
-/// best of `lr_grid_size` noisy draws; (b) applies a saturating
+/// best of four noisy draws; (b) applies a saturating
 /// data-quantity factor; (c) penalizes un-normalized inputs with a large
 /// dynamic range, so the Figure-5 normalization candidates genuinely help;
 /// and (d) advances a virtual clock by cost proportional to the model's
@@ -44,16 +44,11 @@ struct TaskProfile {
 class SimulatedTrainingExecutor {
  public:
   struct Options {
-    int lr_grid_size = 4;
-    int epochs_per_setting = 100;
-    double lr_luck_stddev = 0.01;   // run-to-run training variance
-    double examples_half_life = 200.0;  // data-quantity saturation constant
-    double range_penalty = 0.25;    // accuracy lost on raw wide-range input
     uint64_t seed = 0;
   };
 
   explicit SimulatedTrainingExecutor(const Options& options)
-      : options_(options), rng_(options.seed) {}
+      : rng_(options.seed) {}
 
   /// Trains `candidate` (base model + optional normalization) on a task.
   /// Fails on invalid profiles (difficulty outside [0,1], non-positive
@@ -66,7 +61,6 @@ class SimulatedTrainingExecutor {
   double clock() const { return clock_; }
 
  private:
-  Options options_;
   Rng rng_;
   double clock_ = 0.0;
 };

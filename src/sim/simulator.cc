@@ -1,10 +1,25 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <functional>
+#include <queue>
 
 namespace easeml::sim {
 
 namespace {
+
+/// A training run holding a device until `finish_time`. Runs pop in
+/// finish-time order; the heap breaks ties by its own structure, which
+/// depends only on the sequence of pushes and pops.
+struct Run {
+  double finish_time;
+  int user;
+  int arm;
+
+  bool operator>(const Run& other) const {
+    return finish_time > other.finish_time;
+  }
+};
 
 /// Current average accuracy loss over all users (Appendix A, Eq. 3).
 double AverageLoss(const Environment& env,
@@ -38,6 +53,9 @@ Result<SimulationResult> RunSimulation(
   if (options.grid_points < 2) {
     return Status::InvalidArgument("RunSimulation: grid_points < 2");
   }
+  if (options.num_devices < 1) {
+    return Status::InvalidArgument("RunSimulation: num_devices < 1");
+  }
 
   SimulationResult result;
   result.budget = options.cost_aware_budget
@@ -52,10 +70,10 @@ Result<SimulationResult> RunSimulation(
   }
   result.curve.avg_loss.assign(g, 0.0);
 
+  double now = 0.0;
   int next_grid = 0;
   auto record_progress = [&]() {
-    const double frac =
-        result.budget > 0.0 ? result.consumed / result.budget : 1.0;
+    const double frac = result.budget > 0.0 ? now / result.budget : 1.0;
     const double loss = AverageLoss(env, users);
     while (next_grid < g && result.curve.grid[next_grid] <= frac + 1e-12) {
       result.curve.avg_loss[next_grid] = loss;
@@ -64,25 +82,67 @@ Result<SimulationResult> RunSimulation(
   };
   record_progress();  // grid point 0: no model trained yet
 
-  // One (select, train, observe) step for `user`. Returns false when the
-  // budget would be exceeded (the step is then not taken).
-  auto serve_user = [&](int user) -> Result<bool> {
-    EASEML_ASSIGN_OR_RETURN(int arm, users[user].SelectArm());
-    const double step_cost =
-        options.cost_aware_budget ? env.Cost(user, arm) : 1.0;
-    if (result.consumed + step_cost > result.budget + 1e-9) {
-      // Cannot afford this training run; leave the selection pending —
-      // the campaign is over.
-      return false;
+  auto step_cost = [&](int user, int arm) {
+    return options.cost_aware_budget ? env.Cost(user, arm) : 1.0;
+  };
+
+  std::priority_queue<Run, std::vector<Run>, std::greater<Run>> running;
+  int free_devices = options.num_devices;
+  int round = 1;
+  int sweep_cursor = options.initial_sweep ? 0 : n;
+
+  // Starts runs on the free devices: the initialization sweep first (every
+  // user once, in index order), then the scheduler's picks.
+  auto launch_runs = [&]() -> Status {
+    while (free_devices > 0) {
+      // The cursor skips users that already got their first run or have
+      // one pending; re-serving a user whose run completed would turn the
+      // sweep into FCFS.
+      while (sweep_cursor < n &&
+             !users[sweep_cursor].NeedsInitialObservation()) {
+        ++sweep_cursor;
+      }
+      int user = sweep_cursor;
+      if (sweep_cursor == n) {
+        if (std::none_of(users.begin(), users.end(),
+                         [](const scheduler::UserState& u) {
+                           return u.Schedulable();
+                         })) {
+          break;  // every user is exhausted or has its run in flight
+        }
+        EASEML_ASSIGN_OR_RETURN(user, scheduler.PickUser(users, round));
+        ++round;
+      }
+      EASEML_ASSIGN_OR_RETURN(int arm, users[user].SelectArm());
+      const double duration = step_cost(user, arm) * options.num_devices;
+      if (now + duration > result.budget + 1e-9) {
+        // Cannot afford this run; its selection stays pending, which takes
+        // the user out of the schedulable set. With one device the
+        // campaign is over.
+        break;
+      }
+      running.push(Run{now + duration, user, arm});
+      --free_devices;
     }
-    const double reward = env.Reward(user, arm);
-    EASEML_RETURN_NOT_OK(users[user].RecordOutcome(arm, reward));
-    scheduler.OnOutcome(users, user);
-    result.consumed += step_cost;
+    return Status::OK();
+  };
+
+  EASEML_RETURN_NOT_OK(launch_runs());
+  while (!running.empty()) {
+    const Run run = running.top();
+    running.pop();
+    ++free_devices;
+    now = run.finish_time;
+    const double reward = env.Reward(run.user, run.arm);
+    EASEML_RETURN_NOT_OK(users[run.user].RecordOutcome(run.arm, reward));
+    scheduler.OnOutcome(users, run.user);
+    result.consumed += step_cost(run.user, run.arm);
+    if (result.steps == 0) result.first_completion_time = now;
     ++result.steps;
+    result.makespan = now;
     // Regret accounting (Section 4.1): C_t is always the true cost of the
     // trained model, independent of the budget mode.
-    const double c_t = env.Cost(user, arm);
+    const double c_t = env.Cost(run.user, run.arm);
     double regret_last = 0.0, regret_best = 0.0;
     for (int i = 0; i < n; ++i) {
       const double best_possible = env.BestQuality(i);
@@ -94,32 +154,7 @@ Result<SimulationResult> RunSimulation(
     result.cumulative_regret += c_t * regret_last;
     result.easeml_regret += c_t * regret_best;
     record_progress();
-    return true;
-  };
-
-  bool out_of_budget = false;
-  if (options.initial_sweep) {
-    for (int i = 0; i < n && !out_of_budget; ++i) {
-      if (users[i].Exhausted()) continue;
-      EASEML_ASSIGN_OR_RETURN(bool ok, serve_user(i));
-      out_of_budget = !ok;
-    }
-  }
-
-  int round = 1;
-  while (!out_of_budget) {
-    bool any_active = false;
-    for (const auto& u : users) {
-      if (!u.Exhausted()) {
-        any_active = true;
-        break;
-      }
-    }
-    if (!any_active) break;
-    EASEML_ASSIGN_OR_RETURN(int user, scheduler.PickUser(users, round));
-    EASEML_ASSIGN_OR_RETURN(bool ok, serve_user(user));
-    out_of_budget = !ok;
-    ++round;
+    EASEML_RETURN_NOT_OK(launch_runs());
   }
 
   // Fill the tail of the curve with the final loss.

@@ -1,8 +1,7 @@
-/// Exactness and order-invariance of ExactDoubleSum, plus the deterministic
-/// shape of ReduceTree. These two primitives carry the sharded selector's
-/// bit-identical-replay guarantee: candidate-set thresholds are evaluated
-/// without rounding, and merging per-shard accumulators in ANY partition
-/// must reproduce the sequential accumulation exactly. The MeanCut tests
+/// Exactness and order-invariance of ExactDoubleSum. It carries the sharded
+/// selector's bit-identical-replay guarantee: candidate-set thresholds are
+/// evaluated without rounding, and merging per-shard accumulators in ANY
+/// partition must reproduce the sequential accumulation exactly. The MeanCut tests
 /// hold the one-compare threshold test to CompareScaled, its oracle.
 #include "common/exact_sum.h"
 
@@ -14,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/reduction_tree.h"
 #include "common/rng.h"
 
 namespace easeml {
@@ -98,16 +96,13 @@ TEST(ExactDoubleSumTest, OrderAndPartitionInvariance) {
     std::vector<double> shuffled = values;
     rng.Shuffle(shuffled);
     // Random partition into up to 7 "shards", each accumulated locally,
-    // merged through the deterministic tree.
+    // then merged in shard order (the sums are exact, so any merge order
+    // gives the same result).
     const int shards = rng.UniformInt(1, 7);
     std::vector<ExactDoubleSum> parts(shards);
     for (double v : shuffled) parts[rng.UniformInt(0, shards - 1)].Add(v);
-    ExactDoubleSum merged =
-        ReduceTree(std::move(parts), [](ExactDoubleSum a,
-                                        const ExactDoubleSum& b) {
-          a.Merge(b);
-          return a;
-        });
+    ExactDoubleSum merged;
+    for (const ExactDoubleSum& part : parts) merged.Merge(part);
     // Exact equality of the abstract sums: differences of the two
     // accumulators must vanish for every probe comparison.
     for (double probe : {values[0], values[7], 0.0, 1e-30, -3.25}) {
@@ -270,48 +265,6 @@ TEST(ExactDoubleSumTest, MeanCutOutsideTheDoubleRange) {
   below.AddProduct(-kMax, 2);
   EXPECT_EQ(below.MeanCut(1), -kMax);
   ExpectExactCut(below, 1, {-kMax}, "below -DBL_MAX");
-}
-
-TEST(ReduceTreeTest, SingleLeafPassesThrough) {
-  EXPECT_EQ(ReduceTree(std::vector<int>{42},
-                       [](int a, int b) { return a + b; }),
-            42);
-}
-
-TEST(ReduceTreeTest, DeterministicPairwiseShape) {
-  // A non-commutative merge exposes the tree shape: pairwise rounds with the
-  // odd trailing leaf carried up produce left-to-right concatenation.
-  for (int n = 1; n <= 9; ++n) {
-    std::vector<std::string> leaves;
-    std::string expected;
-    for (int i = 0; i < n; ++i) {
-      leaves.push_back(std::string(1, static_cast<char>('a' + i)));
-      expected += static_cast<char>('a' + i);
-    }
-    EXPECT_EQ(ReduceTree(leaves,
-                         [](std::string a, const std::string& b) {
-                           return a + b;
-                         }),
-              expected);
-  }
-}
-
-TEST(ReduceTreeTest, MinIndexArgmaxTieBreak) {
-  // The merge rule the sharded schedulers use: larger key wins, equal keys
-  // resolve to the smaller index — matching a sequential strict-> fold.
-  struct Best {
-    double key;
-    int index;
-  };
-  auto merge = [](Best a, Best b) {
-    if (a.key > b.key) return a;
-    if (b.key > a.key) return b;
-    return a.index < b.index ? a : b;
-  };
-  std::vector<Best> leaves = {{1.0, 4}, {3.0, 2}, {3.0, 0}, {2.0, 1}};
-  const Best winner = ReduceTree(leaves, merge);
-  EXPECT_EQ(winner.index, 0);
-  EXPECT_EQ(winner.key, 3.0);
 }
 
 }  // namespace

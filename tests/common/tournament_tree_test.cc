@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <vector>
 
-#include "common/reduction_tree.h"
 #include "common/rng.h"
 
 namespace easeml {
@@ -45,7 +44,7 @@ TEST(TournamentTreeTest, EmptyTreeHoldsIdentityRoot) {
   EXPECT_EQ(tree.Root().arg, -1);
 }
 
-TEST(TournamentTreeTest, BulkBuildMatchesReduceTree) {
+TEST(TournamentTreeTest, BulkBuildMatchesSequentialFold) {
   Rng rng(7);
   for (int n : {1, 2, 3, 5, 8, 13, 64, 100}) {
     std::vector<MaxSummary> leaves;
@@ -54,7 +53,10 @@ TEST(TournamentTreeTest, BulkBuildMatchesReduceTree) {
     }
     TournamentTree<MaxSummary> tree;
     tree.Assign(leaves);
-    const MaxSummary expected = ReduceTree(leaves, MaxSummary::Merge);
+    MaxSummary expected;
+    for (const MaxSummary& leaf : leaves) {
+      expected = MaxSummary::Merge(expected, leaf);
+    }
     EXPECT_EQ(tree.Root().count, n);
     EXPECT_EQ(tree.Root().max, expected.max) << "n=" << n;
     EXPECT_EQ(tree.Root().arg, expected.arg) << "n=" << n;

@@ -6,7 +6,8 @@
 /// engine queues on its workers. The registry must agree with the calls
 /// the test made:
 ///   - the next/report totals and each rejection counter;
-///   - folds_queued == folds_executed once a quiescing call returns;
+///   - folds_queued == folds_executed == reports + cancels once a
+///     quiescing call returns, on both engines;
 ///   - every timing histogram counts exactly what its counter counts, and
 ///     the drain histogram counts one sample per drain;
 ///   - an inline-fold Report's coordinator + fold + drain microseconds fit
@@ -183,10 +184,9 @@ TEST_P(ObserverAccountingTest, RegistryMatchesTheCallsMade) {
   EXPECT_EQ(stale.Value(), 1u);
   EXPECT_EQ(invalid.Value(), 1u);
   EXPECT_EQ(other.Value(), 0u);
-  // The 2-shard engine folds a cancel on its worker with the fold hooks;
-  // the base engine un-charges it inline without them.
-  const uint64_t folds =
-      static_cast<uint64_t>(reports + (sharded ? cancels : 0));
+  // Every accepted report and cancel is one fold on both engines: the
+  // 2-shard engine folds a cancel on its worker, the base engine inline.
+  const uint64_t folds = static_cast<uint64_t>(reports + cancels);
   EXPECT_EQ(folds_queued.Value(), folds);
   EXPECT_EQ(folds_executed.Value(), folds);
 

@@ -1,10 +1,19 @@
-#include "sim/multi_device.h"
-
+/// `RunSimulation` on D devices (Sections 4.5 and 5.3.2, "Single- vs
+/// Multi-Devices"): the cluster is split into D devices of 1/D speed, a run
+/// of step cost c holds one device for c * D, and each user runs at most
+/// one job at a time.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bandit/gp_ucb.h"
 #include "common/rng.h"
 #include "scheduler/round_robin.h"
+#include "sim/simulator.h"
 
 namespace easeml::sim {
 namespace {
@@ -45,10 +54,12 @@ std::vector<scheduler::UserState> MakeGpUsers(const Environment& env) {
   return users;
 }
 
-MultiDeviceOptions FullBudget(int devices) {
-  MultiDeviceOptions opts;
+/// A cost budget of the whole campaign: the time one device needs to train
+/// every model.
+SimulationOptions FullBudget(int devices) {
+  SimulationOptions opts;
   opts.num_devices = devices;
-  opts.total_capacity = 8.0;
+  opts.cost_aware_budget = true;
   opts.budget_fraction = 1.0;
   return opts;
 }
@@ -58,18 +69,15 @@ TEST(MultiDeviceTest, ValidatesOptions) {
   ASSERT_TRUE(env.ok());
   auto users = MakeGpUsers(*env);
   scheduler::RoundRobinScheduler rr;
-  MultiDeviceOptions opts;
+  SimulationOptions opts;
   opts.num_devices = 0;
-  EXPECT_FALSE(RunMultiDeviceSimulation(*env, users, rr, opts).ok());
-  opts = MultiDeviceOptions();
-  opts.total_capacity = 0.0;
-  EXPECT_FALSE(RunMultiDeviceSimulation(*env, users, rr, opts).ok());
-  opts = MultiDeviceOptions();
+  EXPECT_FALSE(RunSimulation(*env, users, rr, opts).ok());
+  opts = SimulationOptions();
   opts.budget_fraction = 0.0;
-  EXPECT_FALSE(RunMultiDeviceSimulation(*env, users, rr, opts).ok());
-  opts = MultiDeviceOptions();
+  EXPECT_FALSE(RunSimulation(*env, users, rr, opts).ok());
+  opts = SimulationOptions();
   opts.grid_points = 1;
-  EXPECT_FALSE(RunMultiDeviceSimulation(*env, users, rr, opts).ok());
+  EXPECT_FALSE(RunSimulation(*env, users, rr, opts).ok());
 }
 
 TEST(MultiDeviceTest, SingleDeviceMatchesModelCount) {
@@ -77,9 +85,9 @@ TEST(MultiDeviceTest, SingleDeviceMatchesModelCount) {
   ASSERT_TRUE(env.ok());
   auto users = MakeGpUsers(*env);
   scheduler::RoundRobinScheduler rr;
-  auto result = RunMultiDeviceSimulation(*env, users, rr, FullBudget(1));
+  auto result = RunSimulation(*env, users, rr, FullBudget(1));
   ASSERT_TRUE(result.ok());
-  // Full wall-clock budget at full capacity trains everything.
+  // The full budget on one device trains everything.
   EXPECT_EQ(result->steps, 20);
   EXPECT_NEAR(result->curve.avg_loss.back(), 0.0, 1e-12);
   EXPECT_LE(result->makespan, result->budget + 1e-9);
@@ -90,15 +98,17 @@ TEST(MultiDeviceTest, BusyTimeEqualsScaledCostOfCompletedJobs) {
   ASSERT_TRUE(env.ok());
   auto users = MakeGpUsers(*env);
   scheduler::RoundRobinScheduler rr;
-  auto result = RunMultiDeviceSimulation(*env, users, rr, FullBudget(4));
+  auto result = RunSimulation(*env, users, rr, FullBudget(4));
   ASSERT_TRUE(result.ok());
-  // Every launched job completes; its duration is cost / (capacity /
-  // devices) = cost / 2. Jobs that would overrun the wall-clock budget are
-  // never launched (multi-device packing is imperfect, so some may be cut
-  // even at budget_fraction 1).
+  // Every started run completes, and a run of cost c holds a device for
+  // 4c, so the devices are busy for 4 * consumed, at most 4 * makespan.
+  // Runs that would overrun the budget are never started (packing is
+  // imperfect, so some may be cut even at budget_fraction 1).
   double completed_cost = 0.0;
   for (const auto& u : users) completed_cost += u.consumed_cost();
-  EXPECT_NEAR(result->busy_time, completed_cost / 2.0, 1e-9);
+  EXPECT_NEAR(result->consumed, completed_cost, 1e-9);
+  EXPECT_LE(result->consumed, result->makespan + 1e-9);
+  EXPECT_LE(result->makespan, result->budget + 1e-9);
   EXPECT_GT(result->steps, 0);
 }
 
@@ -108,16 +118,16 @@ TEST(MultiDeviceTest, MoreDevicesOverlapJobs) {
     ASSERT_TRUE(env.ok());
     auto users = MakeGpUsers(*env);
     scheduler::RoundRobinScheduler rr;
-    auto result =
-        RunMultiDeviceSimulation(*env, users, rr, FullBudget(devices));
+    auto result = RunSimulation(*env, users, rr, FullBudget(devices));
     ASSERT_TRUE(result.ok());
     EXPECT_GE(result->steps, 20);  // near-complete campaign
+    const double busy_time = result->consumed * devices;
     if (devices == 1) {
       // Sequential: busy time equals makespan (no overlap possible).
-      EXPECT_NEAR(result->busy_time, result->makespan, 1e-9);
+      EXPECT_EQ(busy_time, result->makespan);
     } else {
-      // Devices genuinely overlap: device-seconds exceed wall-clock.
-      EXPECT_GT(result->busy_time, result->makespan * 1.5);
+      // Devices genuinely overlap: device time exceeds the makespan.
+      EXPECT_GT(busy_time, result->makespan * 1.5);
     }
   }
 }
@@ -133,8 +143,7 @@ TEST(MultiDeviceTest, SingleFastDeviceReturnsTheFirstModelSooner) {
       ASSERT_TRUE(env.ok());
       auto users = MakeGpUsers(*env);
       scheduler::RoundRobinScheduler rr;
-      auto result =
-          RunMultiDeviceSimulation(*env, users, rr, FullBudget(devices));
+      auto result = RunSimulation(*env, users, rr, FullBudget(devices));
       ASSERT_TRUE(result.ok());
       (devices == 1 ? first_single : first_multi) =
           result->first_completion_time;
@@ -155,8 +164,7 @@ TEST(MultiDeviceTest, SingleFastDeviceWinsAccumulatedLoss) {
       ASSERT_TRUE(env.ok());
       auto users = MakeGpUsers(*env);
       scheduler::RoundRobinScheduler rr;
-      auto result =
-          RunMultiDeviceSimulation(*env, users, rr, FullBudget(devices));
+      auto result = RunSimulation(*env, users, rr, FullBudget(devices));
       ASSERT_TRUE(result.ok());
       const double auc =
           AreaUnderCurve(result->curve.grid, result->curve.avg_loss);
@@ -166,45 +174,14 @@ TEST(MultiDeviceTest, SingleFastDeviceWinsAccumulatedLoss) {
   EXPECT_LT(auc_single, auc_multi);
 }
 
-TEST(MultiDeviceTest, SublinearScalingPenalizesTheBigDevice) {
-  // With scaling exponent < 1 the 8-unit device no longer runs 8x faster:
-  // within the same wall-clock budget it completes fewer training runs.
-  int steps_linear = 0, steps_sublinear = 0;
-  for (double alpha : {1.0, 0.7}) {
-    auto env = Environment::Create(RandomDataset(6, 6, 9));
-    ASSERT_TRUE(env.ok());
-    auto users = MakeGpUsers(*env);
-    scheduler::RoundRobinScheduler rr;
-    MultiDeviceOptions opts = FullBudget(1);
-    opts.budget_fraction = 0.5;
-    opts.scaling_exponent = alpha;
-    auto result = RunMultiDeviceSimulation(*env, users, rr, opts);
-    ASSERT_TRUE(result.ok());
-    (alpha == 1.0 ? steps_linear : steps_sublinear) = result->steps;
-  }
-  EXPECT_GT(steps_linear, steps_sublinear);
-}
-
-TEST(MultiDeviceTest, ValidatesScalingExponent) {
-  auto env = Environment::Create(RandomDataset(3, 4, 1));
-  ASSERT_TRUE(env.ok());
-  auto users = MakeGpUsers(*env);
-  scheduler::RoundRobinScheduler rr;
-  MultiDeviceOptions opts = FullBudget(2);
-  opts.scaling_exponent = 0.0;
-  EXPECT_FALSE(RunMultiDeviceSimulation(*env, users, rr, opts).ok());
-  opts.scaling_exponent = 1.5;
-  EXPECT_FALSE(RunMultiDeviceSimulation(*env, users, rr, opts).ok());
-}
-
 TEST(MultiDeviceTest, LossCurveIsNonIncreasing) {
   auto env = Environment::Create(RandomDataset(5, 5, 6));
   ASSERT_TRUE(env.ok());
   auto users = MakeGpUsers(*env);
   scheduler::RoundRobinScheduler rr;
-  MultiDeviceOptions opts = FullBudget(3);
+  SimulationOptions opts = FullBudget(3);
   opts.budget_fraction = 0.6;
-  auto result = RunMultiDeviceSimulation(*env, users, rr, opts);
+  auto result = RunSimulation(*env, users, rr, opts);
   ASSERT_TRUE(result.ok());
   for (size_t i = 1; i < result->curve.avg_loss.size(); ++i) {
     EXPECT_LE(result->curve.avg_loss[i],
@@ -217,12 +194,102 @@ TEST(MultiDeviceTest, RespectsWallClockBudget) {
   ASSERT_TRUE(env.ok());
   auto users = MakeGpUsers(*env);
   scheduler::RoundRobinScheduler rr;
-  MultiDeviceOptions opts = FullBudget(2);
+  SimulationOptions opts = FullBudget(2);
   opts.budget_fraction = 0.3;
-  auto result = RunMultiDeviceSimulation(*env, users, rr, opts);
+  auto result = RunSimulation(*env, users, rr, opts);
   ASSERT_TRUE(result.ok());
   EXPECT_LE(result->makespan, result->budget + 1e-9);
   EXPECT_LT(result->steps, 25);
+}
+
+/// Round robin that records, on every call the loop makes, which (user,
+/// arm) selections are in flight, and checks that no user has two and that
+/// the user it returns has none.
+class OneJobPerUserChecker : public scheduler::SchedulerPolicy {
+ public:
+  using Selections = std::set<std::pair<int, int>>;
+
+  Result<int> PickUser(const std::vector<scheduler::UserState>& users,
+                       int round) override {
+    picks_.push_back(InFlight(users));
+    EASEML_ASSIGN_OR_RETURN(int user, inner_.PickUser(users, round));
+    EXPECT_FALSE(users[user].has_pending()) << "picked user " << user;
+    return user;
+  }
+
+  void OnOutcome(const std::vector<scheduler::UserState>& users,
+                 int served_user) override {
+    outcomes_.push_back(InFlight(users));
+    inner_.OnOutcome(users, served_user);
+  }
+
+  std::string name() const override { return "one-job-per-user"; }
+
+  /// In-flight selections seen at each `PickUser` / `OnOutcome` call.
+  const std::vector<Selections>& picks() const { return picks_; }
+  const std::vector<Selections>& outcomes() const { return outcomes_; }
+
+  static Selections InFlight(const std::vector<scheduler::UserState>& users) {
+    Selections in_flight;
+    for (const auto& u : users) {
+      EXPECT_LE(u.in_flight_count(), 1) << "user " << u.user_id();
+      for (int arm = 0; arm < u.num_models(); ++arm) {
+        if (u.InFlight(arm)) in_flight.emplace(u.user_id(), arm);
+      }
+    }
+    return in_flight;
+  }
+
+ private:
+  scheduler::RoundRobinScheduler inner_;
+  std::vector<Selections> picks_;
+  std::vector<Selections> outcomes_;
+};
+
+/// Selections in `seen` that are running jobs: every run completes before
+/// the campaign returns, so a selection still in flight at the end is one
+/// that did not fit the budget and never held a device.
+int RunningJobs(const OneJobPerUserChecker::Selections& seen,
+                const OneJobPerUserChecker::Selections& never_run) {
+  int running = 0;
+  for (const auto& selection : seen) running += !never_run.count(selection);
+  return running;
+}
+
+TEST(MultiDeviceTest, NeverRunsTwoJobsForOneUser) {
+  int never_run_total = 0;
+  for (uint64_t seed : {11u, 29u}) {
+    for (int devices : {2, 4, 8}) {
+      auto env = Environment::Create(RandomDataset(8, 5, seed));
+      ASSERT_TRUE(env.ok());
+      auto users = MakeGpUsers(*env);
+      OneJobPerUserChecker checker;
+      auto result = RunSimulation(*env, users, checker, FullBudget(devices));
+      ASSERT_TRUE(result.ok());
+      const auto never_run = OneJobPerUserChecker::InFlight(users);
+      never_run_total += static_cast<int>(never_run.size());
+      ASSERT_FALSE(checker.picks().empty());
+      int busiest = 0;
+      for (const auto& seen : checker.picks()) {
+        // A pick happens only while a device is free.
+        EXPECT_LE(RunningJobs(seen, never_run), devices - 1)
+            << "seed=" << seed << " devices=" << devices;
+        busiest = std::max(busiest, RunningJobs(seen, never_run));
+      }
+      for (const auto& seen : checker.outcomes()) {
+        // The completed run has just given its device back.
+        EXPECT_LE(RunningJobs(seen, never_run), devices - 1)
+            << "seed=" << seed << " devices=" << devices;
+      }
+      // The devices were kept busy: some pick found D - 1 runs in flight.
+      EXPECT_EQ(busiest, devices - 1)
+          << "seed=" << seed << " devices=" << devices;
+      EXPECT_GE(result->steps, 30)
+          << "seed=" << seed << " devices=" << devices;
+    }
+  }
+  // The never-run selections were exercised, not just assumed away.
+  EXPECT_GT(never_run_total, 0);
 }
 
 }  // namespace

@@ -15,9 +15,8 @@
 //   chrono-seed          no seeding from <chrono> clocks — a time-derived
 //                        seed is nondeterminism smuggled past raw-rng.
 //   raw-double-accum     no raw `double +=` accumulation inside merge/reduce
-//                        seams (functions named *Merge*/*Reduce*/*Combine*
-//                        and lambdas passed to ReduceTree) outside
-//                        common/exact_sum — floating addition is not
+//                        seams (functions named *Merge*/*Reduce*/*Combine*)
+//                        outside common/exact_sum — floating addition is not
 //                        associative, so a raw running sum depends on the
 //                        shard partition; use ExactDoubleSum.
 //   raw-sync             no std::mutex/condition_variable/lock_guard/...
@@ -465,7 +464,6 @@ void CheckFile(const std::string& path, const std::vector<Token>& tokens,
 
   // raw-double-accum context tracking.
   std::vector<int> merge_brace_starts;    // merge-named function/lambda bodies
-  std::vector<int> reduce_paren_starts;   // inside ReduceTree(...) arguments
   bool pending_merge = false;             // saw a merge-named ident; waiting
                                           // for its body's opening brace
 
@@ -488,10 +486,6 @@ void CheckFile(const std::string& path, const std::vector<Token>& tokens,
       ++paren_depth;
     } else if (t == ")") {
       --paren_depth;
-      while (!reduce_paren_starts.empty() &&
-             paren_depth < reduce_paren_starts.back()) {
-        reduce_paren_starts.pop_back();
-      }
     } else if (t == "{") {
       ++brace_depth;
       if (pending_merge) {
@@ -541,15 +535,7 @@ void CheckFile(const std::string& path, const std::vector<Token>& tokens,
       }
       continue;
     }
-    if (LooksLikeMergeName(t)) {
-      if (t == "ReduceTree") {
-        if (i + 1 < tokens.size() && tokens[i + 1].text == "(") {
-          reduce_paren_starts.push_back(paren_depth + 1);
-        }
-      } else {
-        pending_merge = true;
-      }
-    }
+    if (LooksLikeMergeName(t)) pending_merge = true;
 
     // --- unordered-container --------------------------------------------
     if (engine_dir && UnorderedContainers().count(t) != 0) {
@@ -604,9 +590,7 @@ void CheckFile(const std::string& path, const std::vector<Token>& tokens,
     // --- raw-double-accum -------------------------------------------------
     if (!exact_sum_home && i + 1 < tokens.size() &&
         tokens[i + 1].text == "+=" && double_idents.count(t) != 0) {
-      const bool in_merge_fn = !merge_brace_starts.empty();
-      const bool in_reduce_call = !reduce_paren_starts.empty();
-      if (in_merge_fn || in_reduce_call) {
+      if (!merge_brace_starts.empty()) {
         add(tok.line, "raw-double-accum",
             "raw 'double " + t +
                 " +=' in a merge/reduce seam: floating addition is not "
