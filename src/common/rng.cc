@@ -22,9 +22,38 @@ double Rng::Normal(double mean, double stddev) {
   return dist(engine_);
 }
 
-bool Rng::Bernoulli(double p) {
+namespace {
+
+/// A URNG with the engine's range whose every draw is `word`.
+struct OneWord {
+  using result_type = std::mt19937_64::result_type;
+  static constexpr result_type min() { return std::mt19937_64::min(); }
+  static constexpr result_type max() { return std::mt19937_64::max(); }
+  result_type operator()() const { return word; }
+  result_type word;
+};
+
+}  // namespace
+
+Rng::BernoulliCut Rng::FindBernoulliCut(double p) {
   std::bernoulli_distribution dist(p);
-  return dist(engine_);
+  const auto flips = [&dist](uint64_t word) {
+    OneWord probe{word};
+    return dist(probe);
+  };
+  if (flips(OneWord::max())) return BernoulliCut{0, true};
+  // Invariant: every word below `lo` flips and `hi` does not.
+  uint64_t lo = OneWord::min();
+  uint64_t hi = OneWord::max();
+  while (lo < hi) {
+    const uint64_t mid = lo + (hi - lo) / 2;
+    if (flips(mid)) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return BernoulliCut{lo, false};
 }
 
 std::vector<double> Rng::MultivariateNormal(

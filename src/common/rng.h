@@ -40,8 +40,18 @@ class Rng {
   /// Standard normal draw scaled to N(mean, stddev^2).
   double Normal(double mean = 0.0, double stddev = 1.0);
 
-  /// Bernoulli draw with success probability `p`.
-  bool Bernoulli(double p);
+  /// Makes `n` Bernoulli(p) draws and hands them, in order, to
+  /// `sink(bool)`. Bit-identical to `n` calls of
+  /// `std::bernoulli_distribution(p)(engine())`: the same flips and the same
+  /// engine state afterwards. The library draws one word of this 64-bit
+  /// engine per flip and its answer is monotone in the word (true below
+  /// some cut), so one search per call finds the cut and each draw is one
+  /// engine word and one integer compare. Precondition: 0 <= p <= 1.
+  template <typename Sink>
+  void Bernoulli(double p, int n, Sink&& sink) {
+    const BernoulliCut cut = FindBernoulliCut(p);
+    for (int i = 0; i < n; ++i) sink(engine_() < cut.below || cut.always);
+  }
 
   /// Draws a vector from N(mean, L L^T) where `chol_lower` is the
   /// lower-triangular Cholesky factor of the covariance, stored row-major
@@ -84,6 +94,18 @@ class Rng {
   Status LoadState(const std::string& state);
 
  private:
+  /// Where `std::bernoulli_distribution(p)` flips on this engine: it answers
+  /// true exactly for the words below `below`, or for every word when
+  /// `always` (p = 1, whose cut 2^64 does not fit in a word).
+  struct BernoulliCut {
+    uint64_t below = 0;
+    bool always = false;
+  };
+
+  /// Finds the cut by asking the library itself, through a URNG that yields
+  /// one given word, in a 64-step binary search.
+  static BernoulliCut FindBernoulliCut(double p);
+
   std::mt19937_64 engine_;
 };
 

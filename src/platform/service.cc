@@ -1,6 +1,7 @@
 #include "platform/service.h"
 
 #include <algorithm>
+#include <climits>
 #include <map>
 #include <memory>
 #include <utility>
@@ -11,9 +12,19 @@
 
 namespace easeml::platform {
 
+namespace {
+
+// What a noisy example counts for in the effective example volume (noisy
+// labels teach less); a clean one counts 1.
+constexpr double kNoisyExampleWeight = 0.3;
+
+}  // namespace
+
 Result<EaseMlService> EaseMlService::Create(const Options& options) {
-  if (options.noisy_label_fraction < 0.0 ||
-      options.noisy_label_fraction > 1.0) {
+  // Negated range checks here and below: every comparison with NaN is false,
+  // so a NaN fails the test instead of slipping past it.
+  if (!(options.noisy_label_fraction >= 0.0 &&
+        options.noisy_label_fraction <= 1.0)) {
     return Status::InvalidArgument(
         "EaseMlService: noisy_label_fraction out of [0,1]");
   }
@@ -28,8 +39,8 @@ Result<EaseMlService> EaseMlService::Create(const Options& options) {
 Result<EaseMlService> EaseMlService::CreateWithSelector(
     const Options& options,
     std::unique_ptr<core::MultiTenantSelector> selector) {
-  if (options.noisy_label_fraction < 0.0 ||
-      options.noisy_label_fraction > 1.0) {
+  if (!(options.noisy_label_fraction >= 0.0 &&
+        options.noisy_label_fraction <= 1.0)) {
     return Status::InvalidArgument(
         "EaseMlService: noisy_label_fraction out of [0,1]");
   }
@@ -41,7 +52,7 @@ Result<EaseMlService> EaseMlService::CreateWithSelector(
 
 Result<int> EaseMlService::SubmitJob(const std::string& program_text,
                                      double dynamic_range) {
-  if (dynamic_range < 1.0) {
+  if (!(dynamic_range >= 1.0)) {
     return Status::InvalidArgument("SubmitJob: dynamic range must be >= 1");
   }
   MutexLock lock(*mu_);
@@ -104,42 +115,55 @@ Status EaseMlService::Feed(int job, int count) {
   if (count <= 0) {
     return Status::InvalidArgument("Feed: count must be positive");
   }
-  auto& examples = jobs_[job].examples;
-  for (int i = 0; i < count; ++i) {
-    Example e;
-    e.index = static_cast<int>(examples.size());
-    e.enabled = true;
-    e.noisy = rng_.Bernoulli(options_.noisy_label_fraction);
-    examples.push_back(e);
+  JobInfo& info = jobs_[job];
+  // Example indices are ints; `fed <= INT_MAX` always holds.
+  const int fed = static_cast<int>(info.noisy.size());
+  if (count > INT_MAX - fed) {
+    return Status::OutOfRange("Feed: a job holds at most INT_MAX examples");
   }
-  jobs_[job].effective_examples.reset();
+  info.enabled.resize(fed + count, true);
+  info.noisy.resize(fed + count);
+  auto noisy_bit = info.noisy.begin() + fed;
+  double effective = info.effective_examples.value_or(0.0);
+  rng_.Bernoulli(options_.noisy_label_fraction, count, [&](bool noisy) {
+    *noisy_bit++ = noisy;
+    effective += noisy ? kNoisyExampleWeight : 1.0;
+  });
+  if (info.effective_examples) info.effective_examples = effective;
   return Status::OK();
 }
 
 Result<std::vector<Example>> EaseMlService::ListExamples(int job) const {
   MutexLock lock(*mu_);
   EASEML_RETURN_NOT_OK(ValidateJob(job));
-  return jobs_[job].examples;
+  const JobInfo& info = jobs_[job];
+  std::vector<Example> examples;
+  examples.reserve(info.noisy.size());
+  for (size_t i = 0; i < info.noisy.size(); ++i) {
+    examples.push_back(
+        Example{static_cast<int>(i), info.enabled[i], info.noisy[i]});
+  }
+  return examples;
 }
 
 Status EaseMlService::Refine(int job, int example_index, bool enabled) {
   MutexLock lock(*mu_);
   EASEML_RETURN_NOT_OK(ValidateJob(job));
-  auto& examples = jobs_[job].examples;
+  JobInfo& info = jobs_[job];
   if (example_index < 0 ||
-      example_index >= static_cast<int>(examples.size())) {
+      example_index >= static_cast<int>(info.enabled.size())) {
     return Status::OutOfRange("Refine: example index out of range");
   }
-  examples[example_index].enabled = enabled;
-  jobs_[job].effective_examples.reset();
+  info.enabled[example_index] = enabled;
+  info.effective_examples.reset();
   return Status::OK();
 }
 
 double EaseMlService::EffectiveExamples(const JobInfo& job) const {
   double effective = 0.0;
-  for (const auto& e : job.examples) {
-    if (!e.enabled) continue;
-    effective += e.noisy ? 0.3 : 1.0;  // noisy labels teach less
+  for (size_t i = 0; i < job.noisy.size(); ++i) {
+    if (!job.enabled[i]) continue;
+    effective += job.noisy[i] ? kNoisyExampleWeight : 1.0;
   }
   return effective;
 }

@@ -174,14 +174,19 @@ class EaseMlService {
     WorkloadType workload;
     std::vector<CandidateModel> candidates;
     std::vector<int> task_ids;     // aligned with candidates
-    std::vector<Example> examples;
+    /// The fed examples' flags, bit i for `Example::index` i; the two
+    /// vectors always have the same length.
+    std::vector<bool> enabled;
+    std::vector<bool> noisy;
     double difficulty = 0.8;       // hidden task difficulty
     double dynamic_range = 100.0;
-    /// Memo of `EffectiveExamples(*this)`: empty until the next training
-    /// run needs it. `Feed` and `Refine` (the only writers of `examples`)
-    /// reset it, and `MakeTrainingJob` recomputes it with the same loop,
-    /// so a served run sees exactly the sum a fresh count would give.
-    std::optional<double> effective_examples;
+    /// `EffectiveExamples(*this)`, kept as a running left fold: a new job
+    /// starts at 0.0 and `Feed` adds its examples' weights in append order,
+    /// the same additions in the same order as the full pass. `Refine` is
+    /// the only other writer of the flags; it empties the memo, and
+    /// `MakeTrainingJob` refills it with the full pass. Either way a served
+    /// run sees exactly the sum a fresh count would give.
+    std::optional<double> effective_examples = 0.0;
   };
 
   EaseMlService(const Options& options,

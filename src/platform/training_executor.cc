@@ -22,13 +22,15 @@ constexpr double kRangePenalty = 0.25;
 Result<TrainingOutcome> SimulatedTrainingExecutor::Train(
     const ModelInfo& model, const CandidateModel& candidate,
     const TaskProfile& task) {
-  if (task.difficulty < 0.0 || task.difficulty > 1.0) {
+  // Negated range checks: every comparison with NaN is false, so a NaN
+  // field fails the test instead of slipping past it.
+  if (!(task.difficulty >= 0.0 && task.difficulty <= 1.0)) {
     return Status::InvalidArgument("Train: difficulty out of [0,1]");
   }
-  if (task.num_examples <= 0.0) {
+  if (!(task.num_examples > 0.0)) {
     return Status::InvalidArgument("Train: need positive example count");
   }
-  if (task.dynamic_range < 1.0) {
+  if (!(task.dynamic_range >= 1.0)) {
     return Status::InvalidArgument("Train: dynamic range must be >= 1");
   }
   if (candidate.base_model != model.name) {

@@ -63,8 +63,31 @@ TEST(RngTest, BernoulliFrequency) {
   Rng rng(9);
   int hits = 0;
   const int n = 20000;
-  for (int i = 0; i < n; ++i) hits += rng.Bernoulli(0.3) ? 1 : 0;
+  rng.Bernoulli(0.3, n, [&hits](bool hit) { hits += hit ? 1 : 0; });
   EXPECT_NEAR(static_cast<double>(hits) / n, 0.3, 0.02);
+}
+
+TEST(RngTest, BatchedBernoulliMatchesStdDistributionBitForBit) {
+  // Twin engines: one makes the batched draws, the other calls the
+  // library's distribution once per draw. Every flip and the engine state
+  // afterwards must agree, at the edges of [0, 1] as well as inside.
+  const int n = 100000;
+  for (const double p : {0.0, 1e-300, 0.1, 0.3, 0.5,
+                         std::nextafter(1.0, 0.0), 1.0}) {
+    SCOPED_TRACE(p);
+    Rng batched(77), reference(77);
+    std::vector<bool> flips;
+    flips.reserve(n);
+    batched.Bernoulli(p, n, [&flips](bool flip) { flips.push_back(flip); });
+    ASSERT_EQ(flips.size(), static_cast<size_t>(n));
+    std::bernoulli_distribution dist(p);
+    int mismatches = 0;
+    for (int i = 0; i < n; ++i) {
+      mismatches += flips[i] != dist(reference.engine()) ? 1 : 0;
+    }
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_EQ(batched.SaveState(), reference.SaveState());
+  }
 }
 
 TEST(RngTest, SampleWithoutReplacementDistinctAndInRange) {

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
+#include <limits>
+#include <vector>
+
+#include "shard/sharded_selector.h"
 #include "wal/fault_injection.h"
 #include "wal/recovery.h"
 
@@ -46,6 +51,135 @@ TEST(ServiceTest, SubmitJobRejectsBadProgram) {
   auto service = MakeService();
   EXPECT_FALSE(service.SubmitJob("not a program").ok());
   EXPECT_FALSE(service.SubmitJob(kImageProgram, 0.5).ok());
+}
+
+TEST(ServiceTest, CreateRejectsNaNNoisyLabelFraction) {
+  EaseMlService::Options opts;
+  opts.noisy_label_fraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(EaseMlService::Create(opts).status().code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ServiceTest, CreateWithSelectorRejectsNaNNoisyLabelFraction) {
+  EaseMlService::Options opts;
+  opts.noisy_label_fraction = std::numeric_limits<double>::quiet_NaN();
+  auto selector = shard::MakeSelector(opts.selector);
+  ASSERT_TRUE(selector.ok());
+  EXPECT_EQ(EaseMlService::CreateWithSelector(opts, std::move(selector).value())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+}
+
+TEST(ServiceTest, SubmitJobRejectsNaNDynamicRange) {
+  auto service = MakeService();
+  EXPECT_EQ(service
+                .SubmitJob(kImageProgram,
+                           std::numeric_limits<double>::quiet_NaN())
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.num_jobs(), 0);
+}
+
+TEST(ServiceTest, FeedRefusesToTakeAJobPastIntMaxExamples) {
+  // Example indices are ints. The refusal comes before anything is
+  // allocated or drawn, so the job keeps the one example it had.
+  auto service = MakeService();
+  ASSERT_TRUE(service.SubmitJob(kImageProgram).ok());
+  ASSERT_TRUE(service.Feed(0, 1).ok());
+  EXPECT_EQ(service.Feed(0, INT_MAX).code(), StatusCode::kOutOfRange);
+  auto examples = service.ListExamples(0);
+  ASSERT_TRUE(examples.ok());
+  EXPECT_EQ(examples->size(), 1u);
+}
+
+TEST(ServiceTest, FeedDrawsThePinnedNoisyLabels) {
+  // Recorded from the per-example std::bernoulli_distribution draws the
+  // batched threshold draw replaced; it must reproduce them bit for bit.
+  auto service = MakeService(1);
+  ASSERT_TRUE(service.SubmitJob(kImageProgram).ok());
+  ASSERT_TRUE(service.Feed(0, 1000).ok());
+  auto examples = service.ListExamples(0);
+  ASSERT_TRUE(examples.ok());
+  ASSERT_EQ(examples->size(), 1000u);
+  int noisy = 0;
+  std::vector<int> first_noisy;
+  for (size_t i = 0; i < examples->size(); ++i) {
+    const Example& e = (*examples)[i];
+    EXPECT_EQ(e.index, static_cast<int>(i));
+    EXPECT_TRUE(e.enabled);
+    if (!e.noisy) continue;
+    ++noisy;
+    if (first_noisy.size() < 12) first_noisy.push_back(e.index);
+  }
+  EXPECT_EQ(noisy, 83);
+  EXPECT_EQ(first_noisy,
+            (std::vector<int>{2, 6, 9, 26, 37, 42, 53, 56, 58, 59, 60, 66}));
+}
+
+TEST(ServiceTest, SplitFeedMatchesOneFeed) {
+  // Two feeds draw the same flags as one feed of their sum, and the
+  // running example count continues across them: the first runs match.
+  EaseMlService split = MakeService(17);
+  EaseMlService whole = MakeService(17);
+  for (EaseMlService* svc : {&split, &whole}) {
+    ASSERT_TRUE(svc->SubmitJob(kImageProgram).ok());
+  }
+  ASSERT_TRUE(split.Feed(0, 600).ok());
+  ASSERT_TRUE(split.Feed(0, 400).ok());
+  ASSERT_TRUE(whole.Feed(0, 1000).ok());
+  auto a = split.ListExamples(0);
+  auto b = whole.ListExamples(0);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  ASSERT_EQ(a->size(), b->size());
+  for (size_t i = 0; i < a->size(); ++i) {
+    EXPECT_EQ((*a)[i].index, (*b)[i].index);
+    EXPECT_EQ((*a)[i].enabled, (*b)[i].enabled);
+    EXPECT_EQ((*a)[i].noisy, (*b)[i].noisy) << "example " << i;
+  }
+  auto ta = split.Step();
+  auto tb = whole.Step();
+  ASSERT_TRUE(ta.ok()) << ta.status().ToString();
+  ASSERT_TRUE(tb.ok()) << tb.status().ToString();
+  EXPECT_EQ(ta->accuracy, tb->accuracy);  // exact
+  EXPECT_EQ(ta->duration, tb->duration);
+}
+
+TEST(ServiceTest, ForcedRecountMatchesTheRunningCount) {
+  // A no-op Refine empties the running example count, so the first run
+  // recounts with the full pass. The twins must train bit-identically,
+  // whether the recount comes after every feed or a feed extends nothing.
+  for (const bool between_feeds : {false, true}) {
+    SCOPED_TRACE(between_feeds ? "refine between feeds" : "refine last");
+    EaseMlService::Options opts;
+    opts.seed = 29;
+    opts.selector.seed = 29;
+    opts.noisy_label_fraction = 0.45;
+    auto running = EaseMlService::Create(opts);
+    auto recounted = EaseMlService::Create(opts);
+    ASSERT_TRUE(running.ok());
+    ASSERT_TRUE(recounted.ok());
+    for (EaseMlService* svc : {&*running, &*recounted}) {
+      ASSERT_TRUE(svc->SubmitJob(kImageProgram).ok());
+      ASSERT_TRUE(svc->Feed(0, 700).ok());
+      if (svc == &*recounted && between_feeds) {
+        ASSERT_TRUE(svc->Refine(0, 0, true).ok());
+      }
+      ASSERT_TRUE(svc->Feed(0, 333).ok());
+      if (svc == &*recounted && !between_feeds) {
+        ASSERT_TRUE(svc->Refine(0, 0, true).ok());
+      }
+    }
+    auto a = running->Step();
+    auto b = recounted->Step();
+    ASSERT_TRUE(a.ok()) << a.status().ToString();
+    ASSERT_TRUE(b.ok()) << b.status().ToString();
+    EXPECT_EQ(a->task_id, b->task_id);
+    EXPECT_EQ(a->accuracy, b->accuracy);  // exact
+    EXPECT_EQ(a->duration, b->duration);
+  }
 }
 
 TEST(ServiceTest, FeedAndRefineLifecycle) {

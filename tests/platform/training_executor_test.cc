@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace easeml::platform {
 namespace {
 
@@ -33,6 +35,25 @@ TEST(ExecutorTest, ValidatesTaskProfile) {
   bad = TaskProfile();
   bad.dynamic_range = 0.5;
   EXPECT_FALSE(exec.Train(ResNet(), c, bad).ok());
+}
+
+TEST(ExecutorTest, ValidatesTaskProfileRejectsNaN) {
+  auto exec = MakeExecutor();
+  const CandidateModel c{"ResNet-50", false, 0.0};
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  TaskProfile bad;
+  bad.difficulty = nan;
+  EXPECT_EQ(exec.Train(ResNet(), c, bad).status().code(),
+            StatusCode::kInvalidArgument);
+  bad = TaskProfile();
+  bad.num_examples = nan;
+  EXPECT_EQ(exec.Train(ResNet(), c, bad).status().code(),
+            StatusCode::kInvalidArgument);
+  bad = TaskProfile();
+  bad.dynamic_range = nan;
+  EXPECT_EQ(exec.Train(ResNet(), c, bad).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(exec.clock(), 0.0);  // nothing was trained
 }
 
 TEST(ExecutorTest, RejectsCandidateModelMismatch) {

@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <array>
 #include <memory>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -150,7 +151,7 @@ bool RunWorkload(MultiTenantSelector& s, const PriorSet& priors, Rng& rng,
       Op close;
       close.assignment = *a;
       close.epoch = *epoch + 1;
-      if (rng.Bernoulli(0.15)) {
+      if (std::bernoulli_distribution(0.15)(rng.engine())) {
         close.kind = Op::kCancel;
         journal->push_back(close);
         if (!s.Cancel(*a).ok()) return false;
