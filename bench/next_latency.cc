@@ -15,17 +15,15 @@
 /// run entirely on it) — thread CPU clocks are not inflated by host
 /// oversubscription, unlike wall time on this one-core container.
 ///
-/// A second section measures the shard-parallel REPORT pipeline: the
-/// sharded engine validates a completion under its coordinator lock and
-/// queues the O(t^2) belief fold on the tenant's owning shard worker, so
-/// D in-flight completions fold concurrently across N shards instead of
-/// serializing under the engine lock. The driver fills all D device slots,
-/// hands the D completions back in a burst, and charges the burst's fold
-/// cost at its parallel critical path — the max over shard workers of the
-/// CLOCK_THREAD_CPUTIME_ID delta (on a one-core host wall time cannot show
-/// the overlap, the per-worker CPU clocks can). `report_us_mean` is that
-/// critical path per completion: N=1 is the serialized engine (every fold
-/// on one worker); it should fall roughly with the shard count at fixed D.
+/// A second section measures report throughput on the sharded engine
+/// (`ShardedMultiTenantSelector`), which folds every completion on the
+/// calling thread under its lock; a shard is only a partition of the
+/// candidate index. Each burst fills all D device slots, then hands the D
+/// completions back. `wall_us_mean` is the wall time per
+/// completion from the start of the burst until its last fold is applied
+/// (the last `Report` returns), for each (D, N) cell. The section is
+/// informational: it shows what the shard count and the device count
+/// cost the report path, and no gate reads it.
 ///
 /// A third section times HYBRID's `Report()`, the paper's default policy.
 /// After every outcome HYBRID's freeze detector tests whether the line-7
@@ -44,9 +42,8 @@
 ///
 /// Machine-readable rows for scripts/bench.sh:
 ///   NEXT_LATENCY,<tenants>,<engine>,<next_us_mean>,<report_us_mean>
-///   REPORT_TP,<tenants>,<devices>,<shards>,<reports>,<report_us_mean>,<coord_us_mean>,<wall_us_mean>
+///   REPORT_TP,<tenants>,<devices>,<shards>,<reports>,<wall_us_mean>
 ///   HYBRID_REPORT,<tenants>,<engine>,<report_us_mean>,<switched>
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -167,22 +164,14 @@ HybridCell RunHybridReport(int tenants, bool use_index) {
   return cell;
 }
 
-double WallSeconds() { return easeml::MonotonicSeconds(); }
-
 struct TpCell {
   int reports = 0;
-  double report_us = 0.0;  // fold critical path (max over workers) per report
-  double coord_us = 0.0;   // driver CPU inside the Report() calls per report
-  double wall_us = 0.0;    // wall per report, burst dispatch to full drain
+  double wall_us = 0.0;  // wall per report, burst start to its last fold
 };
 
 /// One report-throughput campaign: D device slots, N shards, GREEDY +
-/// candidate index (Report carries the leaf refresh). The driver
-/// alternates slot-filling Next() bursts with Report() bursts; the
-/// coordinator phase returns immediately (GREEDY's OnOutcome observes
-/// nothing), so the burst's folds overlap across shards even though the
-/// driver is one thread — concurrent reporter threads would measure the
-/// same fold pipeline plus lock contention noise.
+/// candidate index (Report carries the leaf refresh). The campaign
+/// alternates slot-filling Next() bursts with timed Report() bursts.
 TpCell RunReportThroughput(int tenants, int devices, int shards) {
   SelectorOptions options;
   options.scheduler = SchedulerKind::kGreedy;
@@ -190,8 +179,7 @@ TpCell RunReportThroughput(int tenants, int devices, int shards) {
   options.num_devices = devices;
   options.num_shards = shards;
   // Build the sharded engine even at N=1, where MakeSelector would return
-  // the inline 1-shard engine: the serialized baseline must pay the same
-  // queue machinery, so the column isolates the parallelism.
+  // the plain engine, so every cell pays the same lock.
   auto created = easeml::shard::ShardedMultiTenantSelector::Create(options);
   EASEML_CHECK(created.ok()) << created.status().ToString();
   const std::unique_ptr<MultiTenantSelector> selector =
@@ -224,30 +212,16 @@ TpCell RunReportThroughput(int tenants, int devices, int shards) {
       batch.push_back(*a);
     }
     if (batch.empty()) break;
-    // Worker-CPU snapshot right before the Report() burst (ShardCpuSeconds
-    // drains the queues, so the baseline is quiescent). Next() runs wholly
-    // on the coordinator, so the delta below is the burst's folds alone.
-    const std::vector<double> cpu0 = selector->ShardCpuSeconds();
-    const double wall0 = WallSeconds();
-    const double coord0 = ThreadCpuSeconds();
+    // Every fold runs inside its Report() call, so the burst is fully
+    // folded when the loop ends.
+    const double wall0 = easeml::MonotonicSeconds();
     for (const auto& a : batch) {
       EASEML_CHECK(selector->Report(a, Accuracy(a.tenant, a.model)).ok());
     }
-    const double coord1 = ThreadCpuSeconds();
-    const std::vector<double> cpu1 = selector->ShardCpuSeconds();  // drains
-    const double wall1 = WallSeconds();
-    double max_delta = 0.0;
-    for (size_t w = 0; w < cpu1.size(); ++w) {
-      max_delta = std::max(max_delta, cpu1[w] - cpu0[w]);
-    }
-    cell.report_us += max_delta * 1e6;
-    cell.coord_us += (coord1 - coord0) * 1e6;
-    cell.wall_us += (wall1 - wall0) * 1e6;
+    cell.wall_us += (easeml::MonotonicSeconds() - wall0) * 1e6;
     cell.reports += static_cast<int>(batch.size());
   }
   EASEML_CHECK(cell.reports > 0);
-  cell.report_us /= cell.reports;
-  cell.coord_us /= cell.reports;
   cell.wall_us /= cell.reports;
   return cell;
 }
@@ -295,25 +269,21 @@ int main() {
 
   constexpr int kTpTenants = 240;
   std::printf(
-      "\n# Report throughput: shard-parallel fold pipeline (GREEDY+index, "
-      "T=%d, K=%d; report_us_mean = max-over-workers thread-CPU critical "
-      "path per completion)\n",
+      "\n# Report throughput: every fold on the calling thread (GREEDY+index, "
+      "T=%d, K=%d; wall_us_mean = wall per completion, burst start to its "
+      "last fold)\n",
       kTpTenants, kModels);
-  std::printf("%8s %7s | %14s %13s %12s\n", "devices", "shards",
-              "report_us_mean", "coord_us_mean", "wall_us_mean");
-  // Two sweeps: shard scaling at D=8 (N=1 is the serialized engine — all
-  // folds on one worker), then device scaling at N=8.
+  std::printf("%8s %7s | %12s\n", "devices", "shards", "wall_us_mean");
+  // Two sweeps: shard scaling at D=8, then device scaling at N=8.
   const int kCells[][2] = {{8, 1}, {8, 2}, {8, 4}, {8, 8},
                            {1, 8}, {2, 8}, {4, 8}};
   for (const auto& dn : kCells) {
     const int devices = dn[0];
     const int shards = dn[1];
     const TpCell cell = RunReportThroughput(kTpTenants, devices, shards);
-    std::printf("%8d %7d | %14.3f %13.3f %12.3f\n", devices, shards,
-                cell.report_us, cell.coord_us, cell.wall_us);
-    std::printf("REPORT_TP,%d,%d,%d,%d,%.3f,%.3f,%.3f\n", kTpTenants, devices,
-                shards, cell.reports, cell.report_us, cell.coord_us,
-                cell.wall_us);
+    std::printf("%8d %7d | %12.3f\n", devices, shards, cell.wall_us);
+    std::printf("REPORT_TP,%d,%d,%d,%d,%.3f\n", kTpTenants, devices, shards,
+                cell.reports, cell.wall_us);
   }
   return 0;
 }

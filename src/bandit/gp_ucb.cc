@@ -27,7 +27,7 @@ Result<GpUcbPolicy> GpUcbPolicy::Create(std::unique_ptr<gp::ArmBelief> belief,
   if (belief == nullptr) {
     return Status::InvalidArgument("GpUcb: null belief");
   }
-  if (options.delta <= 0.0 || options.delta >= 1.0) {
+  if (!(options.delta > 0.0 && options.delta < 1.0)) {  // NaN fails too
     return Status::InvalidArgument("GpUcb: delta must be in (0, 1)");
   }
   if (options.cost_aware) {
@@ -36,8 +36,9 @@ Result<GpUcbPolicy> GpUcbPolicy::Create(std::unique_ptr<gp::ArmBelief> belief,
           "GpUcb: cost-aware mode needs one cost per arm");
     }
     for (double c : options.costs) {
-      if (c <= 0.0) {
-        return Status::InvalidArgument("GpUcb: costs must be positive");
+      if (!(c > 0.0 && std::isfinite(c))) {
+        return Status::InvalidArgument(
+            "GpUcb: costs must be finite and positive");
       }
     }
   }

@@ -12,19 +12,18 @@ namespace easeml {
 ///
 /// Two clocks, two jobs:
 ///  - `MonotonicSeconds()` (CLOCK_MONOTONIC) measures wall time, and it
-///    times the serving path: the engines' observer hooks, drain stalls,
-///    makespans, refresh intervals. Linux answers it in the vDSO without
-///    entering the kernel (about 43 ns a read on a shared 4-vCPU Xeon VM),
-///    cheap enough for hooks that run on every decision. It advances while
-///    a thread sleeps or is preempted, so a span includes time off the CPU.
+///    times the serving path: the engines' observer hooks, makespans,
+///    refresh intervals. Linux answers it in the vDSO without entering the
+///    kernel (about 43 ns a read on a shared 4-vCPU Xeon VM), cheap enough
+///    for hooks that run on every decision. It advances while a thread
+///    sleeps or is preempted, so a span includes time off the CPU.
 ///  - `ThreadCpuSeconds()` (CLOCK_THREAD_CPUTIME_ID) measures CPU time
-///    consumed by the *calling thread only*: the shard workers' accounting
-///    (`ShardCpuSeconds`) and bench latencies. Immune to scheduling noise
-///    on oversubscribed hosts, but each read is a real system call (about
-///    315 ns on the same VM), and it is meaningless across threads — never
-///    difference readings taken on different threads. The `thread-cpu-clock`
-///    lint rule keeps it out of `src/` outside `common/`; a read there needs
-///    a reasoned suppression.
+///    consumed by the *calling thread only*: bench latencies. Immune to
+///    scheduling noise on oversubscribed hosts, but each read is a real
+///    system call (about 315 ns on the same VM), and it is meaningless
+///    across threads — never difference readings taken on different
+///    threads. The `thread-cpu-clock` lint rule keeps it out of `src/`
+///    outside `common/`; a read there needs a reasoned suppression.
 
 /// Seconds on the monotonic wall clock. Only differences are meaningful.
 inline double MonotonicSeconds() {

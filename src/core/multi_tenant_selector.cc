@@ -53,7 +53,7 @@ std::unique_ptr<scheduler::SchedulerPolicy> MakeSchedulerPolicy(
 
 Result<MultiTenantSelector> MultiTenantSelector::Create(
     const SelectorOptions& options) {
-  if (options.delta <= 0.0 || options.delta >= 1.0) {
+  if (!(options.delta > 0.0 && options.delta < 1.0)) {  // NaN fails too
     return Status::InvalidArgument("Selector: delta must be in (0, 1)");
   }
   if (options.hybrid_patience <= 0) {
@@ -156,9 +156,10 @@ Result<int> MultiTenantSelector::AddTenantWithBelief(
   return id;
 }
 
-void MultiTenantSelector::AppendNewTenant(int tenant, int shard) {
+void MultiTenantSelector::OnTenantAdded(int tenant) {
   // New ids are globally maximal, so the shard's index tree extends at the
   // tail in O(log T) — never a rebuild on the add path.
+  const int shard = ShardOf(tenant);
   if (index_ != nullptr) index_->AppendTenant(shard, users_[tenant]);
   if (options_.observer != nullptr) {
     options_.observer->OnTenantPlaced(tenant, shard);
@@ -232,7 +233,7 @@ Result<int> MultiTenantSelector::AddTenant(
 namespace {
 
 /// Process-wide default-prior cache, one prior per (K, noise variance).
-/// Mutex-guarded because concurrent shard setup reaches it; weak_ptr
+/// Mutex-guarded because engines on different threads reach it; weak_ptr
 /// entries let a prior die with its last tenant instead of pinning the
 /// Gram matrix forever. The mutex lives in the same struct as the map it
 /// guards so the guarded-by relation is expressible (and compile-checked)
@@ -245,8 +246,8 @@ struct DefaultPriorCacheState {
   DefaultPriorCache cache EASEML_GUARDED_BY(mu);
 };
 
-/// Leaked intentionally: worker threads may still touch the cache during
-/// static destruction.
+/// Leaked intentionally: threads still running during static destruction
+/// may touch the cache.
 DefaultPriorCacheState& GetDefaultPriorCacheState() {
   static auto* state = new DefaultPriorCacheState;
   return *state;
@@ -474,15 +475,9 @@ Result<MultiTenantSelector::Assignment> MultiTenantSelector::BeginReport(
     return Status::InvalidArgument("Report: accuracy must be finite");
   }
   const Assignment issued = it->second;
-  // Retiring the ticket here (before the fold) pins the duplicate-report
-  // taxonomy for asynchronous engines: the moment Report returns, a replay
-  // of the same ticket is FailedPrecondition even if the fold is still
-  // queued on the owning shard.
   in_flight_.erase(it);
   if (options_.wal != nullptr) {
-    // Appended inside the coordinator phase so log order = validation
-    // order even when folds run on shard workers; the engine syncs before
-    // acknowledging the Report.
+    // Appended in validation order; Report syncs before acknowledging.
     EASEML_RETURN_NOT_OK(WalApply(options_.wal->LogReport(
         issued.id, issued.tenant, issued.model, accuracy)));
   }
@@ -525,22 +520,22 @@ Status MultiTenantSelector::Report(const Assignment& assignment,
     FinishReport(issued.tenant);
     return SyncWal();
   }
-  // Observed path: identical calls, plus the coordinator/fold timing split
-  // (the base engine folds inline, so the split is derived from one pass).
+  // Observed path: identical calls, plus the coordinator/fold timing split.
   const double t0 = MonotonicSeconds();
   Result<Assignment> issued = BeginReport(assignment, accuracy);
   if (!issued.ok()) {
     obs->OnTicketRejected(static_cast<int>(issued.status().code()));
     return issued.status();
   }
+  const int shard = ShardOf(issued->tenant);
   const double t1 = MonotonicSeconds();
-  obs->OnFoldQueued(0);  // inline fold: queued and executed back-to-back
+  obs->OnFoldQueued(shard);  // the fold runs right here, on the caller
   FoldReportedOutcome(*issued, accuracy);
   const double t2 = MonotonicSeconds();
   FinishReport(issued->tenant);
   const Status synced = SyncWal();
   const double t3 = MonotonicSeconds();
-  obs->OnFold(0, (t2 - t1) * 1e6);
+  obs->OnFold(shard, (t2 - t1) * 1e6);
   if (synced.ok()) obs->OnReport(((t1 - t0) + (t3 - t2)) * 1e6);
   return synced;
 }
@@ -581,11 +576,12 @@ Status MultiTenantSelector::Cancel(const Assignment& assignment) {
     FoldCancel(*issued);
     return SyncWal();
   }
-  // The un-charge is an inline fold, timed like a Report's.
-  obs->OnFoldQueued(0);
+  // The un-charge is a fold, timed like a Report's.
+  const int shard = ShardOf(issued->tenant);
+  obs->OnFoldQueued(shard);
   const double t0 = MonotonicSeconds();
   FoldCancel(*issued);
-  obs->OnFold(0, (MonotonicSeconds() - t0) * 1e6);
+  obs->OnFold(shard, (MonotonicSeconds() - t0) * 1e6);
   return SyncWal();
 }
 

@@ -51,17 +51,16 @@ struct SelectorOptions {
   /// reproduces the sequential Next/Report protocol bit-identically.
   int num_devices = 1;
 
-  /// Number of selector shards. 1 (the default) folds every report inline;
+  /// Number of selector shards. 1 (the default) builds the plain engine;
   /// values > 1 select `shard::ShardedMultiTenantSelector` when the
-  /// selector is built through `shard::MakeSelector` — tenant `t` lives on
-  /// shard `t % num_shards`, one worker thread per shard, and each `Cancel`,
-  /// and each `Report` under a policy that does not observe outcomes
-  /// (everything but HYBRID), queues its belief fold on the owning shard's
-  /// worker, so folds for tenants on different shards run concurrently.
-  /// HYBRID reports fold on the calling thread. Picks and arm selections
-  /// stay on the calling thread too; the selection trace is bit-identical
-  /// to the 1-shard engine. Plain `MultiTenantSelector::Create` ignores
-  /// the field (it IS the 1-shard engine).
+  /// selector is built through `shard::MakeSelector`: the same engine behind
+  /// a lock that makes every public method thread-safe, with tenant `t` on
+  /// shard `t % num_shards`. A shard is a partition of the candidate index
+  /// and a slot of the observer's snapshot plane; it starts no thread.
+  /// Every call, folds included, runs on the calling thread, and the
+  /// selection trace is bit-identical to the 1-shard engine. Plain
+  /// `MultiTenantSelector::Create` ignores the field (it IS the 1-shard
+  /// engine).
   int num_shards = 1;
 
   /// Serve `Next()` from the incremental candidate index (the default):
@@ -155,17 +154,14 @@ int DefaultPriorCacheSizeForTesting();
 ///
 /// The class doubles as the base of the sharded engine
 /// (`shard::ShardedMultiTenantSelector`), which wraps every public method
-/// in its selector lock and runs `Report`/`Cancel` through the protected
-/// `Begin*`/`Fold*`/`FinishReport` phases below, shipping the fold to a
-/// shard worker unless the policy observes outcomes. The pick and the arm
-/// selection always run here, on the calling (in the sharded engine:
-/// quiesced coordinator) thread. The only virtual hooks are
-/// `OnTenantAdded`/`OnTenantRemoved`: the add hook places a new tenant on
-/// its shard, and both keep the sharded engine's per-shard live counts.
-/// Both engines retire a removed tenant in place. `Create` ignores
-/// `num_shards`; build through `shard::MakeSelector` to honor it. The base
-/// engine is single-threaded (external synchronization required); the
-/// sharded override of every public method is thread-safe.
+/// in its selector lock and runs this class's implementation under it, on
+/// the calling thread. The only virtual hooks are
+/// `OnTenantAdded`/`OnTenantRemoved`, which the sharded engine extends to
+/// count its live tenants per shard. Both engines place tenant `t` on
+/// shard `t % num_shards()` and retire a removed tenant in place. `Create`
+/// ignores `num_shards`; build through `shard::MakeSelector` to honor it.
+/// The base engine is single-threaded (external synchronization
+/// required); the sharded override of every public method is thread-safe.
 class MultiTenantSelector {
  public:
   /// A unit of work: train model `model` for tenant `tenant`. `id` is the
@@ -201,7 +197,7 @@ class MultiTenantSelector {
   /// Registers a tenant with an uninformative independent prior
   /// (unit-variance diagonal) — used when no training logs exist yet. The
   /// default prior is built once per (num_models, noise_variance) in a
-  /// process-wide, mutex-guarded cache (concurrent shard setup reaches it)
+  /// process-wide, mutex-guarded cache (engines on other threads reach it)
   /// and shared by every tenant and selector requesting that shape.
   virtual Result<int> AddTenantWithDefaultPrior(int num_models,
                                                std::vector<double> costs,
@@ -233,17 +229,19 @@ class MultiTenantSelector {
   /// Configured device count (max outstanding assignments).
   int num_devices() const { return options_.num_devices; }
 
-  /// Shard count: 1 here, the worker count in the sharded engine.
+  /// Shard count: 1 here, `options.num_shards` in the sharded engine.
   virtual int num_shards() const { return 1; }
 
   /// Live (non-retired) tenants per shard, ascending shard index
   /// (diagnostics). This engine answers `{live tenants}`.
   virtual std::vector<int> ShardSizes() const;
 
-  /// Cumulative per-shard-worker CPU seconds spent running queued folds.
-  /// This engine folds every report inline on the caller and answers
-  /// `{0.0}`.
-  virtual std::vector<double> ShardCpuSeconds() const { return {0.0}; }
+  /// CPU seconds each shard spent on folds off the calling thread: one
+  /// 0.0 per shard, because both engines fold every report and cancel on
+  /// the calling thread. Kept for callers that difference it.
+  std::vector<double> ShardCpuSeconds() const {
+    return std::vector<double>(static_cast<size_t>(num_shards()), 0.0);
+  }
 
   /// True iff `Next()` would hand out an assignment right now: a device
   /// slot is free and some tenant has an un-charged model remaining. False
@@ -303,9 +301,7 @@ class MultiTenantSelector {
   /// identity, per-tenant user + compact belief state, in-flight table,
   /// ticket/round counters, scheduler blob, WAL position) for a
   /// checkpoint. Every tenant runs the shared-prior belief (the only
-  /// registration path), the one representation that serializes. The
-  /// sharded override locks and drains the fold pipeline first, so the
-  /// capture is quiesced.
+  /// registration path), the one representation that serializes.
   virtual Result<DurableSelectorState> CaptureDurableState() const;
 
   /// Restores a captured state into THIS engine, which must be freshly
@@ -329,72 +325,22 @@ class MultiTenantSelector {
   // engine) is already in effect, so overrides must not re-enter the public
   // API.
 
-  /// Placement hooks. The base add hook places the new tenant on shard 0
-  /// (`AppendNewTenant`); the sharded engine places it on shard `t % N`
-  /// and counts live tenants per shard. A new id is the largest ever
-  /// issued, so an add lands at the tail of its shard. A removal moves no
+  /// Placement hooks. The add hook appends the new tenant (the largest id
+  /// ever issued) to the tail of shard `ShardOf(tenant)`'s index tree in
+  /// O(log T) amortized, then announces it to the observer
+  /// (`OnTenantPlaced`, then its first tenant event). A removal moves no
   /// tenant: when the remove hook runs, the tenant's leaf is already
   /// neutral and its retirement already published.
-  virtual void OnTenantAdded(int tenant) { AppendNewTenant(tenant, 0); }
+  virtual void OnTenantAdded(int tenant);
   virtual void OnTenantRemoved(int tenant) { (void)tenant; }
 
-  /// The add path both engines share: appends the new `tenant` to the tail
-  /// of `shard`'s index tree in O(log T) amortized, then announces it to
-  /// the observer (`OnTenantPlaced`, then its first tenant event).
-  void AppendNewTenant(int tenant, int shard);
-
-  // --- Report pipeline seams ----------------------------------------------
-  //
-  // `Report`/`Cancel` decompose into a COORDINATOR phase (`Begin*`:
-  // validate the ticket against the in-flight table and retire the entry),
-  // a FOLD phase (`Fold*`: the O(t^2) belief append / in-flight un-charge
-  // plus the index-leaf refresh), and for Report a SEQUENCING phase
-  // (`FinishReport`: scheduler outcome hook + global round advance). The
-  // base engine runs all three inline. The sharded engine runs all three
-  // under its coordinator lock too when the policy observes outcomes
-  // (HYBRID); otherwise it ships the fold (and every cancel's fold) to the
-  // tenant's owning shard worker through a per-shard FIFO report queue, so
-  // completions for tenants on different shards fold concurrently.
-  // Per-tenant fold order equals Begin* order, which keeps the selection
-  // trace bit-identical to the inline pipeline.
-
-  /// Coordinator phase: resolves `assignment` against the in-flight table
-  /// (class-comment taxonomy), validates `accuracy`, and retires the
-  /// ticket. Returns the ISSUED assignment the fold must apply.
-  Result<Assignment> BeginReport(const Assignment& assignment,
-                                 double accuracy);
-
-  /// Fold phase: appends the observation to the tenant's belief and tracks
-  /// the incumbent best model. `issued` must come from `BeginReport` — the
-  /// fold of a validated ticket cannot fail (the arm is charged in flight
-  /// and the tenant cannot be removed under an open ticket), so a rejection
-  /// here aborts.
-  void FoldReportedOutcome(const Assignment& issued, double accuracy);
-
-  /// Sequencing phase: the scheduler's outcome hook (`OnOutcomeIndexed`
-  /// when the index is on, else `OnOutcome`) + round advance. Policies
-  /// whose `ObservesOutcomes()` is true read every tenant's post-fold state
-  /// and the index here, so asynchronous engines must quiesce their fold
-  /// pipeline first.
-  void FinishReport(int tenant);
-
-  /// Coordinator phase of `Cancel`: same validation and retirement as
-  /// `BeginReport`, without an accuracy.
-  Result<Assignment> BeginCancel(const Assignment& assignment);
-
-  /// Fold phase of `Cancel`: un-charges the arm (it becomes dispatchable
-  /// again). Aborts on rejection — impossible for a validated ticket.
-  void FoldCancel(const Assignment& issued);
-
-  // --- Candidate-index plumbing -------------------------------------------
-  //
-  // The base engine owns the index (absent when `use_candidate_index` is
-  // off); the sharded engine swaps in an N-shard instance and places each
-  // tenant on shard `t % N`. Every path that mutates a tenant refreshes that
-  // tenant's leaf, so the index is fresh whenever PickTenant runs.
+  /// The one placement rule: tenant `t` lives on shard `t % num_shards()`
+  /// for its whole life. It names the shard of the tenant's index leaf,
+  /// the shard the observer learns from `OnTenantPlaced`, and the shard
+  /// its folds are reported on.
+  int ShardOf(int tenant) const { return tenant % num_shards(); }
 
   /// The index, or nullptr when `use_candidate_index` is off.
-  scheduler::CandidateIndex* candidate_index() { return index_.get(); }
   const scheduler::CandidateIndex* candidate_index() const {
     return index_.get();
   }
@@ -405,8 +351,18 @@ class MultiTenantSelector {
   /// the change log is on only for HYBRID, whose freeze detector reads it.
   void ResetIndex(int num_shards);
 
-  /// Recomputes `tenant`'s key and replays its leaf path (no-op when
-  /// disabled). Call after ANY event that changes the tenant's state.
+  const std::vector<scheduler::UserState>& users() const { return users_; }
+
+ private:
+  /// Picks the tenant to serve at global round `round`: the initialization
+  /// sweep (Algorithm 2 lines 1-4, registration order) first, then the
+  /// scheduler policy — from the candidate index when it is on, else the
+  /// reference `PickUser` scan.
+  Result<int> PickTenant(int round);
+
+  /// Recomputes `tenant`'s key and replays its leaf path (no-op when the
+  /// index is disabled). Every path that mutates a tenant calls it, so the
+  /// index is fresh whenever PickTenant runs.
   void RefreshIndexEntry(int tenant);
 
   /// The one source of the two no-work refusals (all exhausted vs
@@ -421,28 +377,21 @@ class MultiTenantSelector {
   // index would go stale, so would a dashboard. All of it is skipped in a
   // single branch when no observer is configured.
 
-  /// The configured observer, or nullptr (the common case).
-  SelectorObserver* observer() const { return options_.observer; }
-
   /// Publishes `tenant`'s fresh observation to the observer (no-op when
   /// none). Call AFTER `RefreshIndexEntry` — the gap is read back from the
   /// just-refreshed index key when the index tracks it.
   void NotifyTenantEvent(int tenant);
 
-  /// Derives the observation `NotifyTenantEvent` publishes (also used by
-  /// tests to compare a snapshot against live engine state).
+  /// Derives the observation `NotifyTenantEvent` publishes.
   TenantObservation DeriveObservation(int tenant) const;
 
   // --- Durability seam ----------------------------------------------------
   //
   // Mirrors the observer seam: one branch when no WAL is configured. The
-  // engines append AFTER applying (log order = validation order, and only
-  // successful mutations are logged, so replay must succeed), and latch
+  // engine appends AFTER applying (log order = validation order, and only
+  // successful mutations are logged, so replay must succeed), and latches
   // the first WAL error — the selector fail-stops rather than let its
   // in-memory state silently outrun what recovery can reproduce.
-
-  /// The configured durability log, or nullptr (the common case).
-  DurabilityLog* wal() const { return options_.wal; }
 
   /// Fail-fast check every mutation runs first: OK without a WAL or while
   /// it is healthy, FailedPrecondition once a WAL write failed.
@@ -454,19 +403,6 @@ class MultiTenantSelector {
   /// Syncs the WAL (no-op without one), latching failure.
   Status SyncWal();
 
-  const SelectorOptions& options() const { return options_; }
-  std::vector<scheduler::UserState>& users() { return users_; }
-  const std::vector<scheduler::UserState>& users() const { return users_; }
-  scheduler::SchedulerPolicy& scheduler() { return *scheduler_; }
-  const std::map<int64_t, Assignment>& in_flight() const { return in_flight_; }
-
- private:
-  /// Picks the tenant to serve at global round `round`: the initialization
-  /// sweep (Algorithm 2 lines 1-4, registration order) first, then the
-  /// scheduler policy — from the candidate index when it is on, else the
-  /// reference `PickUser` scan.
-  Result<int> PickTenant(int round);
-
   Status ValidateTenant(int tenant) const;
   Result<int> AddTenantWithBelief(std::unique_ptr<gp::ArmBelief> belief,
                                   std::vector<double> costs);
@@ -475,6 +411,36 @@ class MultiTenantSelector {
   /// in-flight entry or the precise rejection Status (see class comment).
   Result<std::map<int64_t, Assignment>::iterator> FindIssuedEntry(
       const Assignment& assignment);
+
+  // --- Report/Cancel phases ---------------------------------------------
+  //
+  // `Report` runs BeginReport, FoldReportedOutcome and FinishReport back to
+  // back, and `Cancel` runs BeginCancel and FoldCancel; the split exists so
+  // the observed paths can time the fold on its own.
+
+  /// Resolves `assignment` against the in-flight table (class-comment
+  /// taxonomy), validates `accuracy`, retires the ticket and appends the
+  /// WAL record. Returns the ISSUED assignment the fold must apply.
+  Result<Assignment> BeginReport(const Assignment& assignment,
+                                 double accuracy);
+
+  /// Appends the observation to the tenant's belief and tracks the
+  /// incumbent best model. `issued` must come from `BeginReport` — the
+  /// fold of a validated ticket cannot fail (the arm is charged in flight
+  /// and the tenant cannot be removed under an open ticket), so a rejection
+  /// here aborts.
+  void FoldReportedOutcome(const Assignment& issued, double accuracy);
+
+  /// The scheduler's outcome hook (`OnOutcomeIndexed` when the index is
+  /// on, else `OnOutcome`) + round advance, on the fully folded engine.
+  void FinishReport(int tenant);
+
+  /// Same validation and retirement as `BeginReport`, without an accuracy.
+  Result<Assignment> BeginCancel(const Assignment& assignment);
+
+  /// Un-charges the arm (it becomes dispatchable again). Aborts on
+  /// rejection — impossible for a validated ticket.
+  void FoldCancel(const Assignment& issued);
 
   SelectorOptions options_;
   std::unique_ptr<scheduler::SchedulerPolicy> scheduler_;

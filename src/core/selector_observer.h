@@ -36,35 +36,25 @@ struct TenantObservation {
 /// Engine-side observation seam. The selector engines (core and shard) call
 /// these hooks from inside their own synchronization; implementations must
 /// be cheap, must never call back into the selector, and must do their own
-/// cross-thread synchronization for anything they publish (the obs layer's
-/// `FleetObserver` is the canonical implementation).
+/// cross-thread synchronization for anything they publish to other threads
+/// (the obs layer's `FleetObserver` is the canonical implementation).
 ///
-/// Threading contract, inherited from the engines' fold discipline:
-///  - `OnTenantEvent(obs)` fires on the thread that owns the tenant's shard
-///    state at that moment — the shard worker for a queued fold (a cancel,
-///    or a report under a policy whose `ObservesOutcomes()` is false), the
-///    quiesced coordinator (lock held, fold queues drained) for
-///    selections, churn and HYBRID's report folds, which run inline. Queued
-///    folds are the only events a worker fires. Events for tenants on
-///    DIFFERENT shards may fire concurrently; events for one shard never
-///    do. (The observer learns each tenant's shard from `OnTenantPlaced`,
-///    which always precedes its events; a tenant never changes shard, and
-///    its removal arrives as a retired `OnTenantEvent`.)
-///  - `OnTenantPlaced` fires only while the engine is quiesced
-///    (coordinator lock held, fold queues drained), never concurrently
-///    with any other hook.
-///  - The timing/metrics hooks (`OnNext`, `OnReport`, `OnTicketRejected`,
-///    `OnFoldQueued`, `OnFold`, `OnDrainWait`) may fire from the
-///    coordinator and the shard workers concurrently.
+/// Threading contract: every hook fires on the thread that called into the
+/// engine, under the engine's synchronization — the caller's external
+/// synchronization on the base engine, the selector lock on the sharded
+/// one. No engine starts a thread, so hooks of one engine never run
+/// concurrently with each other. The observer learns each tenant's shard
+/// from `OnTenantPlaced`, which always precedes the tenant's events; a
+/// tenant never changes shard, and its removal arrives as a retired
+/// `OnTenantEvent`.
 ///
 /// Timing contract: every duration a hook receives is wall time
-/// (`MonotonicSeconds()`) measured on the thread that ran the timed
-/// section. A thread preempted inside a section is charged the time it
-/// spent off the CPU, so on an oversubscribed host the histograms carry
-/// scheduling delay as well as work. The split of one `Report` is
-/// disjoint: its coordinator time (`OnReport`), its inline fold
-/// (`OnFold`, HYBRID) and its drain wait (`OnDrainWait`) cover separate
-/// intervals of the call, so together they never exceed its wall time.
+/// (`MonotonicSeconds()`) measured on the calling thread. A thread
+/// preempted inside a section is charged the time it spent off the CPU,
+/// so on an oversubscribed host the histograms carry scheduling delay as
+/// well as work. The split of one `Report` is disjoint: its coordinator
+/// time (`OnReport`) and its fold (`OnFold`) cover separate intervals of
+/// the call, so together they never exceed its wall time.
 ///
 /// Every hook has an empty default so implementations subscribe only to
 /// what they consume. The engines skip all derivation work when
@@ -107,10 +97,9 @@ class SelectorObserver {
 
   /// A `Report()` finished successfully after `coord_us` wall
   /// microseconds on the calling thread (validation, ticket retirement,
-  /// fold hand-off, outcome hook, WAL sync), excluding the inline fold,
-  /// which `OnFold` reports, and the drain wait, which `OnDrainWait`
-  /// reports. The sharded engine starts this clock once it holds its lock,
-  /// so time spent waiting for the lock is in no hook.
+  /// outcome hook, WAL sync), excluding the fold, which `OnFold` reports.
+  /// The sharded engine starts this clock once it holds its lock, so time
+  /// spent waiting for the lock is in no hook.
   virtual void OnReport(double coord_us) { (void)coord_us; }
 
   /// A `Report()`/`Cancel()` ticket was rejected; `code` is the
@@ -119,25 +108,23 @@ class SelectorObserver {
   /// entry or non-finite accuracy).
   virtual void OnTicketRejected(int code) { (void)code; }
 
-  /// A belief fold (a report or a cancel) was handed to `shard`: queued on
-  /// its worker, or about to run inline on the caller (every fold of the
-  /// base engine, HYBRID reports on the sharded one). Both engines fire it
-  /// once per accepted `Report` and once per accepted `Cancel`.
+  /// A belief fold (a report or a cancel) of a `shard` tenant is about to
+  /// run on the calling thread. Both engines fire it once per accepted
+  /// `Report` and once per accepted `Cancel`.
   virtual void OnFoldQueued(int shard) { (void)shard; }
 
   /// A belief fold (report or cancel) of a `shard` tenant ran for
-  /// `fold_us` wall microseconds on the thread that ran it (the owning
-  /// worker for a queued fold, the caller for an inline one). Fires once
-  /// per `OnFoldQueued`, on every engine.
+  /// `fold_us` wall microseconds on the calling thread. Fires once per
+  /// `OnFoldQueued`, on every engine.
   virtual void OnFold(int shard, double fold_us) {
     (void)shard;
     (void)fold_us;
   }
 
-  /// A reader blocked `wait_us` wall-microseconds in `DrainQueues()`
-  /// waiting for in-flight folds (queue-stall time on the serving path).
-  /// Fired once per drain; `wait_us` is 0, with no clock read, when
-  /// nothing was queued.
+  /// Unused: no engine fires this hook, because every fold runs on the
+  /// calling thread and no reader ever waits for one. Still declared
+  /// because perfbench's `TracedObserver` overrides it; `wait_us` would be
+  /// a reader's wall-microsecond stall behind queued folds.
   virtual void OnDrainWait(double wait_us) { (void)wait_us; }
 };
 

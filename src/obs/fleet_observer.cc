@@ -26,7 +26,6 @@ FleetObserver::FleetObserver(const FleetObserverOptions& options)
   folds_queued_ = reg->GetCounter("easeml_folds_queued");
   folds_executed_ = reg->GetCounter("easeml_folds_executed");
   fold_us_ = reg->GetHistogram("easeml_report_fold_us");
-  drain_wait_us_ = reg->GetHistogram("easeml_drain_wait_us");
   tenant_events_ = reg->GetCounter("easeml_tenant_events");
 }
 
@@ -81,10 +80,6 @@ void FleetObserver::OnFold(int shard, double fold_us) {
   if (folds_executed_ == nullptr) return;
   folds_executed_->Increment();
   fold_us_->Record(fold_us);
-}
-
-void FleetObserver::OnDrainWait(double wait_us) {
-  if (drain_wait_us_ != nullptr) drain_wait_us_->Record(wait_us);
 }
 
 Result<ObservedSelector> MakeObservedSelector(

@@ -25,8 +25,8 @@ struct FleetObserverOptions {
 /// placements into a `SnapshotPlane` and the timing hooks into
 /// `Registry` instruments. Instrument pointers are resolved once at
 /// construction, so every hook is a plane apply and/or a couple of relaxed
-/// atomic RMWs — cheap enough for the fold closures and the `Next`/`Report`
-/// coordinator paths it sits on.
+/// atomic RMWs — cheap enough for the `Next`/`Report`/`Cancel` paths it
+/// sits on.
 ///
 /// Instruments (all prefixed `easeml_`; every `_us` histogram is wall time,
 /// see the timing contract in `core::SelectorObserver`):
@@ -37,9 +37,9 @@ struct FleetObserverOptions {
 ///   report_rejected_stale_ticket        ... FailedPrecondition (duplicate)
 ///   report_rejected_mismatch_or_invalid ... InvalidArgument (forged/NaN)
 ///   report_rejected_other               any other rejection code
-///   folds_queued / folds_executed       report-queue depth = queued-executed
-///   report_fold_us                      per-fold time on the folding thread
-///   drain_wait_us                       reader stalls behind queued folds
+///   folds_queued / folds_executed       folds begun / finished (equal once
+///                                       a call returns)
+///   report_fold_us                      per-fold time (report or cancel)
 ///   tenant_events                       snapshot-plane applies
 class FleetObserver final : public core::SelectorObserver {
  public:
@@ -56,7 +56,6 @@ class FleetObserver final : public core::SelectorObserver {
   void OnTicketRejected(int code) override;
   void OnFoldQueued(int shard) override;
   void OnFold(int shard, double fold_us) override;
-  void OnDrainWait(double wait_us) override;
 
  private:
   SnapshotPlane plane_;
@@ -74,7 +73,6 @@ class FleetObserver final : public core::SelectorObserver {
   Counter* folds_queued_ = nullptr;
   Counter* folds_executed_ = nullptr;
   Histogram* fold_us_ = nullptr;
-  Histogram* drain_wait_us_ = nullptr;
   Counter* tenant_events_ = nullptr;
 };
 

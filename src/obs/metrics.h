@@ -16,12 +16,11 @@ namespace easeml::obs {
 /// metric names. The recording side (`Counter::Increment`,
 /// `Histogram::Record`) is wait-free — one or a few relaxed atomic RMWs, no
 /// locks, no allocation — so instruments can sit directly on the `Next`/
-/// `Report` coordinator paths and inside shard-worker fold closures without
-/// perturbing the latencies they measure. Reads (`Value`, the exporters) are
-/// racy-by-design point-in-time sums: each load is atomic, but a scrape that
-/// straddles concurrent records may see a histogram whose bucket total
-/// lags `Count()` by in-flight increments — fine for monitoring, documented
-/// here so nobody "fixes" it with a lock.
+/// `Report` paths without perturbing the latencies they measure. Reads
+/// (`Value`, the exporters) are racy-by-design point-in-time sums: each
+/// load is atomic, but a scrape that straddles concurrent records may see
+/// a histogram whose bucket total lags `Count()` by in-flight increments —
+/// fine for monitoring, documented here so nobody "fixes" it with a lock.
 
 /// Monotonic event counter. Relaxed ordering: counts are aggregates with no
 /// cross-variable ordering contract.
@@ -38,10 +37,10 @@ class Counter {
 
 /// Fixed-bucket latency histogram over microseconds. The bounds ladder is
 /// compiled in (roughly logarithmic, 0.5µs .. 50ms) because every latency
-/// this repo measures — index descents, Cholesky folds, queue stalls,
-/// training-job walls — lands in that window; a shared ladder keeps every
-/// exported histogram directly comparable. Values above the top bound land
-/// in the implicit +inf bucket.
+/// this repo measures — index descents, Cholesky folds, training-job walls —
+/// lands in that window; a shared ladder keeps every exported histogram
+/// directly comparable. Values above the top bound land in the implicit +inf
+/// bucket.
 class Histogram {
  public:
   static constexpr double kBounds[] = {0.5,   1.0,    2.0,    5.0,    10.0,

@@ -13,21 +13,20 @@ namespace easeml::obs {
 
 /// Versioned, immutable, copy-on-write fleet snapshots.
 ///
-/// The serving engines already quiesce every reader of tenant state through
-/// the selector lock and a fold-queue drain — correct, but it means an
-/// analytics scan walking 10^5 tenants would stall the `Next()` hot path for
-/// its whole walk. The snapshot plane decouples the two: the engine
-/// PUBLISHES immutable per-shard summary blocks at fold boundaries, and
-/// readers WALK the last published blocks lock-free (one brief per-shard
-/// pointer copy aside), never touching the selector lock at all.
+/// The serving engines serialize every reader of tenant state through the
+/// selector lock — correct, but it means an analytics scan walking 10^5
+/// tenants would stall the `Next()` hot path for its whole walk. The
+/// snapshot plane decouples the two: the engine PUBLISHES immutable
+/// per-shard summary blocks at fold boundaries, and readers WALK the last
+/// published blocks lock-free (one brief per-shard pointer copy aside),
+/// never touching the selector lock at all.
 ///
 /// Data model, writer side (one `Slot` per shard):
 ///   - `master_` holds the latest `TenantObservation` per tenant, indexed by
 ///     tenant id (ids are never reused; a retired tenant keeps its entry,
-///     marked retired). A tenant stays on the shard `Place` put it on for
-///     life and shards own disjoint tenant sets, so every `master_`
-///     element has exactly one writer at any moment — no synchronization
-///     needed on the write.
+///     marked retired). Writes come only from the engine's hooks, one at a
+///     time (threading contract below), so the write needs no
+///     synchronization of its own.
 ///   - Each slot tracks its local tenant-id list as a
 ///     `shared_ptr<const vector<int>>` (replaced only when `Place` appends,
 ///     so steady-state publishes never copy it), per-chunk dirty bits
@@ -37,29 +36,26 @@ namespace easeml::obs {
 ///     block and compare EXACTLY.
 ///
 /// Publishing: after `publish_interval` events (or an explicit flush) the
-/// shard's current writer builds a fresh `ShardBlock` — dirty chunks
-/// copied from `master_`, clean chunks reference-shared with the previous
-/// block — and swaps it into the slot's `published` pointer under a tiny
-/// leaf mutex.
-/// The block's `epoch` is the slot's event count at publish, so per-shard
+/// writer builds a fresh `ShardBlock` — dirty chunks copied from `master_`,
+/// clean chunks reference-shared with the previous block — and swaps it
+/// into the slot's `published` pointer under a tiny leaf mutex. The
+/// block's `epoch` is the slot's event count at publish, so per-shard
 /// epochs are strictly monotone and the fleet epoch (their sum) is too.
 ///
-/// Consistency: a block is built only from state its writer owns, and dirty
-/// bits cover every `master_` write since the covering chunk was last
-/// copied, so each published block equals `master_`'s restriction to the
-/// shard at one instant — internally consistent by construction (aggregates
+/// Consistency: a block is built only by the writer, and dirty bits cover
+/// every `master_` write since the covering chunk was last copied, so each
+/// published block equals `master_`'s restriction to the shard at one
+/// instant — internally consistent by construction (aggregates
 /// match a recount of its entries; ids ascend). The TSan battery races
 /// full-fleet scans against churn to hold the plane to exactly that.
 ///
 /// Threading contract (mirrors `core::SelectorObserver`):
-///   - `Apply` runs on the tenant's owning thread: the shard worker for a
-///     queued fold (cancels, and reports under a policy that does not
-///     observe outcomes), the quiesced coordinator for selections, churn
-///     and HYBRID's report folds, which run inline. Applies for different
-///     shards may be concurrent; applies for one shard never are.
-///   - `Place` and `FlushAll` require a quiesced engine (no concurrent
-///     `Apply` anywhere): `Place` grows the tenant tables every `Apply`
-///     reads, and `FlushAll` publishes every shard.
+///   - `Apply` and `Place` run under the engine's synchronization, on the
+///     thread that called into the engine (its observer hooks), one at a
+///     time.
+///   - `FlushAll` must not run concurrently with `Apply` or `Place`: call
+///     it from the thread driving the engine, or after that thread stopped
+///     (joined) — it publishes every shard.
 ///   - `Snapshot` is safe from ANY thread at ANY time.
 constexpr int kChunk = 64;
 
@@ -149,11 +145,11 @@ class SnapshotPlane {
   /// The tenant must have been placed (`Place`) first.
   void Apply(const core::TenantObservation& obs);
 
-  /// Appends a new tenant to `shard`'s placement (quiesced; the add path
-  /// of both engines). The tenant stays there for life.
+  /// Appends a new tenant to `shard`'s placement (the add path of both
+  /// engines). The tenant stays there for life.
   void Place(int tenant, int shard);
 
-  /// Publishes every shard with unpublished events (quiesced). After this,
+  /// Publishes every shard with unpublished events. After this,
   /// `Snapshot()` reflects every event applied so far.
   void FlushAll();
 

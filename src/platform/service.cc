@@ -314,11 +314,8 @@ Result<AsyncRunReport> EaseMlService::RunAsync(int num_workers,
       if (first_error.ok()) first_error = done.status;
       continue;
     }
-    // Report first: with a sharded selector under a stateless-outcome
-    // policy the call returns right after ticket validation (the belief
-    // fold is queued on the tenant's owning shard worker), so the task-pool
-    // bookkeeping below overlaps the fold instead of extending the
-    // completion's critical path.
+    // Report first: the selector validates the ticket, so a rejected
+    // completion returns before the task pool records its task done.
     EASEML_RETURN_NOT_OK(selector_->Report(a, done.outcome.accuracy));
     EASEML_RETURN_NOT_OK(pool_.MarkDone(task_id, done.outcome.accuracy,
                                         done.outcome.duration));

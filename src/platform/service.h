@@ -60,13 +60,12 @@ class EaseMlService {
  public:
   struct Options {
     /// Selector engine configuration. `selector.num_shards > 1` selects the
-    /// sharded engine (`shard::ShardedMultiTenantSelector`): a completion
-    /// under a policy that does not observe outcomes (everything but
-    /// HYBRID) queues its belief fold on one of that many shard workers,
-    /// while picks (and HYBRID's folds) stay on the calling thread, with
-    /// the selection trace bit-identical to the sequential engine.
-    /// `selector.num_devices` sizes the async pipeline as before; the two
-    /// compose.
+    /// sharded engine (`shard::ShardedMultiTenantSelector`): the same
+    /// engine behind its own lock, with an N-shard candidate index and
+    /// observer placement; every call, folds included, runs on the calling
+    /// thread, and the selection trace is bit-identical to the sequential
+    /// engine. `selector.num_devices` sizes the async pipeline as before;
+    /// the two compose.
     core::SelectorOptions selector;
     SimulatedTrainingExecutor::Options executor;
     /// Fraction of fed examples whose labels are noisy (weak supervision).
@@ -131,13 +130,10 @@ class EaseMlService {
   /// keeps up to `selector.num_devices` assignments in flight on an
   /// `AsyncTrainingExecutor` worker pool (one worker per device by
   /// default; pass `num_workers > 0` to override), reconciling completions
-  /// in whatever order devices finish. Completions are handed to the
-  /// selector BEFORE the task-pool bookkeeping: unless the policy observes
-  /// outcomes (HYBRID), a sharded selector's `Report` returns after
-  /// validating the ticket and enqueuing the belief fold on the owning
-  /// shard worker, so the fold runs concurrently with the bookkeeping
-  /// instead of blocking the dispatch loop. Every task moves through the
-  /// pool's kPending -> kRunning -> kDone transitions exactly as in `Step`; a
+  /// in whatever order devices finish. A completion is reported to the
+  /// selector (ticket validation, belief fold, outcome hook) before the
+  /// task pool marks its task done. Every task moves through the pool's
+  /// kPending -> kRunning -> kDone transitions exactly as in `Step`; a
   /// failed training run requeues its task, returns its selector ticket,
   /// and surfaces the error after the drain with the service in a
   /// consistent, re-runnable state. With `num_devices = 1` on a fresh

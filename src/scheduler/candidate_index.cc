@@ -160,10 +160,9 @@ void CandidateIndex::AppendTenant(int shard, const UserState& user) {
 }
 
 void CandidateIndex::Refresh(const UserState& user) {
-  // Callers hold the owning selector's lock on a quiesced engine, or are
-  // the shard's owning worker running a queued fold (see the header's
-  // external-synchronization contract); either way this mutation is
-  // ordered before the next pick's root read.
+  // Callers hold the owning selector's synchronization (see the header's
+  // external-synchronization contract), so this mutation is ordered before
+  // the next pick's root read.
   const int id = user.user_id();
   EASEML_DCHECK(id >= 0 && id < static_cast<int>(shard_of_.size()) &&
                 shard_of_[id] >= 0)

@@ -79,30 +79,17 @@ namespace easeml::scheduler {
 ///
 /// ## External synchronization
 ///
-/// Not thread-safe as a whole, and deliberately mutex-free: the index is
-/// engine state behind the owning selector's annotated lock (the sharded
-/// engine's `mu_`, an `easeml::Mutex` from common/thread_annotations.h).
-/// Because the selector reaches it through an owning pointer, that
-/// guarded-by relation is expressed on the selector side
-/// (`EASEML_PT_GUARDED_BY`-style at the owner), not here — a struct cannot
-/// name a mutex it has never heard of. Picks, arm selections and churn run
-/// on the quiesced coordinator (lock held, fold queues drained), and so do
-/// HYBRID's report folds. The one worker-side exception is a queued fold (a
-/// cancel, or a report under a policy that does not observe outcomes): a
-/// shard's owning worker may `Refresh` leaves of ITS tree without holding
-/// the selector lock. The pool's internal mutex orders those writes before
-/// the coordinator's next read (the queue drain), and distinct shards own
-/// disjoint trees, so concurrent folds on different workers never touch
-/// the same node; the cached-key vector is indexed per tenant and never
-/// resized worker-side (churn drains the queues first). The change log
-/// and the event counts follow the same split: each shard keeps its own
-/// list and count, and the per-tenant "already logged" flags are bytes
-/// indexed by tenant, so a worker's fold writes only its own shard's list
-/// and count and its own tenants' flags. `TakeChanged` and
-/// `MergedThreshold` (which keeps its last result in the index) read every
-/// shard, so they run on the quiesced coordinator, like a pick. Any new
-/// caller must either hold the owning selector's lock on a quiesced engine
-/// or run as such a fold.
+/// Not thread-safe, and deliberately mutex-free: the index is engine
+/// state behind the owning selector's synchronization — the caller's on
+/// the base engine, the annotated lock on the sharded one (its `mu_`, an
+/// `easeml::Mutex` from common/thread_annotations.h). Because the selector
+/// reaches it through an owning pointer, that guarded-by relation is
+/// expressed on the selector side (`EASEML_PT_GUARDED_BY`-style at the
+/// owner), not here — a struct cannot name a mutex it has never heard of.
+/// Every call — picks, arm selections, report and cancel folds, churn,
+/// `TakeChanged` and `MergedThreshold` (which keeps its last result in the
+/// index) — runs on the thread that called into the engine, one at a time.
+/// Any new caller must hold that synchronization too.
 class CandidateIndex {
  public:
   /// Sentinel for "no tenant": merges below as min-identity, mirroring the
@@ -224,8 +211,7 @@ class CandidateIndex {
   /// read of the threshold aggregates, shared by GREEDY's indexed pick and
   /// HYBRID's indexed freeze detector. The result is kept until the next
   /// tenant event in any shard, so a HYBRID outcome and the pick right
-  /// after it pay for one merge. Coordinator only, like every read that
-  /// spans shards.
+  /// after it pay for one merge.
   Threshold MergedThreshold() const;
   /// Lowest tenant id the initialization sweep must serve; kNone if none.
   int MinUninitialized() const;
@@ -309,8 +295,7 @@ class CandidateIndex {
   std::vector<TenantKey> keys_;
   std::vector<int> shard_of_;
   std::vector<int> slot_of_;
-  // 1 while the tenant sits in its shard's change log. Bytes, not
-  // vector<bool>, so workers on different shards write disjoint objects.
+  // 1 while the tenant sits in its shard's change log.
   std::vector<uint8_t> logged_;
   // MergedThreshold's last result and each shard's event count when it
   // was computed (empty before the first call).

@@ -53,11 +53,6 @@ class HybridScheduler : public SchedulerPolicy {
   /// OnOutcomeIndexed, never both, as an engine's index setting is fixed.
   void OnOutcomeIndexed(const std::vector<UserState>& users, int served_user,
                         CandidateIndex& index) override;
-  /// The freeze detector reads the folded candidacy and best rewards, and
-  /// drains the index's change log, after each outcome, so the sharded
-  /// engine folds HYBRID's reports inline, on its quiesced coordinator,
-  /// before sequencing it.
-  bool ObservesOutcomes() const override { return true; }
   std::string name() const override { return "hybrid"; }
 
   /// Freeze-detector state + both phases' nested policy state.

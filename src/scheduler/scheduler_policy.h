@@ -57,29 +57,16 @@ class SchedulerPolicy {
 
   /// Index-fed twin of `OnOutcome`, as `PickUserIndexed` is of `PickUser`:
   /// engines with the candidate index on call it in place of `OnOutcome`,
-  /// and it must leave the policy in the SAME state, bit-for-bit. When
-  /// `ObservesOutcomes()` is true it is called only on a quiesced engine
-  /// whose index is fresh (every fold applied and `Refresh`ed); when false,
-  /// an asynchronous engine may call it with folds still queued, so such a
-  /// policy must read neither `users` nor `index` here. The index is
-  /// mutable so that a policy may drain its change log (`TakeChanged`);
-  /// nothing else in it may change here. The default calls `OnOutcome`.
+  /// and it must leave the policy in the SAME state, bit-for-bit. It is
+  /// called on a fully folded engine whose index is fresh (every tenant
+  /// event `Refresh`ed). The index is mutable so that a policy may drain
+  /// its change log (`TakeChanged`); nothing else in it may change here.
+  /// The default calls `OnOutcome`.
   virtual void OnOutcomeIndexed(const std::vector<UserState>& users,
                                 int served_user, CandidateIndex& index) {
     (void)index;
     OnOutcome(users, served_user);
   }
-
-  /// True when OnOutcome / OnOutcomeIndexed actually read engine state
-  /// (HYBRID's freeze detector: every tenant's candidacy and best reward —
-  /// an O(T) pass with an exact CompareScaled per tenant on the scan path,
-  /// one exact mean cut plus the tenants the index logged as changed on
-  /// the indexed path). Engines that fold outcomes asynchronously must
-  /// quiesce the fold pipeline before sequencing the outcome hook for such
-  /// a policy (the sharded engine folds its reports inline instead) — and
-  /// may sequence it immediately, with folds still queued, when this is
-  /// false (the default: the hook is a no-op for the other policies).
-  virtual bool ObservesOutcomes() const { return false; }
 
   virtual std::string name() const = 0;
 

@@ -1,6 +1,7 @@
 #include "scheduler/user_state.h"
 
 #include <algorithm>
+#include <cmath>
 
 namespace easeml::scheduler {
 
@@ -24,8 +25,9 @@ Result<UserState> UserState::Create(
     return Status::InvalidArgument("UserState: one cost per arm required");
   }
   for (double c : costs) {
-    if (c <= 0.0) {
-      return Status::InvalidArgument("UserState: costs must be positive");
+    if (!(c > 0.0 && std::isfinite(c))) {
+      return Status::InvalidArgument(
+          "UserState: costs must be finite and positive");
     }
   }
   return UserState(user_id, std::move(policy), std::move(costs));

@@ -24,6 +24,11 @@ TEST(GpUcbTest, CreateValidatesOptions) {
   GpUcbOptions bad_delta;
   bad_delta.delta = 1.5;
   EXPECT_FALSE(GpUcbPolicy::Create(MakeBelief(3), bad_delta).ok());
+  // NaN passes a plain `delta <= 0 || delta >= 1` check, and a non-finite
+  // cost a plain `c <= 0` one.
+  bad_delta.delta = std::nan("");
+  EXPECT_EQ(GpUcbPolicy::Create(MakeBelief(3), bad_delta).status().code(),
+            StatusCode::kInvalidArgument);
 
   GpUcbOptions missing_costs;
   missing_costs.cost_aware = true;
@@ -33,6 +38,12 @@ TEST(GpUcbTest, CreateValidatesOptions) {
   bad_costs.cost_aware = true;
   bad_costs.costs = {1.0, 0.0, 1.0};
   EXPECT_FALSE(GpUcbPolicy::Create(MakeBelief(3), bad_costs).ok());
+  for (double cost : {std::nan(""), HUGE_VAL}) {
+    bad_costs.costs = {1.0, cost, 1.0};
+    EXPECT_EQ(GpUcbPolicy::Create(MakeBelief(3), bad_costs).status().code(),
+              StatusCode::kInvalidArgument)
+        << "cost " << cost;
+  }
 
   EXPECT_TRUE(GpUcbPolicy::Create(MakeBelief(3), GpUcbOptions()).ok());
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <set>
 
 namespace easeml::core {
@@ -21,6 +22,9 @@ TEST(SelectorTest, CreateValidatesOptions) {
   SelectorOptions bad;
   bad.delta = 0.0;
   EXPECT_FALSE(MultiTenantSelector::Create(bad).ok());
+  bad.delta = std::nan("");  // passes a plain `delta <= 0 || delta >= 1`
+  EXPECT_EQ(MultiTenantSelector::Create(bad).status().code(),
+            StatusCode::kInvalidArgument);
   bad = SelectorOptions();
   bad.hybrid_patience = 0;
   EXPECT_FALSE(MultiTenantSelector::Create(bad).ok());
@@ -45,6 +49,13 @@ TEST(SelectorTest, AddTenantValidation) {
   auto s = MakeSelector();
   EXPECT_FALSE(s.AddTenantWithDefaultPrior(0, {}).ok());
   EXPECT_FALSE(s.AddTenantWithDefaultPrior(2, {1.0}).ok());
+  // Non-finite costs: refused by the tenant state here (cost-oblivious);
+  // GpUcbTest covers the cost-aware policy's own check.
+  for (double cost : {std::nan(""), HUGE_VAL}) {
+    EXPECT_EQ(s.AddTenantWithDefaultPrior(2, {1.0, cost}).status().code(),
+              StatusCode::kInvalidArgument)
+        << "cost " << cost;
+  }
   auto id = s.AddTenantWithDefaultPrior(2, {1.0, 1.0});
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(*id, 0);

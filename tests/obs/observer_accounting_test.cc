@@ -1,25 +1,23 @@
 /// The observer's accounting read off a live engine. Drives
-/// `obs::MakeObservedSelector` with a metrics registry through a short D=2
-/// campaign (reports, cancels, one unknown, one stale and one forged
-/// ticket) on both engines (N ∈ {1,2}), under HYBRID, whose report folds
-/// run inline on the caller, and GREEDY, whose report folds the 2-shard
-/// engine queues on its workers. The registry must agree with the calls
-/// the test made:
+/// `shard::MakeSelector` with a `FleetObserver` and a metrics registry
+/// through a short D=2 campaign (reports, cancels, one unknown, one stale
+/// and one forged ticket) on both engines (N ∈ {1,2}), under HYBRID and
+/// GREEDY. The registry must agree with the calls the test made:
 ///   - the next/report totals and each rejection counter;
-///   - folds_queued == folds_executed == reports + cancels once a
-///     quiescing call returns, on both engines;
+///   - folds_queued == folds_executed == reports + cancels, on both
+///     engines;
 ///   - every timing histogram counts exactly what its counter counts, and
-///     the drain histogram counts one sample per drain;
-///   - an inline-fold Report's coordinator + fold + drain microseconds fit
-///     inside the test's own monotonic span around the call (the split is
-///     disjoint), and a drain with nothing queued reports 0.
-/// The tsan leg repeats this suite: at N=2 the shard workers fold cancels
-/// and GREEDY reports while the coordinator records.
+///     no drain is ever reported or exported;
+///   - a Report's coordinator + fold microseconds fit inside the test's own
+///     monotonic span around the call (the split is disjoint).
+/// Every hook, on both engines, must fire on the thread that drives the
+/// engine: no engine starts a thread of its own.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -29,6 +27,7 @@
 #include "core/multi_tenant_selector.h"
 #include "obs/fleet_observer.h"
 #include "obs/metrics.h"
+#include "shard/sharded_selector.h"
 
 namespace easeml::obs {
 namespace {
@@ -45,6 +44,71 @@ constexpr double kSlackUs = 1e-3;
 class ObserverAccountingTest
     : public ::testing::TestWithParam<std::tuple<int, SchedulerKind>> {};
 
+/// Forwards every hook to a `FleetObserver` and counts the hooks that fire
+/// on a thread other than `driver`.
+class ThreadCheckingObserver final : public core::SelectorObserver {
+ public:
+  ThreadCheckingObserver(core::SelectorObserver* inner, std::thread::id driver)
+      : inner_(inner), driver_(driver) {}
+
+  void OnTenantEvent(const core::TenantObservation& obs) override {
+    Check();
+    inner_->OnTenantEvent(obs);
+  }
+  void OnTenantPlaced(int tenant, int shard) override {
+    Check();
+    inner_->OnTenantPlaced(tenant, shard);
+  }
+  void OnPlacementChanged(
+      const std::vector<std::vector<int>>& shard_tenants) override {
+    Check();
+    inner_->OnPlacementChanged(shard_tenants);
+  }
+  void OnNext(bool ok, double pick_us, double arm_us) override {
+    Check();
+    inner_->OnNext(ok, pick_us, arm_us);
+  }
+  void OnReport(double coord_us) override {
+    Check();
+    inner_->OnReport(coord_us);
+  }
+  void OnTicketRejected(int code) override {
+    Check();
+    inner_->OnTicketRejected(code);
+  }
+  void OnFoldQueued(int shard) override {
+    Check();
+    inner_->OnFoldQueued(shard);
+  }
+  void OnFold(int shard, double fold_us) override {
+    Check();
+    inner_->OnFold(shard, fold_us);
+  }
+  void OnDrainWait(double wait_us) override {
+    Check();
+    ++drains_;
+    inner_->OnDrainWait(wait_us);
+  }
+
+  int hooks() const { return hooks_; }
+  int foreign_hooks() const { return foreign_hooks_; }
+  int drains() const { return drains_; }
+
+ private:
+  // Plain ints: a hook on another thread would race here as well, which
+  // the tsan leg reports on top of the count.
+  void Check() {
+    ++hooks_;
+    if (std::this_thread::get_id() != driver_) ++foreign_hooks_;
+  }
+
+  core::SelectorObserver* inner_;
+  const std::thread::id driver_;
+  int hooks_ = 0;
+  int foreign_hooks_ = 0;
+  int drains_ = 0;
+};
+
 TEST_P(ObserverAccountingTest, RegistryMatchesTheCallsMade) {
   const int num_shards = std::get<0>(GetParam());
   const SchedulerKind kind = std::get<1>(GetParam());
@@ -52,16 +116,20 @@ TEST_P(ObserverAccountingTest, RegistryMatchesTheCallsMade) {
   constexpr int kModels = 4;
   constexpr int kDevices = 2;
 
+  Registry registry;
+  FleetObserverOptions obs_options;
+  obs_options.num_shards = num_shards;
+  obs_options.registry = &registry;
+  FleetObserver fleet(obs_options);
+  ThreadCheckingObserver observer(&fleet, std::this_thread::get_id());
   core::SelectorOptions options;
   options.scheduler = kind;
   options.num_devices = kDevices;
   options.num_shards = num_shards;
-  Registry registry;
-  FleetObserverOptions obs_options;
-  obs_options.registry = &registry;
-  auto observed = MakeObservedSelector(options, obs_options);
-  ASSERT_TRUE(observed.ok()) << observed.status().ToString();
-  MultiTenantSelector& selector = *observed->selector;
+  options.observer = &observer;
+  auto created = shard::MakeSelector(options);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  MultiTenantSelector& selector = **created;
   for (int t = 0; t < kTenants; ++t) {
     ASSERT_TRUE(selector
                     .AddTenantWithDefaultPrior(
@@ -87,15 +155,7 @@ TEST_P(ObserverAccountingTest, RegistryMatchesTheCallsMade) {
   const Histogram& coord_us =
       *registry.GetHistogram("easeml_report_coord_us");
   const Histogram& fold_us = *registry.GetHistogram("easeml_report_fold_us");
-  const Histogram& drain_us = *registry.GetHistogram("easeml_drain_wait_us");
 
-  // Only the 2-shard engine drains: once per Next, and once per HYBRID
-  // Report before its inline fold. The base engine folds every report
-  // inline; the 2-shard engine does so under HYBRID only.
-  const bool sharded = num_shards > 1;
-  const bool hybrid = kind == SchedulerKind::kHybrid;
-  const bool inline_folds = !sharded || hybrid;
-  uint64_t drains = drain_us.Count();  // the adds' drains
   int nexts = 0;
   int failed_nexts = 0;
   int reports = 0;
@@ -107,8 +167,6 @@ TEST_P(ObserverAccountingTest, RegistryMatchesTheCallsMade) {
     while (static_cast<int>(in_flight.size()) < kDevices) {
       auto a = selector.Next();
       ++nexts;
-      if (sharded) ++drains;
-      EXPECT_EQ(drain_us.Count(), drains) << "Next " << nexts;
       if (!a.ok()) {
         ++failed_nexts;
         break;
@@ -121,35 +179,27 @@ TEST_P(ObserverAccountingTest, RegistryMatchesTheCallsMade) {
     const Assignment a = in_flight[pick];
     in_flight.erase(in_flight.begin() + static_cast<std::ptrdiff_t>(pick));
     if (round % 4 == 3) {
-      // Queued on the owner's worker at N=2; the next Next drains it.
       ASSERT_TRUE(selector.Cancel(a).ok());
       ++cancels;
-      EXPECT_EQ(drain_us.Count(), drains) << "Cancel in round " << round;
+      EXPECT_EQ(folds_executed.Value(), folds_queued.Value())
+          << "Cancel in round " << round;
       continue;
     }
 
     const double coord0 = coord_us.SumUs();
     const double fold0 = fold_us.SumUs();
-    const double drain0 = drain_us.SumUs();
     const double t0 = MonotonicSeconds();
     ASSERT_TRUE(selector.Report(a, 0.1 + 0.8 * rng.Uniform()).ok());
     const double span_us = (MonotonicSeconds() - t0) * 1e6;
     ++reports;
-    if (sharded && hybrid) ++drains;
-    EXPECT_EQ(drain_us.Count(), drains) << "Report in round " << round;
+    EXPECT_EQ(folds_executed.Value(), folds_queued.Value())
+        << "Report in round " << round;
+    // The fold samples in the window are this Report's own fold.
     const double coord = coord_us.SumUs() - coord0;
-    EXPECT_LE(coord, span_us + kSlackUs) << "Report in round " << round;
-    if (inline_folds) {
-      // No worker is busy here (the Nexts above drained every cancel), so
-      // the fold samples in the window are this Report's own fold, and its
-      // drain, if any, found nothing queued.
-      const double fold = fold_us.SumUs() - fold0;
-      const double drain = drain_us.SumUs() - drain0;
-      EXPECT_LE(coord + fold + drain, span_us + kSlackUs)
-          << "Report in round " << round << ": coordinator " << coord
-          << " + fold " << fold << " + drain " << drain << " us";
-      EXPECT_EQ(drain, 0.0) << "Report in round " << round;
-    }
+    const double fold = fold_us.SumUs() - fold0;
+    EXPECT_LE(coord + fold, span_us + kSlackUs)
+        << "Report in round " << round << ": coordinator " << coord
+        << " + fold " << fold << " us";
 
     if (!rejections_sent) {
       // An unknown ticket, the ticket just reported (stale), and a live
@@ -166,16 +216,13 @@ TEST_P(ObserverAccountingTest, RegistryMatchesTheCallsMade) {
       forged.model = (forged.model + 1) % kModels;
       EXPECT_EQ(selector.Report(forged, 0.5).code(),
                 StatusCode::kInvalidArgument);
-      EXPECT_EQ(drain_us.Count(), drains) << "a rejection drained";
     }
   }
   ASSERT_TRUE(in_flight.empty()) << "campaign did not run to exhaustion";
   ASSERT_TRUE(rejections_sent);
   ASSERT_GT(cancels, 0);
 
-  // Quiesce: at N=2 this drains the folds still queued on the workers.
   EXPECT_TRUE(selector.Exhausted());
-  if (sharded) ++drains;
 
   EXPECT_EQ(next_total.Value(), static_cast<uint64_t>(nexts));
   EXPECT_EQ(next_rejected.Value(), static_cast<uint64_t>(failed_nexts));
@@ -184,8 +231,7 @@ TEST_P(ObserverAccountingTest, RegistryMatchesTheCallsMade) {
   EXPECT_EQ(stale.Value(), 1u);
   EXPECT_EQ(invalid.Value(), 1u);
   EXPECT_EQ(other.Value(), 0u);
-  // Every accepted report and cancel is one fold on both engines: the
-  // 2-shard engine folds a cancel on its worker, the base engine inline.
+  // Every accepted report and cancel is one fold on both engines.
   const uint64_t folds = static_cast<uint64_t>(reports + cancels);
   EXPECT_EQ(folds_queued.Value(), folds);
   EXPECT_EQ(folds_executed.Value(), folds);
@@ -194,10 +240,12 @@ TEST_P(ObserverAccountingTest, RegistryMatchesTheCallsMade) {
   EXPECT_EQ(arm_us.Count(), next_total.Value() - next_rejected.Value());
   EXPECT_EQ(coord_us.Count(), report_total.Value());
   EXPECT_EQ(fold_us.Count(), folds_executed.Value());
-  EXPECT_EQ(drain_us.Count(), drains);
-  if (!sharded) {
-    EXPECT_EQ(drains, 0u);
-  }
+  EXPECT_EQ(observer.drains(), 0);
+  EXPECT_EQ(registry.ExportText().find("drain"), std::string::npos);
+
+  // Every hook fired on this thread, the one driving the engine.
+  EXPECT_GT(observer.hooks(), 0);
+  EXPECT_EQ(observer.foreign_hooks(), 0);
 }
 
 std::string ParamName(

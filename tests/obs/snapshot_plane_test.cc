@@ -184,9 +184,8 @@ void RunQuiescedConsistency(int num_shards) {
     ASSERT_TRUE(selector->Report(*a, 0.1 + 0.8 * rng.Uniform()).ok());
   }
 
-  // Quiesce: ValidateIndex locks the engine and drains the fold queues
-  // (the sharded engine's folds outlive Report), then flush the plane and
-  // compare world views.
+  // Every fold ran inside its Report on this thread: check the index,
+  // flush the plane and compare world views.
   ASSERT_TRUE(selector->ValidateIndex().ok());
   observed->observer->plane().FlushAll();
   const FleetSnapshot snap = observed->observer->plane().Snapshot();
@@ -260,8 +259,8 @@ TEST(SnapshotPlaneTest, ChurnedShardedPlacementMatchesShardSizes) {
     int added = 0;
     const auto expect_placement_in_step = [&](const std::string& after) {
       SCOPED_TRACE("after " + after);
-      // Quiesce (ValidateIndex locks the engine and drains its fold
-      // queues), then publish everything the observer has absorbed.
+      // Check the index, then publish everything the observer has
+      // absorbed.
       const Status valid = engine->ValidateIndex();
       ASSERT_TRUE(valid.ok()) << valid.ToString();
       plane.FlushAll();

@@ -217,9 +217,8 @@ void RunRacedScanBattery(int num_shards) {
   // Quiesced epilogue: flush, then the published world must match the
   // engine's — the raced scans above plus this anchor give the snapshot
   // plane's full correctness story.
-  // ValidateIndex takes the selector lock and drains the fold queues, so
-  // after it returns no shard worker can still be applying events — the
-  // quiesced precondition FlushAll requires.
+  // The client and churn threads have joined, so no hook can still be
+  // applying events — the precondition FlushAll requires.
   ASSERT_TRUE(selector->ValidateIndex().ok());
   observer.plane().FlushAll();
   const FleetSnapshot snap = plane.Snapshot();

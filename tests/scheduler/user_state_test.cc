@@ -34,6 +34,11 @@ TEST(UserStateTest, CreateValidation) {
   EXPECT_FALSE(UserState::Create(0, nullptr, {1.0}).ok());
   EXPECT_FALSE(UserState::Create(0, MakeGpPolicy(3), {1.0}).ok());
   EXPECT_FALSE(UserState::Create(0, MakeGpPolicy(2), {1.0, -1.0}).ok());
+  for (double cost : {std::nan(""), HUGE_VAL}) {  // pass a plain `c <= 0`
+    const auto created = UserState::Create(0, MakeGpPolicy(2), {1.0, cost});
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
+        << "cost " << cost;
+  }
   EXPECT_TRUE(UserState::Create(0, MakeGpPolicy(2), {1.0, 2.0}).ok());
 }
 

@@ -1,13 +1,13 @@
-/// Stress and parity battery for the shard-parallel report pipeline.
+/// Stress and parity battery for the sharded engine's report path, where
+/// every `Report`/`Cancel` validates its ticket and folds on the calling
+/// thread under the selector lock.
 ///
-/// Three angles on the coordinator/shard split of `Report`/`Cancel`:
+/// Three angles:
 ///
 ///  1. TSan-raced batteries: D concurrent reporters across N in {1,2,4,7}
 ///     shards with interleaved Cancel/RemoveTenant churn and raced
-///     ValidateIndex()/ShardCpuSeconds() sweeps — once on GREEDY (the
-///     fully asynchronous path: Report returns with the fold still
-///     queued) and once on HYBRID (the inline path: the reporter drains
-///     queued cancels, then folds under the selector lock).
+///     ValidateIndex()/ShardCpuSeconds() sweeps — once on GREEDY and once
+///     on HYBRID, whose outcome hook reads the index change log.
 ///  2. Run-to-exhaustion parity: a raced campaign must land on exactly the
 ///     sequential engine's final per-tenant state (bit-equal BestAccuracy,
 ///     same BestModel/RoundsServed) — the completion set is
@@ -17,7 +17,7 @@
 ///     cancels, tenant churn) against the sharded and the sequential
 ///     engine and compares every event — picks, tickets, refusal Status
 ///     text, periodic per-tenant state. Picks depend on belief BITS, so
-///     this pins the per-tenant fold order of the queued pipeline to the
+///     this pins the sharded engine's per-tenant fold order to the
 ///     sequential engine's.
 #include <gtest/gtest.h>
 
@@ -75,7 +75,7 @@ Result<std::unique_ptr<ShardedMultiTenantSelector>> MakeSharded(
 
 /// Angle 1: the raced battery. Reporters keep their own outstanding lists
 /// and fire Report/Cancel (plus duplicate-report probes and raced reads of
-/// the draining accessors) while a churn thread removes/adds tenants and
+/// the locked accessors) while a churn thread removes/adds tenants and
 /// sweeps ValidateIndex against live traffic.
 void RunRacedReportBattery(SchedulerKind kind, int shards) {
   constexpr int kTenants = 20;
@@ -117,9 +117,8 @@ void RunRacedReportBattery(SchedulerKind kind, int shards) {
           ADD_FAILURE() << "Report/Cancel: " << st.ToString();
           failed = true;
         }
-        // The ticket is retired in the coordinator phase, so the duplicate
-        // taxonomy must hold IMMEDIATELY — even while the fold of the
-        // first report is still queued on the owning shard.
+        // The ticket is retired before Report returns, so the duplicate
+        // taxonomy must hold IMMEDIATELY.
         const Status dup = selector->Report(a, 0.5);
         if (dup.ok() || (dup.code() != StatusCode::kFailedPrecondition &&
                          dup.code() != StatusCode::kInvalidArgument)) {
@@ -128,8 +127,8 @@ void RunRacedReportBattery(SchedulerKind kind, int shards) {
         }
       }
       if (dice == 5) {
-        // Raced draining reads: BestAccuracy and the (formerly unlocked)
-        // ShardCpuSeconds quiesce the pipeline mid-traffic.
+        // Raced reads mid-traffic: BestAccuracy takes the selector lock,
+        // and ShardCpuSeconds keeps one entry per shard.
         const int t = rng.UniformInt(0, selector->num_tenants() - 1);
         auto acc = selector->BestAccuracy(t);
         if (acc.ok() && (*acc < 0.0 || *acc >= 1.0)) {
@@ -196,7 +195,7 @@ void RunRacedReportBattery(SchedulerKind kind, int shards) {
   EXPECT_EQ(selector->num_in_flight(), 0);
   EXPECT_GT(reported.load(), 0);
   // Conservation: every reported completion folded into exactly one
-  // tenant's round count (RoundsServed drains the queues first).
+  // tenant's round count.
   int rounds = 0;
   for (int t = 0; t < selector->num_tenants(); ++t) {
     auto served = selector->RoundsServed(t);

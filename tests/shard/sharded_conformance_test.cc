@@ -310,7 +310,7 @@ TEST(HybridFreezeParityTest, IndexedDetectorMatchesScanAfterEveryReport) {
 /// HYBRID's incremental freeze detector (the index engine) against the
 /// scan detector (the index-off engine) in lockstep, under traffic that
 /// moves many keys between two outcomes: cancel storms (most completions
-/// handed back, so cancels fold on the shard workers at N > 1) and churn
+/// handed back, so most folds are cancels) and churn
 /// storms (a removal and an add after every completion), at D in {1, 3}
 /// and N in {1, 2, 4}. Every call must return the same result on both,
 /// and after every successful Report the policies' durable bytes must
@@ -446,8 +446,8 @@ TEST(MakeSelectorTest, SelectsEngineByShardCount) {
 }
 
 /// Golden trace: the full HYBRID campaign (T=6, K=3, D=2) on the 4-shard
-/// engine, pinned event by event. Guards the whole stack — placement, fold
-/// queues, exact candidate threshold, argmax tie-breaks, ticket
+/// engine, pinned event by event. Guards the whole stack — placement, the
+/// sharded index, exact candidate threshold, argmax tie-breaks, ticket
 /// accounting — against silent drift; by the conformance tests above the
 /// same trace is what the sequential engine and every other shard count
 /// produce.
@@ -526,70 +526,6 @@ TEST(MakeSelectorTest, RemovalShrinksOnlyItsOwnShard) {
       const Status valid = selector->ValidateIndex();
       EXPECT_TRUE(valid.ok()) << valid.ToString();
     }
-  }
-}
-
-/// Picks and arm selections run on the coordinator; only Report/Cancel
-/// queue work on a shard worker. A burst of Next() calls with no
-/// completion must therefore leave every worker's CPU reading untouched,
-/// bit for bit — on the index and on the reference scan alike.
-TEST(MakeSelectorTest, ShardedNextRunsNoWorkerTask) {
-  constexpr int kDevices = 4;
-  constexpr int kModels = 3;
-  for (bool use_index : {false, true}) {
-    SCOPED_TRACE(use_index ? "index" : "scan");
-    auto created = MakeSelector(
-        MakeOptions(SchedulerKind::kGreedy, kDevices, 2, use_index));
-    ASSERT_TRUE(created.ok()) << created.status().ToString();
-    MultiTenantSelector* engine = created->get();
-    for (int t = 0; t < 6; ++t) {
-      ASSERT_TRUE(
-          engine->AddTenantWithDefaultPrior(kModels, Costs(t, kModels)).ok());
-    }
-    const std::vector<double> before = engine->ShardCpuSeconds();
-    for (int d = 0; d < kDevices; ++d) {
-      ASSERT_TRUE(engine->Next().ok());
-    }
-    EXPECT_EQ(engine->ShardCpuSeconds(), before);
-  }
-}
-
-/// HYBRID's freeze detector reads the folded state right after every
-/// report, so its reports fold inline on the coordinator and never reach a
-/// worker. Driven through the initialization sweep and past the freeze
-/// switch (T=11, K=6 with patience 3 fires it mid-campaign, see
-/// HybridFreezeParityTest), every worker's CPU reading must stay untouched,
-/// bit for bit — on the index and on the reference scan alike.
-TEST(MakeSelectorTest, ShardedHybridReportRunsNoWorkerTask) {
-  constexpr int kTenants = 11;
-  constexpr int kModels = 6;
-  for (bool use_index : {false, true}) {
-    SCOPED_TRACE(use_index ? "index" : "scan");
-    auto created =
-        MakeSelector(MakeOptions(SchedulerKind::kHybrid, 1, 2, use_index));
-    ASSERT_TRUE(created.ok()) << created.status().ToString();
-    MultiTenantSelector* engine = created->get();
-    for (int t = 0; t < kTenants; ++t) {
-      ASSERT_TRUE(
-          engine->AddTenantWithDefaultPrior(kModels, Costs(t, kModels)).ok());
-    }
-    const auto& policy = dynamic_cast<const scheduler::HybridScheduler&>(
-        engine->scheduler_policy());
-    const std::vector<double> before = engine->ShardCpuSeconds();
-    int reports = 0;
-    int after_switch = 0;
-    while (!engine->Exhausted()) {
-      auto a = engine->Next();
-      ASSERT_TRUE(a.ok()) << a.status().ToString();
-      ASSERT_TRUE(engine->Report(*a, Accuracy(a->tenant, a->model)).ok());
-      ++reports;
-      if (policy.switched()) ++after_switch;
-    }
-    EXPECT_EQ(reports, kTenants * kModels);
-    EXPECT_GT(after_switch, 0) << "the freeze switch never fired";
-    EXPECT_LT(after_switch, reports - kTenants)
-        << "the switch fired inside the initialization sweep";
-    EXPECT_EQ(engine->ShardCpuSeconds(), before);
   }
 }
 

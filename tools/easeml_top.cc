@@ -251,10 +251,7 @@ int main(int argc, char** argv) {
   });
 
   if (opts.once) {
-    driver.join();
-    // Quiesce before flushing: the sharded engine's folds can outlive the
-    // driver's last Report, and ValidateIndex drains them under the lock.
-    (void)selector->ValidateIndex();
+    driver.join();  // every fold ran on that thread: the plane is quiet
     observed->observer->plane().FlushAll();
     RenderFrame(*observed->observer, registry, opts, /*clear_screen=*/false);
     return failed.load() ? 1 : 0;
@@ -269,8 +266,7 @@ int main(int argc, char** argv) {
     RenderFrame(*observed->observer, registry, opts, /*clear_screen=*/true);
     std::this_thread::sleep_for(std::chrono::milliseconds(opts.interval_ms));
   }
-  waiter.join();
-  (void)selector->ValidateIndex();  // drain outstanding folds (see --once)
+  waiter.join();  // the campaign thread has stopped (see --once)
   observed->observer->plane().FlushAll();
   RenderFrame(*observed->observer, registry, opts, /*clear_screen=*/true);
   return failed.load() ? 1 : 0;
