@@ -290,7 +290,7 @@ int main() {
     }
     for (int i = 0; i < 3; ++i) {
       if (arms[i].observer != nullptr) {
-        // Engine idle (base engine at N=1 folds inline): flush publishes
+        // Engine idle (every fold ran on the caller): flush publishes
         // every remaining event.
         arms[i].observer->plane().FlushAll();
         total[i].fleet_epoch = arms[i].observer->plane().Snapshot().epoch();

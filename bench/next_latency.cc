@@ -15,13 +15,13 @@
 /// run entirely on it) — thread CPU clocks are not inflated by host
 /// oversubscription, unlike wall time on this one-core container.
 ///
-/// A second section measures report throughput on the sharded engine
-/// (`ShardedMultiTenantSelector`), which folds every completion on the
-/// calling thread under its lock; a shard is only a partition of the
-/// candidate index. Each burst fills all D device slots, then hands the D
-/// completions back. `wall_us_mean` is the wall time per
-/// completion from the start of the burst until its last fold is applied
-/// (the last `Report` returns), for each (D, N) cell. The section is
+/// A second section measures report throughput on the N-shard engine,
+/// which folds every completion on the calling thread under its lock (every
+/// cell pays the same lock); a shard is only a partition of the candidate
+/// index. Each burst fills all D device slots, then hands the D completions
+/// back. `wall_us_mean` is the wall time per completion from the start of
+/// the burst until its last fold is applied (the last `Report` returns),
+/// for each (D, N) cell. The section is
 /// informational: it shows what the shard count and the device count
 /// cost the report path, and no gate reads it.
 ///
@@ -178,9 +178,7 @@ TpCell RunReportThroughput(int tenants, int devices, int shards) {
   options.cost_aware = true;
   options.num_devices = devices;
   options.num_shards = shards;
-  // Build the sharded engine even at N=1, where MakeSelector would return
-  // the plain engine, so every cell pays the same lock.
-  auto created = easeml::shard::ShardedMultiTenantSelector::Create(options);
+  auto created = easeml::shard::MakeSelector(options);
   EASEML_CHECK(created.ok()) << created.status().ToString();
   const std::unique_ptr<MultiTenantSelector> selector =
       std::move(created).value();

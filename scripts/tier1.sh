@@ -9,9 +9,11 @@
 #     asan  — ASan+UBSan   (-DEASEML_SANITIZE=address,undefined)
 #     tsan  — ThreadSanitizer (-DEASEML_SANITIZE=thread), which races the
 #             async training executor, the multi-device pipeline, and the
-#             sharded selector engine (the shard conformance suite plus the
-#             concurrent Next/Report/Cancel/RemoveTenant churn battery in
-#             tests/shard/ run under every preset via ctest)
+#             selector engine's lock at 1 and N shards (the shard
+#             conformance suite, the concurrent Next/Report/Cancel/
+#             RemoveTenant churn batteries in tests/shard/ and the
+#             SnapshotStress readers in tests/obs/ run under every preset
+#             via ctest)
 #     lint  — static-analysis leg: builds tools/easeml_lint and runs it
 #             over src/ (determinism & lock-discipline rules), then — when
 #             the pinned Clang major (or any newer clang) is installed —

@@ -12,8 +12,11 @@ constexpr double kInvSqrt2 = 0.7071067811865476;
 constexpr double kInvSqrt2Pi = 0.3989422804014327;
 
 Status ValidateOptions(const GpAcquisitionOptions& options, int num_arms) {
-  if (options.xi < 0.0) {
-    return Status::InvalidArgument("GP acquisition: xi must be >= 0");
+  // Negated range checks: every comparison with NaN is false, so a NaN
+  // fails the test instead of slipping past it.
+  if (!(options.xi >= 0.0 && std::isfinite(options.xi))) {
+    return Status::InvalidArgument(
+        "GP acquisition: xi must be finite and >= 0");
   }
   if (options.cost_aware) {
     if (static_cast<int>(options.costs.size()) != num_arms) {
@@ -21,9 +24,9 @@ Status ValidateOptions(const GpAcquisitionOptions& options, int num_arms) {
           "GP acquisition: cost-aware mode needs one cost per arm");
     }
     for (double c : options.costs) {
-      if (c <= 0.0) {
+      if (!(c > 0.0 && std::isfinite(c))) {
         return Status::InvalidArgument(
-            "GP acquisition: costs must be positive");
+            "GP acquisition: costs must be finite and positive");
       }
     }
   }

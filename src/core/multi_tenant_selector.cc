@@ -69,24 +69,22 @@ Result<MultiTenantSelector> MultiTenantSelector::Create(
   if (sched == nullptr) {
     return Status::InvalidArgument("Selector: unknown scheduler kind");
   }
-  MultiTenantSelector selector(options, std::move(sched));
-  if (options.use_candidate_index) {
-    // The base engine is the 1-shard engine; the sharded engine swaps in
-    // an N-shard index (ResetIndex) before any tenant exists.
-    selector.ResetIndex(1);
-  }
-  return selector;
+  return MultiTenantSelector(options, std::move(sched));
 }
 
-void MultiTenantSelector::ResetIndex(int num_shards) {
+MultiTenantSelector::MultiTenantSelector(
+    const SelectorOptions& options,
+    std::unique_ptr<scheduler::SchedulerPolicy> s)
+    : options_(options), scheduler_(std::move(s)) {
+  if (!options_.use_candidate_index) return;
   // Only GREEDY (and HYBRID's greedy phase) read bounds/gaps; the other
   // schedulers' keys skip the O(K) UcbGap derivation per event. Only
   // HYBRID's freeze detector reads the change log.
   const bool hybrid = options_.scheduler == SchedulerKind::kHybrid;
   const bool track_gap =
       hybrid || options_.scheduler == SchedulerKind::kGreedy;
-  index_ = std::make_unique<scheduler::CandidateIndex>(num_shards, track_gap,
-                                                       /*log_changes=*/hybrid);
+  index_ = std::make_unique<scheduler::CandidateIndex>(
+      options_.num_shards, track_gap, /*log_changes=*/hybrid);
 }
 
 void MultiTenantSelector::RefreshIndexEntry(int tenant) {
@@ -94,14 +92,37 @@ void MultiTenantSelector::RefreshIndexEntry(int tenant) {
   index_->Refresh(users_[tenant]);
 }
 
+int MultiTenantSelector::num_tenants() const {
+  MutexLock lock(*mu_);
+  return static_cast<int>(users_.size());
+}
+
+int MultiTenantSelector::num_in_flight() const {
+  MutexLock lock(*mu_);
+  return static_cast<int>(in_flight_.size());
+}
+
 std::vector<int> MultiTenantSelector::ShardSizes() const {
-  int live = 0;
-  for (const scheduler::UserState& u : users_) live += u.retired() ? 0 : 1;
-  return {live};
+  MutexLock lock(*mu_);
+  std::vector<int> live(static_cast<size_t>(num_shards()), 0);
+  for (const scheduler::UserState& u : users_) {
+    if (!u.retired()) ++live[static_cast<size_t>(ShardOf(u.user_id()))];
+  }
+  return live;
 }
 
 Status MultiTenantSelector::ValidateIndex() const {
+  MutexLock lock(*mu_);
   if (index_ == nullptr) return Status::OK();
+  // Every tenant ever added, retired ones included, sits on ShardOf(t).
+  std::vector<std::vector<int>> placement(static_cast<size_t>(num_shards()));
+  for (const scheduler::UserState& u : users_) {
+    placement[static_cast<size_t>(ShardOf(u.user_id()))].push_back(
+        u.user_id());
+  }
+  if (index_->Placement() != placement) {
+    return Status::Internal("index: placement diverged from ShardOf");
+  }
   return index_->Validate(users_);
 }
 
@@ -152,11 +173,11 @@ Result<int> MultiTenantSelector::AddTenantWithBelief(
   EASEML_RETURN_NOT_OK(state.set_max_in_flight(options_.num_devices));
   users_.push_back(std::move(state));
   best_model_.push_back(-1);
-  OnTenantAdded(id);
+  PlaceTenant(id);
   return id;
 }
 
-void MultiTenantSelector::OnTenantAdded(int tenant) {
+void MultiTenantSelector::PlaceTenant(int tenant) {
   // New ids are globally maximal, so the shard's index tree extends at the
   // tail in O(log T) — never a rebuild on the add path.
   const int shard = ShardOf(tenant);
@@ -206,6 +227,13 @@ void MultiTenantSelector::NotifyTenantEvent(int tenant) {
 }
 
 Result<int> MultiTenantSelector::AddTenant(
+    std::shared_ptr<const gp::SharedGpPrior> prior,
+    std::vector<double> costs) {
+  MutexLock lock(*mu_);
+  return AddTenantLocked(std::move(prior), std::move(costs));
+}
+
+Result<int> MultiTenantSelector::AddTenantLocked(
     std::shared_ptr<const gp::SharedGpPrior> prior,
     std::vector<double> costs) {
   EASEML_RETURN_NOT_OK(WalGuard());
@@ -304,12 +332,14 @@ Result<int> MultiTenantSelector::AddTenantWithDefaultPrior(
       state.cache[{num_models, noise_variance}] = prior;
     }
   }
-  // Qualified call: the engine's public override already holds its lock
-  // when it reaches this base implementation.
-  return MultiTenantSelector::AddTenant(std::move(prior), std::move(costs));
+  // The cache lock is released before the engine lock is taken: the two
+  // never nest.
+  MutexLock lock(*mu_);
+  return AddTenantLocked(std::move(prior), std::move(costs));
 }
 
 Status MultiTenantSelector::RemoveTenant(int tenant) {
+  MutexLock lock(*mu_);
   EASEML_RETURN_NOT_OK(WalGuard());
   EASEML_RETURN_NOT_OK(ValidateTenant(tenant));
   scheduler::UserState& user = users_[tenant];
@@ -325,11 +355,10 @@ Status MultiTenantSelector::RemoveTenant(int tenant) {
         " in-flight ticket(s); Report or Cancel them first");
   }
   user.Retire();
-  // Retire in place on both engines: the tenant keeps its leaf, now
-  // neutral, and its snapshot entry, now marked retired. No tenant moves.
+  // Retire in place: the tenant keeps its leaf, now neutral, and its
+  // snapshot entry, now marked retired. No tenant moves.
   RefreshIndexEntry(tenant);
   NotifyTenantEvent(tenant);
-  OnTenantRemoved(tenant);
   if (options_.wal != nullptr) {
     EASEML_RETURN_NOT_OK(WalApply(options_.wal->LogRemoveTenant(tenant)));
     EASEML_RETURN_NOT_OK(SyncWal());
@@ -338,6 +367,7 @@ Status MultiTenantSelector::RemoveTenant(int tenant) {
 }
 
 bool MultiTenantSelector::Exhausted() const {
+  MutexLock lock(*mu_);
   if (users_.empty()) return true;
   for (const auto& u : users_) {
     if (!u.Exhausted()) return false;
@@ -346,6 +376,7 @@ bool MultiTenantSelector::Exhausted() const {
 }
 
 bool MultiTenantSelector::HasDispatchableWork() const {
+  MutexLock lock(*mu_);
   if (static_cast<int>(in_flight_.size()) >= options_.num_devices) {
     return false;
   }
@@ -392,6 +423,7 @@ Result<int> MultiTenantSelector::PickTenant(int round) {
 }
 
 Result<MultiTenantSelector::Assignment> MultiTenantSelector::Next() {
+  MutexLock lock(*mu_);
   EASEML_RETURN_NOT_OK(WalGuard());
   if (users_.empty()) {
     return Status::FailedPrecondition("Next: no tenants registered");
@@ -512,6 +544,9 @@ void MultiTenantSelector::FinishReport(int tenant) {
 
 Status MultiTenantSelector::Report(const Assignment& assignment,
                                    double accuracy) {
+  // The observer's clocks start after the lock is taken, so time spent
+  // waiting for it is in no hook.
+  MutexLock lock(*mu_);
   SelectorObserver* obs = options_.observer;
   if (obs == nullptr) {
     EASEML_ASSIGN_OR_RETURN(const Assignment issued,
@@ -564,6 +599,7 @@ void MultiTenantSelector::FoldCancel(const Assignment& issued) {
 }
 
 Status MultiTenantSelector::Cancel(const Assignment& assignment) {
+  MutexLock lock(*mu_);
   SelectorObserver* obs = options_.observer;
   Result<Assignment> issued = BeginCancel(assignment);
   if (!issued.ok()) {
@@ -587,6 +623,7 @@ Status MultiTenantSelector::Cancel(const Assignment& assignment) {
 
 Result<MultiTenantSelector::Assignment> MultiTenantSelector::InFlightAssignment(
     int64_t ticket) const {
+  MutexLock lock(*mu_);
   const auto it = in_flight_.find(ticket);
   if (it == in_flight_.end()) {
     return Status::NotFound("InFlightAssignment: ticket " +
@@ -603,6 +640,7 @@ Status MultiTenantSelector::ValidateTenant(int tenant) const {
 }
 
 Result<int> MultiTenantSelector::BestModel(int tenant) const {
+  MutexLock lock(*mu_);
   EASEML_RETURN_NOT_OK(ValidateTenant(tenant));
   if (best_model_[tenant] < 0) {
     return Status::NotFound("no model trained yet for tenant " +
@@ -612,11 +650,13 @@ Result<int> MultiTenantSelector::BestModel(int tenant) const {
 }
 
 Result<double> MultiTenantSelector::BestAccuracy(int tenant) const {
+  MutexLock lock(*mu_);
   EASEML_RETURN_NOT_OK(ValidateTenant(tenant));
   return users_[tenant].best_reward();
 }
 
 Result<int> MultiTenantSelector::RoundsServed(int tenant) const {
+  MutexLock lock(*mu_);
   EASEML_RETURN_NOT_OK(ValidateTenant(tenant));
   return users_[tenant].rounds_served();
 }
@@ -677,6 +717,7 @@ Result<std::unique_ptr<gp::SharedPriorGp>> RebuildBelief(
 }  // namespace
 
 Result<DurableSelectorState> MultiTenantSelector::CaptureDurableState() const {
+  MutexLock lock(*mu_);
   DurableSelectorState state;
   // Priors deduplicate by CONTENT (bit-exact num_arms/noise/mean/Gram), not
   // object identity: a recovered engine holds checkpoint-restored and
@@ -767,6 +808,7 @@ Result<DurableSelectorState> MultiTenantSelector::CaptureDurableState() const {
 
 Status MultiTenantSelector::RestoreDurableState(
     const DurableSelectorState& state) {
+  MutexLock lock(*mu_);
   if (!users_.empty() || !in_flight_.empty() || next_ticket_ != 0 ||
       round_ != 0) {
     return Status::FailedPrecondition(
@@ -830,13 +872,11 @@ Status MultiTenantSelector::RestoreDurableState(
     EASEML_ASSIGN_OR_RETURN(
         scheduler::UserState user,
         scheduler::UserState::FromDurable(t.user, std::move(policy)));
-    const bool retired = user.retired();
     users_.push_back(std::move(user));
     best_model_.push_back(state.best_model[i]);
     // A retired tenant is placed like any other, as RemoveTenant leaves
     // it: its leaf and observation derive from the retired state.
-    OnTenantAdded(static_cast<int>(i));
-    if (retired) OnTenantRemoved(static_cast<int>(i));
+    PlaceTenant(static_cast<int>(i));
   }
   int64_t prev_id = -1;
   for (const DurableSelectorState::Ticket& t : state.in_flight) {

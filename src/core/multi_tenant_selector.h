@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "core/durability_log.h"
 #include "core/durable_state.h"
 #include "core/selector_observer.h"
@@ -51,16 +52,12 @@ struct SelectorOptions {
   /// reproduces the sequential Next/Report protocol bit-identically.
   int num_devices = 1;
 
-  /// Number of selector shards. 1 (the default) builds the plain engine;
-  /// values > 1 select `shard::ShardedMultiTenantSelector` when the
-  /// selector is built through `shard::MakeSelector`: the same engine behind
-  /// a lock that makes every public method thread-safe, with tenant `t` on
-  /// shard `t % num_shards`. A shard is a partition of the candidate index
-  /// and a slot of the observer's snapshot plane; it starts no thread.
-  /// Every call, folds included, runs on the calling thread, and the
-  /// selection trace is bit-identical to the 1-shard engine. Plain
-  /// `MultiTenantSelector::Create` ignores the field (it IS the 1-shard
-  /// engine).
+  /// Number of selector shards (>= 1; the default 1 is one shard). Tenant
+  /// `t` lives on shard `t % num_shards`. A shard is a partition of the
+  /// candidate index and a slot of the observer's snapshot plane; it starts
+  /// no thread. Every call, folds included, runs on the calling thread, and
+  /// the selection trace is bit-identical for every shard count.
+  /// `MultiTenantSelector::Create` and `shard::MakeSelector` both honor it.
   int num_shards = 1;
 
   /// Serve `Next()` from the incremental candidate index (the default):
@@ -75,8 +72,8 @@ struct SelectorOptions {
   bool use_candidate_index = true;
 
   /// Observation seam (core/selector_observer.h), or nullptr for none. Not
-  /// owned; must outlive the selector. When set, the engines publish a
-  /// fresh `TenantObservation` at every fold boundary and feed the timing
+  /// owned; must outlive the selector. When set, the engine publishes a
+  /// fresh `TenantObservation` at every fold boundary and feeds the timing
   /// hooks — the obs layer's snapshot plane and metrics registry hang off
   /// this pointer. When null (the default) every hook site is a single
   /// branch and the serving path is byte-for-byte the unobserved one.
@@ -84,20 +81,19 @@ struct SelectorOptions {
 
   /// Durability seam (core/durability_log.h), or nullptr for none. Not
   /// owned; must outlive the selector. When set, every successful mutation
-  /// appends one record under the engine's synchronization (log order =
-  /// validation order) and the acknowledged mutations (AddTenant,
-  /// RemoveTenant, Report, Cancel) sync before returning; `Next` appends
-  /// without syncing (see DurabilityLog's ack-discipline comment). A WAL
-  /// write failure fail-stops the selector: the error is latched and every
-  /// further mutation is refused, because in-memory state may be ahead of
-  /// the log. When null (the default) every hook is one branch — same
-  /// zero-cost discipline as `observer`.
+  /// appends one record under the engine lock (log order = validation
+  /// order) and the acknowledged mutations (AddTenant, RemoveTenant,
+  /// Report, Cancel) sync before returning; `Next` appends without syncing
+  /// (see DurabilityLog's ack-discipline comment). A WAL write failure
+  /// fail-stops the selector: the error is latched and every further
+  /// mutation is refused, because in-memory state may be ahead of the log.
+  /// When null (the default) every hook is one branch — same zero-cost
+  /// discipline as `observer`.
   DurabilityLog* wal = nullptr;
 };
 
 /// Builds the scheduler policy `options` selects (nullptr for an unknown
-/// kind). Shared by the sequential selector and the sharded engine so both
-/// run byte-identical policy state.
+/// kind).
 std::unique_ptr<scheduler::SchedulerPolicy> MakeSchedulerPolicy(
     const SelectorOptions& options);
 
@@ -150,18 +146,21 @@ int DefaultPriorCacheSizeForTesting();
 /// (drain completions first). Tenants added after the loop started are
 /// picked up by the initialization sweep on their first rounds.
 ///
-/// ## Engine seams
+/// ## Threading and placement
 ///
-/// The class doubles as the base of the sharded engine
-/// (`shard::ShardedMultiTenantSelector`), which wraps every public method
-/// in its selector lock and runs this class's implementation under it, on
-/// the calling thread. The only virtual hooks are
-/// `OnTenantAdded`/`OnTenantRemoved`, which the sharded engine extends to
-/// count its live tenants per shard. Both engines place tenant `t` on
-/// shard `t % num_shards()` and retire a removed tenant in place. `Create`
-/// ignores `num_shards`; build through `shard::MakeSelector` to honor it.
-/// The base engine is single-threaded (external synchronization
-/// required); the sharded override of every public method is thread-safe.
+/// Every public method is thread-safe: it takes the engine lock `mu_` and
+/// runs on the calling thread (picks, arm selections, report and cancel
+/// folds, churn, checkpoints). The engine starts no thread. Sole exception:
+/// `scheduler_policy()` hands out a raw reference into policy state and is
+/// for quiescent diagnostics only.
+///
+/// Tenant `t` lives on shard `t % num_shards()` for its whole life. A shard
+/// is a partition of the candidate index (one tournament tree per shard,
+/// roots merged exactly) and a slot of the observer's snapshot plane. A
+/// removed tenant retires in place: it keeps its neutral index leaf and
+/// its snapshot entry, and no other tenant moves. Placement never changes
+/// a pick: the selection trace is bit-identical for every shard count and
+/// any thread interleaving.
 class MultiTenantSelector {
  public:
   /// A unit of work: train model `model` for tenant `tenant`. `id` is the
@@ -173,15 +172,16 @@ class MultiTenantSelector {
     int64_t id = -1;
   };
 
+  /// Validates `options` and builds an engine with a `num_shards`-shard
+  /// candidate index (when `use_candidate_index` is on).
   static Result<MultiTenantSelector> Create(const SelectorOptions& options);
 
+  // Virtual only so the stateless subclass in shard/sharded_selector.h can
+  // be deleted through this type.
   virtual ~MultiTenantSelector() = default;
-  // Public moves keep the historical by-value usage working
-  // (`Create(...).value()`, selectors held as members). CAUTION: the class
-  // is also a polymorphic base — moving through a base reference/pointer
-  // that actually designates a ShardedMultiTenantSelector would slice off
-  // the shard engine. Engines built via `shard::MakeSelector` live behind
-  // `unique_ptr` precisely so they are never moved as base values.
+  // Moves keep the by-value usage working (`Create(...).value()`, selectors
+  // held as members): the lock lives on the heap, so it moves with the
+  // state it guards. Move only an engine no other thread is using.
   MultiTenantSelector(MultiTenantSelector&&) = default;
   MultiTenantSelector& operator=(MultiTenantSelector&&) = default;
   MultiTenantSelector(const MultiTenantSelector&) = delete;
@@ -191,54 +191,54 @@ class MultiTenantSelector {
   /// Gram matrix is allocated once and shared by every tenant created from
   /// it) with per-model costs (one positive cost per arm). Returns the
   /// tenant id.
-  virtual Result<int> AddTenant(std::shared_ptr<const gp::SharedGpPrior> prior,
-                                std::vector<double> costs);
+  Result<int> AddTenant(std::shared_ptr<const gp::SharedGpPrior> prior,
+                        std::vector<double> costs) EASEML_EXCLUDES(mu_);
 
   /// Registers a tenant with an uninformative independent prior
   /// (unit-variance diagonal) — used when no training logs exist yet. The
   /// default prior is built once per (num_models, noise_variance) in a
   /// process-wide, mutex-guarded cache (engines on other threads reach it)
   /// and shared by every tenant and selector requesting that shape.
-  virtual Result<int> AddTenantWithDefaultPrior(int num_models,
-                                               std::vector<double> costs,
-                                               double noise_variance = 1e-2);
+  Result<int> AddTenantWithDefaultPrior(int num_models,
+                                        std::vector<double> costs,
+                                        double noise_variance = 1e-2)
+      EASEML_EXCLUDES(mu_);
 
   /// Retires a tenant: it is never scheduled again and its belief memory
   /// is released. It stays in place on its shard, with a neutral index
-  /// leaf and a snapshot entry marked retired; no other tenant moves, on
-  /// either engine. Refused with FailedPrecondition while the tenant has
-  /// in-flight tickets — `Report` or `Cancel` them first — or when it was
-  /// already removed; OutOfRange for ids never issued. Historical
-  /// read-side queries (BestModel, BestAccuracy, RoundsServed) stay
-  /// answerable after removal. Tenant ids are never reused.
-  virtual Status RemoveTenant(int tenant);
+  /// leaf and a snapshot entry marked retired; no other tenant moves.
+  /// Refused with FailedPrecondition while the tenant has in-flight
+  /// tickets — `Report` or `Cancel` them first — or when it was already
+  /// removed; OutOfRange for ids never issued. Historical read-side queries
+  /// (BestModel, BestAccuracy, RoundsServed) stay answerable after removal.
+  /// Tenant ids are never reused.
+  Status RemoveTenant(int tenant) EASEML_EXCLUDES(mu_);
 
   /// Registered tenants, INCLUDING removed ones (ids are stable).
-  virtual int num_tenants() const { return static_cast<int>(users_.size()); }
+  int num_tenants() const EASEML_EXCLUDES(mu_);
 
   /// True when every tenant has trained every candidate model (in-flight
   /// assignments keep the selector non-exhausted until reported; removed
   /// tenants count as done).
-  virtual bool Exhausted() const;
+  bool Exhausted() const EASEML_EXCLUDES(mu_);
 
   /// Number of outstanding (issued, not yet reported) assignments.
-  virtual int num_in_flight() const {
-    return static_cast<int>(in_flight_.size());
-  }
+  int num_in_flight() const EASEML_EXCLUDES(mu_);
 
   /// Configured device count (max outstanding assignments).
   int num_devices() const { return options_.num_devices; }
 
-  /// Shard count: 1 here, `options.num_shards` in the sharded engine.
-  virtual int num_shards() const { return 1; }
+  /// Configured shard count (`options.num_shards`).
+  int num_shards() const { return options_.num_shards; }
 
   /// Live (non-retired) tenants per shard, ascending shard index
-  /// (diagnostics). This engine answers `{live tenants}`.
-  virtual std::vector<int> ShardSizes() const;
+  /// (diagnostics; O(T)). Adds spread ids round-robin; a removal shrinks
+  /// only its own shard, so churn lets the counts drift apart.
+  std::vector<int> ShardSizes() const EASEML_EXCLUDES(mu_);
 
   /// CPU seconds each shard spent on folds off the calling thread: one
-  /// 0.0 per shard, because both engines fold every report and cancel on
-  /// the calling thread. Kept for callers that difference it.
+  /// 0.0 per shard, because every report and cancel folds on the calling
+  /// thread. Kept for callers that difference it.
   std::vector<double> ShardCpuSeconds() const {
     return std::vector<double>(static_cast<size_t>(num_shards()), 0.0);
   }
@@ -246,63 +246,69 @@ class MultiTenantSelector {
   /// True iff `Next()` would hand out an assignment right now: a device
   /// slot is free and some tenant has an un-charged model remaining. False
   /// while everything remaining is in flight — drain completions and retry.
-  virtual bool HasDispatchableWork() const;
+  bool HasDispatchableWork() const EASEML_EXCLUDES(mu_);
 
   /// Picks the next (tenant, model) to train and marks it in flight. Fails
   /// with FailedPrecondition when all `num_devices` slots are occupied,
   /// when every remaining model is in flight, or when all tenants are
   /// exhausted.
-  virtual Result<Assignment> Next();
+  Result<Assignment> Next() EASEML_EXCLUDES(mu_);
 
   /// Reports the measured accuracy of a completed assignment; completions
   /// may arrive in any order. See the class comment for the Status-code
   /// taxonomy of rejected reports.
-  virtual Status Report(const Assignment& assignment, double accuracy);
+  Status Report(const Assignment& assignment, double accuracy)
+      EASEML_EXCLUDES(mu_);
 
   /// Returns a live ticket without an observation (device failure, job
   /// abort): the (tenant, model) becomes dispatchable again as if never
   /// handed out. Validates exactly like `Report`.
-  virtual Status Cancel(const Assignment& assignment);
+  Status Cancel(const Assignment& assignment) EASEML_EXCLUDES(mu_);
 
   /// The issued in-flight assignment for a live ticket; NotFound when the
   /// ticket is not outstanding. This is the authoritative in-flight record
   /// — executors correlate completions through it instead of keeping their
   /// own table.
-  virtual Result<Assignment> InFlightAssignment(int64_t ticket) const;
+  Result<Assignment> InFlightAssignment(int64_t ticket) const
+      EASEML_EXCLUDES(mu_);
 
   /// Best model trained so far for `tenant` (what `infer` serves);
   /// NotFound before the first completed run.
-  virtual Result<int> BestModel(int tenant) const;
+  Result<int> BestModel(int tenant) const EASEML_EXCLUDES(mu_);
 
   /// Best observed accuracy for `tenant`; 0 before the first run.
-  virtual Result<double> BestAccuracy(int tenant) const;
+  Result<double> BestAccuracy(int tenant) const EASEML_EXCLUDES(mu_);
 
   /// Rounds served so far for `tenant`.
-  virtual Result<int> RoundsServed(int tenant) const;
+  Result<int> RoundsServed(int tenant) const EASEML_EXCLUDES(mu_);
 
   /// Read access to the scheduler policy (diagnostics: hybrid switch
-  /// state, greedy rule). NOT covered by the sharded engine's
-  /// thread-safety guarantee — the returned reference outlives any lock,
-  /// so only inspect it while no other thread is driving the selector.
-  const scheduler::SchedulerPolicy& scheduler_policy() const {
+  /// state, greedy rule). The one accessor the lock does not cover: the
+  /// returned reference outlives any lock, so only inspect it while no
+  /// other thread is driving the selector.
+  // Unlocked by design (see above): the analysis cannot follow the
+  // reference out of the call.
+  const scheduler::SchedulerPolicy& scheduler_policy() const
+      EASEML_NO_THREAD_SAFETY_ANALYSIS {
     return *scheduler_;
   }
 
   /// Invariant check for the candidate index (tests / debug tooling, never
-  /// the serving path): re-derives every tenant key and replays every
-  /// aggregate from scratch, failing with Internal on the first stale leaf,
+  /// the serving path): checks that every tenant ever added, retired ones
+  /// included, sits on shard `t % num_shards()` in the index, then
+  /// re-derives every tenant key and replays every aggregate from scratch,
+  /// failing with Internal on the first misplaced tenant, stale leaf,
   /// drifted exact sum, or out-of-date tournament node. OK when the index
-  /// is disabled. The sharded override additionally locks and checks that
-  /// every tenant ever added, retired ones included, sits on shard
-  /// `t % N`, and that its live counts match.
-  virtual Status ValidateIndex() const;
+  /// is disabled.
+  Status ValidateIndex() const EASEML_EXCLUDES(mu_);
 
   /// Serializes the COMPLETE engine state (priors deduplicated by
   /// identity, per-tenant user + compact belief state, in-flight table,
   /// ticket/round counters, scheduler blob, WAL position) for a
   /// checkpoint. Every tenant runs the shared-prior belief (the only
   /// registration path), the one representation that serializes.
-  virtual Result<DurableSelectorState> CaptureDurableState() const;
+  Result<DurableSelectorState> CaptureDurableState() const
+      EASEML_EXCLUDES(mu_);
 
   /// Restores a captured state into THIS engine, which must be freshly
   /// created with equivalent options (same scheduler kind, delta,
@@ -311,28 +317,14 @@ class MultiTenantSelector {
   /// (bit-identical by determinism) and verified bit-for-bit against the
   /// stored Cholesky factor; DataLoss on any mismatch. FailedPrecondition
   /// when the engine already has state.
-  virtual Status RestoreDurableState(const DurableSelectorState& state);
+  Status RestoreDurableState(const DurableSelectorState& state)
+      EASEML_EXCLUDES(mu_);
 
- protected:
+ private:
+  /// Builds the index (the analysis does not check constructors, so the
+  /// guarded pointer is set here rather than after construction).
   MultiTenantSelector(const SelectorOptions& options,
-                      std::unique_ptr<scheduler::SchedulerPolicy> s)
-      : options_(options), scheduler_(std::move(s)) {}
-
-  // --- Churn hooks ----------------------------------------------------------
-  //
-  // Called from within AddTenant/RemoveTenant/RestoreDurableState while the
-  // engine's synchronization (none here; the selector lock in the sharded
-  // engine) is already in effect, so overrides must not re-enter the public
-  // API.
-
-  /// Placement hooks. The add hook appends the new tenant (the largest id
-  /// ever issued) to the tail of shard `ShardOf(tenant)`'s index tree in
-  /// O(log T) amortized, then announces it to the observer
-  /// (`OnTenantPlaced`, then its first tenant event). A removal moves no
-  /// tenant: when the remove hook runs, the tenant's leaf is already
-  /// neutral and its retirement already published.
-  virtual void OnTenantAdded(int tenant);
-  virtual void OnTenantRemoved(int tenant) { (void)tenant; }
+                      std::unique_ptr<scheduler::SchedulerPolicy> s);
 
   /// The one placement rule: tenant `t` lives on shard `t % num_shards()`
   /// for its whole life. It names the shard of the tenant's index leaf,
@@ -340,35 +332,32 @@ class MultiTenantSelector {
   /// its folds are reported on.
   int ShardOf(int tenant) const { return tenant % num_shards(); }
 
-  /// The index, or nullptr when `use_candidate_index` is off.
-  const scheduler::CandidateIndex* candidate_index() const {
-    return index_.get();
-  }
+  /// `AddTenant` under the lock (`AddTenantWithDefaultPrior` resolves its
+  /// prior first, then comes here).
+  Result<int> AddTenantLocked(std::shared_ptr<const gp::SharedGpPrior> prior,
+                              std::vector<double> costs) EASEML_REQUIRES(mu_);
 
-  /// Replaces the index with an empty `num_shards`-shard instance (the
-  /// sharded engine calls this before any tenant exists). Keys track the
-  /// line-8 gap only for schedulers that consume it (GREEDY/HYBRID), and
-  /// the change log is on only for HYBRID, whose freeze detector reads it.
-  void ResetIndex(int num_shards);
+  /// Appends the new tenant (the largest id ever issued) to the tail of
+  /// shard `ShardOf(tenant)`'s index tree in O(log T) amortized, then
+  /// announces it to the observer (`OnTenantPlaced`, then its first tenant
+  /// event).
+  void PlaceTenant(int tenant) EASEML_REQUIRES(mu_);
 
-  const std::vector<scheduler::UserState>& users() const { return users_; }
-
- private:
   /// Picks the tenant to serve at global round `round`: the initialization
   /// sweep (Algorithm 2 lines 1-4, registration order) first, then the
   /// scheduler policy — from the candidate index when it is on, else the
   /// reference `PickUser` scan.
-  Result<int> PickTenant(int round);
+  Result<int> PickTenant(int round) EASEML_REQUIRES(mu_);
 
   /// Recomputes `tenant`'s key and replays its leaf path (no-op when the
   /// index is disabled). Every path that mutates a tenant calls it, so the
   /// index is fresh whenever PickTenant runs.
-  void RefreshIndexEntry(int tenant);
+  void RefreshIndexEntry(int tenant) EASEML_REQUIRES(mu_);
 
   /// The one source of the two no-work refusals (all exhausted vs
   /// everything in flight): the conformance suite compares Status TEXT
   /// between engines, so every pick path must emit identical strings.
-  Status NoDispatchableWorkStatus() const;
+  Status NoDispatchableWorkStatus() const EASEML_REQUIRES(mu_);
 
   // --- Observation seam ---------------------------------------------------
   //
@@ -380,10 +369,10 @@ class MultiTenantSelector {
   /// Publishes `tenant`'s fresh observation to the observer (no-op when
   /// none). Call AFTER `RefreshIndexEntry` — the gap is read back from the
   /// just-refreshed index key when the index tracks it.
-  void NotifyTenantEvent(int tenant);
+  void NotifyTenantEvent(int tenant) EASEML_REQUIRES(mu_);
 
   /// Derives the observation `NotifyTenantEvent` publishes.
-  TenantObservation DeriveObservation(int tenant) const;
+  TenantObservation DeriveObservation(int tenant) const EASEML_REQUIRES(mu_);
 
   // --- Durability seam ----------------------------------------------------
   //
@@ -395,22 +384,23 @@ class MultiTenantSelector {
 
   /// Fail-fast check every mutation runs first: OK without a WAL or while
   /// it is healthy, FailedPrecondition once a WAL write failed.
-  Status WalGuard() const;
+  Status WalGuard() const EASEML_REQUIRES(mu_);
 
   /// Latches the first WAL error (and returns `status` unchanged).
-  Status WalApply(Status status);
+  Status WalApply(Status status) EASEML_REQUIRES(mu_);
 
   /// Syncs the WAL (no-op without one), latching failure.
-  Status SyncWal();
+  Status SyncWal() EASEML_REQUIRES(mu_);
 
-  Status ValidateTenant(int tenant) const;
+  Status ValidateTenant(int tenant) const EASEML_REQUIRES(mu_);
   Result<int> AddTenantWithBelief(std::unique_ptr<gp::ArmBelief> belief,
-                                  std::vector<double> costs);
+                                  std::vector<double> costs)
+      EASEML_REQUIRES(mu_);
 
   /// Shared Report/Cancel validation: resolves `assignment` to its live
   /// in-flight entry or the precise rejection Status (see class comment).
   Result<std::map<int64_t, Assignment>::iterator> FindIssuedEntry(
-      const Assignment& assignment);
+      const Assignment& assignment) EASEML_REQUIRES(mu_);
 
   // --- Report/Cancel phases ---------------------------------------------
   //
@@ -422,42 +412,51 @@ class MultiTenantSelector {
   /// taxonomy), validates `accuracy`, retires the ticket and appends the
   /// WAL record. Returns the ISSUED assignment the fold must apply.
   Result<Assignment> BeginReport(const Assignment& assignment,
-                                 double accuracy);
+                                 double accuracy) EASEML_REQUIRES(mu_);
 
   /// Appends the observation to the tenant's belief and tracks the
   /// incumbent best model. `issued` must come from `BeginReport` — the
   /// fold of a validated ticket cannot fail (the arm is charged in flight
   /// and the tenant cannot be removed under an open ticket), so a rejection
   /// here aborts.
-  void FoldReportedOutcome(const Assignment& issued, double accuracy);
+  void FoldReportedOutcome(const Assignment& issued, double accuracy)
+      EASEML_REQUIRES(mu_);
 
   /// The scheduler's outcome hook (`OnOutcomeIndexed` when the index is
   /// on, else `OnOutcome`) + round advance, on the fully folded engine.
-  void FinishReport(int tenant);
+  void FinishReport(int tenant) EASEML_REQUIRES(mu_);
 
   /// Same validation and retirement as `BeginReport`, without an accuracy.
-  Result<Assignment> BeginCancel(const Assignment& assignment);
+  Result<Assignment> BeginCancel(const Assignment& assignment)
+      EASEML_REQUIRES(mu_);
 
   /// Un-charges the arm (it becomes dispatchable again). Aborts on
   /// rejection — impossible for a validated ticket.
-  void FoldCancel(const Assignment& issued);
+  void FoldCancel(const Assignment& issued) EASEML_REQUIRES(mu_);
 
+  /// Heap-allocated so the engine stays movable (`Create` returns it by
+  /// value); `mu_` is the stable capability the annotations name, and
+  /// default moves keep the pair consistent. Serializes every public call.
+  std::unique_ptr<Mutex> mu_storage_{std::make_unique<Mutex>()};
+  Mutex* mu_{mu_storage_.get()};
+
+  /// Fixed at construction; read without the lock.
   SelectorOptions options_;
-  std::unique_ptr<scheduler::SchedulerPolicy> scheduler_;
+  std::unique_ptr<scheduler::SchedulerPolicy> scheduler_
+      EASEML_PT_GUARDED_BY(mu_);
   /// Incremental candidate index (nullptr when disabled): per-shard
   /// tournament trees + exact threshold aggregates answering PickTenant in
   /// O(log T) instead of an O(T) scan.
-  std::unique_ptr<scheduler::CandidateIndex> index_;
-  std::vector<scheduler::UserState> users_;
-  std::vector<int> best_model_;  // -1 until first report
+  std::unique_ptr<scheduler::CandidateIndex> index_ EASEML_PT_GUARDED_BY(mu_);
+  std::vector<scheduler::UserState> users_ EASEML_GUARDED_BY(mu_);
+  std::vector<int> best_model_ EASEML_GUARDED_BY(mu_);  // -1 until 1st report
   /// Outstanding assignments keyed by ticket id.
-  std::map<int64_t, Assignment> in_flight_;
-  int64_t next_ticket_ = 0;
-  int round_ = 0;
-  /// First WAL append/sync error, latched forever (fail-stop). Guarded by
-  /// the engine's synchronization like every other engine field: all WAL
-  /// calls, including Sync, run under it.
-  Status wal_status_;
+  std::map<int64_t, Assignment> in_flight_ EASEML_GUARDED_BY(mu_);
+  int64_t next_ticket_ EASEML_GUARDED_BY(mu_) = 0;
+  int round_ EASEML_GUARDED_BY(mu_) = 0;
+  /// First WAL append/sync error, latched forever (fail-stop). Every WAL
+  /// call, Sync included, runs under `mu_`.
+  Status wal_status_ EASEML_GUARDED_BY(mu_);
 };
 
 }  // namespace easeml::core

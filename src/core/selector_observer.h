@@ -33,20 +33,18 @@ struct TenantObservation {
   double max_ucb = 0.0;
 };
 
-/// Engine-side observation seam. The selector engines (core and shard) call
-/// these hooks from inside their own synchronization; implementations must
-/// be cheap, must never call back into the selector, and must do their own
-/// cross-thread synchronization for anything they publish to other threads
-/// (the obs layer's `FleetObserver` is the canonical implementation).
+/// Engine-side observation seam. The selector engine calls these hooks
+/// under its lock; implementations must be cheap, must never call back
+/// into the selector, and must do their own cross-thread synchronization
+/// for anything they publish to other threads (the obs layer's
+/// `FleetObserver` is the canonical implementation).
 ///
 /// Threading contract: every hook fires on the thread that called into the
-/// engine, under the engine's synchronization — the caller's external
-/// synchronization on the base engine, the selector lock on the sharded
-/// one. No engine starts a thread, so hooks of one engine never run
-/// concurrently with each other. The observer learns each tenant's shard
-/// from `OnTenantPlaced`, which always precedes the tenant's events; a
-/// tenant never changes shard, and its removal arrives as a retired
-/// `OnTenantEvent`.
+/// engine, under the engine's lock. No engine starts a thread, so hooks of
+/// one engine never run concurrently with each other. The observer learns
+/// each tenant's shard from `OnTenantPlaced`, which always precedes the
+/// tenant's events; a tenant never changes shard, and its removal arrives
+/// as a retired `OnTenantEvent`.
 ///
 /// Timing contract: every duration a hook receives is wall time
 /// (`MonotonicSeconds()`) measured on the calling thread. A thread
@@ -69,8 +67,8 @@ class SelectorObserver {
   virtual void OnTenantEvent(const TenantObservation& obs) { (void)obs; }
 
   /// A new tenant appeared on `shard` (placement grows at the tail; no
-  /// other tenant moved — both engines add this way), where it stays for
-  /// life. Fired before the tenant's first OnTenantEvent.
+  /// other tenant moved), where it stays for life. Fired before the
+  /// tenant's first OnTenantEvent.
   virtual void OnTenantPlaced(int tenant, int shard) {
     (void)tenant;
     (void)shard;
@@ -98,8 +96,8 @@ class SelectorObserver {
   /// A `Report()` finished successfully after `coord_us` wall
   /// microseconds on the calling thread (validation, ticket retirement,
   /// outcome hook, WAL sync), excluding the fold, which `OnFold` reports.
-  /// The sharded engine starts this clock once it holds its lock, so time
-  /// spent waiting for the lock is in no hook.
+  /// The engine starts this clock once it holds its lock, so time spent
+  /// waiting for the lock is in no hook.
   virtual void OnReport(double coord_us) { (void)coord_us; }
 
   /// A `Report()`/`Cancel()` ticket was rejected; `code` is the
@@ -109,13 +107,13 @@ class SelectorObserver {
   virtual void OnTicketRejected(int code) { (void)code; }
 
   /// A belief fold (a report or a cancel) of a `shard` tenant is about to
-  /// run on the calling thread. Both engines fire it once per accepted
+  /// run on the calling thread. The engine fires it once per accepted
   /// `Report` and once per accepted `Cancel`.
   virtual void OnFoldQueued(int shard) { (void)shard; }
 
   /// A belief fold (report or cancel) of a `shard` tenant ran for
   /// `fold_us` wall microseconds on the calling thread. Fires once per
-  /// `OnFoldQueued`, on every engine.
+  /// `OnFoldQueued`.
   virtual void OnFold(int shard, double fold_us) {
     (void)shard;
     (void)fold_us;

@@ -12,7 +12,7 @@
 namespace easeml::obs {
 
 struct FleetObserverOptions {
-  /// Must equal the engine's shard count (1 for the sequential engine).
+  /// Must equal the engine's shard count, `SelectorOptions::num_shards`.
   int num_shards = 1;
   /// Tenant events between automatic per-shard snapshot publishes.
   int publish_interval = 32;
@@ -84,8 +84,8 @@ struct ObservedSelector {
   std::unique_ptr<core::MultiTenantSelector> selector;
 };
 
-/// Convenience: builds the engine `options` asks for (sequential or
-/// sharded, via shard::MakeSelector) with a FleetObserver wired in.
+/// Convenience: builds the engine `options` asks for (via
+/// shard::MakeSelector) with a FleetObserver wired in.
 /// `obs_options.num_shards` is overridden to match the engine.
 Result<ObservedSelector> MakeObservedSelector(core::SelectorOptions options,
                                               FleetObserverOptions obs_options);

@@ -28,9 +28,6 @@ Result<EaseMlService> EaseMlService::Create(const Options& options) {
     return Status::InvalidArgument(
         "EaseMlService: noisy_label_fraction out of [0,1]");
   }
-  // `shard::MakeSelector` honors selector.num_shards: the sequential
-  // engine at 1, the shard-parallel engine above — same ticketed protocol,
-  // bit-identical selection traces.
   EASEML_ASSIGN_OR_RETURN(std::unique_ptr<core::MultiTenantSelector> selector,
                           shard::MakeSelector(options.selector));
   return EaseMlService(options, std::move(selector));

@@ -49,23 +49,22 @@ struct AsyncRunReport {
 /// running against the simulated training backend.
 ///
 /// Thread-safe: one service-wide mutex serializes the public API (the
-/// operators mutate job state, the service RNG, and — through the
-/// pt-guarded selector pointer — engine state that is single-threaded in
-/// the sequential configuration). Campaign drivers (`Step`, `RunSteps`,
-/// `RunAsync`) hold the lock for their whole run, so operators issued from
-/// other threads observe campaign boundaries, never intermediate states.
+/// operators mutate job state and the service RNG, and a step's `Next`,
+/// training run and `Report` must not interleave with another caller's).
+/// Campaign drivers (`Step`, `RunSteps`, `RunAsync`) hold the lock for
+/// their whole run, so operators issued from other threads observe
+/// campaign boundaries, never intermediate states.
 /// Lock ordering: `mu_` may be held while the internally synchronized
-/// `TaskPool`/`AsyncTrainingExecutor` locks are taken, never the reverse.
+/// selector, `TaskPool` and `AsyncTrainingExecutor` locks are taken, never
+/// the reverse.
 class EaseMlService {
  public:
   struct Options {
-    /// Selector engine configuration. `selector.num_shards > 1` selects the
-    /// sharded engine (`shard::ShardedMultiTenantSelector`): the same
-    /// engine behind its own lock, with an N-shard candidate index and
-    /// observer placement; every call, folds included, runs on the calling
-    /// thread, and the selection trace is bit-identical to the sequential
-    /// engine. `selector.num_devices` sizes the async pipeline as before;
-    /// the two compose.
+    /// Selector engine configuration. `selector.num_shards` sets the
+    /// engine's candidate-index shards and observer placement; every call,
+    /// folds included, runs on the calling thread, and the selection trace
+    /// is bit-identical for every shard count. `selector.num_devices` sizes
+    /// the async pipeline; the two compose.
     core::SelectorOptions selector;
     SimulatedTrainingExecutor::Options executor;
     /// Fraction of fed examples whose labels are noisy (weak supervision).
@@ -218,12 +217,11 @@ class EaseMlService {
   Mutex* mu_{mu_storage_.get()};
 
   Options options_;
-  /// Sequential or sharded engine, per `Options::selector.num_shards`
-  /// (built by `shard::MakeSelector`); both speak the same ticketed
-  /// protocol with bit-identical selection traces. The pointer is set once
-  /// in the constructor; the engine state it names is what the service
-  /// lock guards (the sharded engine also carries its own lock, taken
-  /// after `mu_` per the ordering above).
+  /// The selector engine (built by `shard::MakeSelector` with
+  /// `Options::selector.num_shards` shards). The pointer is set once in
+  /// the constructor; the service lock orders the engine calls of a step,
+  /// and the engine's own lock is taken after `mu_` per the ordering
+  /// above.
   std::unique_ptr<core::MultiTenantSelector> selector_
       EASEML_PT_GUARDED_BY(mu_);
   SimulatedTrainingExecutor executor_ EASEML_GUARDED_BY(mu_);

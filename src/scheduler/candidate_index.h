@@ -80,12 +80,11 @@ namespace easeml::scheduler {
 /// ## External synchronization
 ///
 /// Not thread-safe, and deliberately mutex-free: the index is engine
-/// state behind the owning selector's synchronization — the caller's on
-/// the base engine, the annotated lock on the sharded one (its `mu_`, an
+/// state behind the owning selector's lock (its `mu_`, an annotated
 /// `easeml::Mutex` from common/thread_annotations.h). Because the selector
 /// reaches it through an owning pointer, that guarded-by relation is
-/// expressed on the selector side (`EASEML_PT_GUARDED_BY`-style at the
-/// owner), not here — a struct cannot name a mutex it has never heard of.
+/// expressed on the selector side (`EASEML_PT_GUARDED_BY` at the owner),
+/// not here — a struct cannot name a mutex it has never heard of.
 /// Every call — picks, arm selections, report and cancel folds, churn,
 /// `TakeChanged` and `MergedThreshold` (which keeps its last result in the
 /// index) — runs on the thread that called into the engine, one at a time.
@@ -193,7 +192,7 @@ class CandidateIndex {
 
   /// Places a NEW tenant at the tail of `shard` in O(log T) amortized —
   /// valid because tenant ids grow monotonically, so a new id is above
-  /// every placed id. The only placement path: both engines add this way,
+  /// every placed id. The only placement path: the engine adds this way,
   /// and the tenant stays on that leaf for life.
   void AppendTenant(int shard, const UserState& user);
 
@@ -260,8 +259,7 @@ class CandidateIndex {
   Status Validate(const std::vector<UserState>& users) const;
 
   /// The placement the index currently reflects (ascending per shard);
-  /// the sharded engine's ValidateIndex checks it against its placement
-  /// rule.
+  /// the engine's ValidateIndex checks it against its placement rule.
   std::vector<std::vector<int>> Placement() const;
 
  private:

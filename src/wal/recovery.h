@@ -45,11 +45,11 @@ struct RecoveredSelector {
 
 /// Opens the durable selector living in directory `dir` (creating it on
 /// first use): reads the checkpoint if one exists, restores it into a
-/// fresh engine built from `options` (sequential or sharded per
-/// `options.num_shards`), scans the log, repairs the torn tail by
-/// truncation, deterministically replays the surviving suffix through the
-/// engine's public API, and resumes the WAL at the recovered end so the
-/// returned engine continues appending where history stops.
+/// fresh engine built from `options` (with `options.num_shards` shards),
+/// scans the log, repairs the torn tail by truncation, deterministically
+/// replays the surviving suffix through the engine's public API, and
+/// resumes the WAL at the recovered end so the returned engine continues
+/// appending where history stops.
 ///
 /// `options.wal` must be null on entry (the function wires the recovered
 /// WAL in). Damage taxonomy: tail damage (short/garbled/CRC-failed last

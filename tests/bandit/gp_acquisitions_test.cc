@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "linalg/matrix.h"
@@ -40,6 +43,27 @@ TEST(GpEiTest, ValidatesOptions) {
   bad.cost_aware = true;  // costs missing
   EXPECT_FALSE(GpEiPolicy::Create(MakeBelief(2), bad).ok());
   EXPECT_TRUE(GpEiPolicy::Create(MakeBelief(2), {}).ok());
+
+  // NaN and infinities fail every range check, on all three policies.
+  const double kNaN = std::nan("");
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<GpAcquisitionOptions> non_finite(4);
+  non_finite[0].xi = kNaN;
+  non_finite[1].xi = kInf;
+  non_finite[2].cost_aware = true;
+  non_finite[2].costs = {1.0, kNaN};
+  non_finite[3].cost_aware = true;
+  non_finite[3].costs = {1.0, kInf};
+  for (size_t i = 0; i < non_finite.size(); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const GpAcquisitionOptions& o = non_finite[i];
+    auto ei = GpEiPolicy::Create(MakeBelief(2), o);
+    EXPECT_EQ(ei.status().code(), StatusCode::kInvalidArgument);
+    auto pi = GpPiPolicy::Create(MakeBelief(2), o);
+    EXPECT_EQ(pi.status().code(), StatusCode::kInvalidArgument);
+    auto ts = GpThompsonPolicy::Create(MakeBelief(2), o, /*seed=*/1);
+    EXPECT_EQ(ts.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(GpEiTest, PrefersHigherMeanAtEqualVariance) {

@@ -109,12 +109,9 @@ void RunRacedScanBattery(int num_shards) {
   obs_options.registry = &registry;
   FleetObserver observer(obs_options);
   options.observer = &observer;
-  // Build the sharded engine directly (not via MakeSelector, which returns
-  // the base engine at N=1): its API is internally synchronized, so the
-  // client/churn threads below may race it. The base engine's contract is
-  // external synchronization — racing it would be a test bug, not a
-  // finding.
-  auto created = shard::ShardedMultiTenantSelector::Create(options);
+  // The engine's API is internally synchronized at every shard count, so
+  // the client/churn threads below may race it.
+  auto created = shard::MakeSelector(options);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
   MultiTenantSelector* selector = created->get();
   const SnapshotPlane& plane = observer.plane();

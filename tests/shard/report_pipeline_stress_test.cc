@@ -1,6 +1,6 @@
-/// Stress and parity battery for the sharded engine's report path, where
-/// every `Report`/`Cancel` validates its ticket and folds on the calling
-/// thread under the selector lock.
+/// Stress and parity battery for the engine's report path at N shards,
+/// where every `Report`/`Cancel` validates its ticket and folds on the
+/// calling thread under the engine lock.
 ///
 /// Three angles:
 ///
@@ -57,14 +57,14 @@ std::vector<double> Costs(int tenant, int models) {
   return costs;
 }
 
-Result<std::unique_ptr<ShardedMultiTenantSelector>> MakeSharded(
+Result<std::unique_ptr<MultiTenantSelector>> MakeSharded(
     SchedulerKind kind, int shards, int devices, int tenants, int models) {
   SelectorOptions options;
   options.scheduler = kind;
   options.hybrid_patience = 3;
   options.num_devices = devices;
   options.num_shards = shards;
-  auto created = ShardedMultiTenantSelector::Create(options);
+  auto created = MakeSelector(options);
   if (!created.ok()) return created.status();
   for (int t = 0; t < tenants; ++t) {
     auto id = (*created)->AddTenantWithDefaultPrior(models, Costs(t, models));
@@ -86,7 +86,7 @@ void RunRacedReportBattery(SchedulerKind kind, int shards) {
 
   auto created = MakeSharded(kind, shards, kDevices, kTenants, kModels);
   ASSERT_TRUE(created.ok()) << created.status().ToString();
-  ShardedMultiTenantSelector* selector = created->get();
+  MultiTenantSelector* selector = created->get();
 
   std::atomic<int> reported{0};
   std::atomic<bool> failed{false};
@@ -235,7 +235,7 @@ TEST(ReportPipelineStressTest, RacedExhaustionMatchesSequentialEngine) {
     auto created =
         MakeSharded(SchedulerKind::kGreedy, shards, kDevices, kTenants, kModels);
     ASSERT_TRUE(created.ok()) << created.status().ToString();
-    ShardedMultiTenantSelector* sharded = created->get();
+    MultiTenantSelector* sharded = created->get();
 
     std::atomic<bool> failed{false};
     std::vector<std::thread> threads;
@@ -309,7 +309,7 @@ void RunOutOfOrderLockstep(SchedulerKind kind, int shards, bool use_index) {
   auto ref = MultiTenantSelector::Create(options);
   ASSERT_TRUE(ref.ok());
   options.num_shards = shards;
-  auto sharded = ShardedMultiTenantSelector::Create(options);
+  auto sharded = MakeSelector(options);
   ASSERT_TRUE(sharded.ok());
   for (int t = 0; t < kTenants; ++t) {
     ASSERT_TRUE(

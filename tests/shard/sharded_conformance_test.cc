@@ -1,12 +1,11 @@
-/// Conformance suite for the sharded selector engine: for every scheduler
+/// Conformance suite for the selector engine's shards: for every scheduler
 /// policy, shard count N in {1, 2, 4, 7} and candidate-index mode (scan vs
-/// index-backed picks), a full campaign driven through
-/// `ShardedMultiTenantSelector` must replay the UNSHARDED, scan-backed
-/// `MultiTenantSelector` bit-identically — same (tenant, model, ticket)
-/// trace from `Next()`, same refusal statuses, same final per-tenant state —
-/// including under multi-device operation and tenant churn
-/// (RemoveTenant/AddTenant mid-campaign). A pinned golden trace guards the
-/// whole stack against silent drift.
+/// index-backed picks), a full campaign driven through `MakeSelector` must
+/// replay the UNSHARDED, scan-backed engine bit-identically — same (tenant,
+/// model, ticket) trace from `Next()`, same refusal statuses, same final
+/// per-tenant state — including under multi-device operation and tenant
+/// churn (RemoveTenant/AddTenant mid-campaign). A pinned golden trace
+/// guards the whole stack against silent drift.
 #include "shard/sharded_selector.h"
 
 #include <gtest/gtest.h>
@@ -424,25 +423,44 @@ TEST(HybridFreezeParityTest, IncrementalDetectorMatchesScanUnderStorms) {
   }
 }
 
-/// The factory must return the plain engine at 1 shard and the sharded one
-/// above, both accepting the full ticketed protocol.
+/// There is one engine: `MultiTenantSelector::Create` and the factory both
+/// honor `num_shards` (tenant `t` on shard `t % N`), both refuse N = 0, and
+/// both accept the full ticketed protocol.
 TEST(MakeSelectorTest, SelectsEngineByShardCount) {
-  auto plain = MakeSelector(MakeOptions(SchedulerKind::kGreedy, 1, 1));
-  ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(dynamic_cast<ShardedMultiTenantSelector*>(plain->get()), nullptr);
-  EXPECT_EQ((*plain)->num_shards(), 1);
-  EXPECT_EQ((*plain)->ShardCpuSeconds(), std::vector<double>{0.0});
+  constexpr int kTenants = 6;
+  constexpr int kModels = 3;
+  for (int n : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(n));
+    const SelectorOptions options = MakeOptions(SchedulerKind::kGreedy, 1, n);
+    auto created = MultiTenantSelector::Create(options);
+    ASSERT_TRUE(created.ok()) << created.status().ToString();
+    auto made = MakeSelector(options);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    std::vector<int> sizes(static_cast<size_t>(n), 0);
+    for (int t = 0; t < kTenants; ++t) ++sizes[static_cast<size_t>(t % n)];
+    for (MultiTenantSelector* engine : {&created.value(), made->get()}) {
+      EXPECT_EQ(engine->num_shards(), n);
+      EXPECT_EQ(engine->ShardSizes(), std::vector<int>(n, 0));
+      EXPECT_EQ(engine->ShardCpuSeconds(), std::vector<double>(n, 0.0));
+      for (int t = 0; t < kTenants; ++t) {
+        ASSERT_TRUE(
+            engine->AddTenantWithDefaultPrior(kModels, Costs(t, kModels))
+                .ok());
+      }
+      EXPECT_EQ(engine->ShardSizes(), sizes);
+      auto a = engine->Next();
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      EXPECT_TRUE(engine->Report(*a, Accuracy(a->tenant, a->model)).ok());
+      EXPECT_EQ(engine->RoundsServed(a->tenant).value(), 1);
+      const Status valid = engine->ValidateIndex();
+      EXPECT_TRUE(valid.ok()) << valid.ToString();
+    }
+  }
 
-  auto sharded = MakeSelector(MakeOptions(SchedulerKind::kGreedy, 1, 4));
-  ASSERT_TRUE(sharded.ok());
-  EXPECT_NE(dynamic_cast<ShardedMultiTenantSelector*>(sharded->get()),
-            nullptr);
-  EXPECT_EQ((*sharded)->num_shards(), 4);
-  EXPECT_EQ((*sharded)->ShardCpuSeconds().size(), 4u);
-
-  auto bad = MakeSelector(MakeOptions(SchedulerKind::kGreedy, 1, 0));
-  EXPECT_FALSE(bad.ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  const SelectorOptions bad = MakeOptions(SchedulerKind::kGreedy, 1, 0);
+  EXPECT_EQ(MultiTenantSelector::Create(bad).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(MakeSelector(bad).status().code(), StatusCode::kInvalidArgument);
 }
 
 /// Golden trace: the full HYBRID campaign (T=6, K=3, D=2) on the 4-shard

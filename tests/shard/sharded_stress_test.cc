@@ -1,9 +1,9 @@
-/// Raced churn/stress battery for the sharded selector: concurrent
-/// Next/Report/Cancel from several client threads while a churn thread
-/// removes and adds tenants — the workload tier1.sh's tsan preset races
-/// under ThreadSanitizer. The assertions are structural (status codes from
-/// the documented taxonomy, in-flight accounting, conservation of issued
-/// tickets); the bit-identical scheduling guarantees live in the
+/// Raced churn/stress battery for the selector engine at 1 and 4 shards:
+/// concurrent Next/Report/Cancel from several client threads while a churn
+/// thread removes and adds tenants — the workload tier1.sh's tsan preset
+/// races under ThreadSanitizer. The assertions are structural (status
+/// codes from the documented taxonomy, in-flight accounting, conservation
+/// of issued tickets); the bit-identical scheduling guarantees live in the
 /// single-threaded conformance suite.
 #include "shard/sharded_selector.h"
 
@@ -26,12 +26,12 @@ using core::SchedulerKind;
 using core::SelectorOptions;
 using Assignment = MultiTenantSelector::Assignment;
 
-/// Shared battery body; `use_index` flips the selector onto the
-/// index-backed pick path so the same races cover the tournament trees,
-/// with the churn thread interleaving debug ValidateIndex() sweeps (every
-/// tenant on shard `t % N` in the index, live counts in step with churn).
-void RunConcurrentChurnBattery(bool use_index) {
-  constexpr int kShards = 4;
+/// Shared battery body, built through `MakeSelector` at `shards` shards;
+/// `use_index` flips the selector onto the index-backed pick path so the
+/// same races cover the tournament trees, with the churn thread
+/// interleaving debug ValidateIndex() sweeps (every tenant on shard
+/// `t % N` in the index).
+void RunConcurrentChurnBattery(int shards, bool use_index) {
   constexpr int kInitialTenants = 24;
   constexpr int kModels = 6;
   constexpr int kDevices = 8;
@@ -42,11 +42,11 @@ void RunConcurrentChurnBattery(bool use_index) {
   options.scheduler = SchedulerKind::kHybrid;
   options.hybrid_patience = 3;
   options.num_devices = kDevices;
-  options.num_shards = kShards;
+  options.num_shards = shards;
   options.use_candidate_index = use_index;
-  auto created = ShardedMultiTenantSelector::Create(options);
+  auto created = MakeSelector(options);
   ASSERT_TRUE(created.ok());
-  ShardedMultiTenantSelector* selector = created->get();
+  MultiTenantSelector* selector = created->get();
   for (int t = 0; t < kInitialTenants; ++t) {
     ASSERT_TRUE(selector
                     ->AddTenantWithDefaultPrior(
@@ -181,11 +181,20 @@ void RunConcurrentChurnBattery(bool use_index) {
 }
 
 TEST(ShardedStressTest, ConcurrentNextReportCancelRemove) {
-  RunConcurrentChurnBattery(/*use_index=*/false);
+  RunConcurrentChurnBattery(/*shards=*/4, /*use_index=*/false);
 }
 
 TEST(ShardedStressTest, ConcurrentNextReportCancelRemoveIndexed) {
-  RunConcurrentChurnBattery(/*use_index=*/true);
+  RunConcurrentChurnBattery(/*shards=*/4, /*use_index=*/true);
+}
+
+// The 1-shard engine is the same engine and takes the same lock.
+TEST(ShardedStressTest, ConcurrentNextReportCancelRemoveOneShard) {
+  RunConcurrentChurnBattery(/*shards=*/1, /*use_index=*/false);
+}
+
+TEST(ShardedStressTest, ConcurrentNextReportCancelRemoveIndexedOneShard) {
+  RunConcurrentChurnBattery(/*shards=*/1, /*use_index=*/true);
 }
 
 /// Concurrent selector CONSTRUCTION against the process-wide default-prior
