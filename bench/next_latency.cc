@@ -4,33 +4,32 @@
 /// cost. The scan engines rescan all T tenants (GREEDY additionally reads
 /// the batched MaxUcb diagnostics of every candidate) even though a Report
 /// changes one tenant's summary; the candidate index replays one O(log T)
-/// leaf path per event and answers the pick from the shard roots. This
+/// leaf path per event and answers the pick from its root. This
 /// bench sweeps T with BOTH engines on identical campaigns (the traces are
 /// bit-identical — pinned by the index/scan conformance suite) and reports
 /// the per-call cost of `Next()` and `Report()` separately, because the
 /// index deliberately moves work to the report path (the leaf refresh).
 ///
 /// Timing follows the single-core bench protocol: CLOCK_THREAD_CPUTIME_ID
-/// around each call on the driving thread (num_shards = 1, so both engines
-/// run entirely on it) — thread CPU clocks are not inflated by host
-/// oversubscription, unlike wall time on this one-core container.
+/// around each call on the driving thread (both engines run entirely on
+/// it) — thread CPU clocks are not inflated by host oversubscription,
+/// unlike wall time on a shared host.
 ///
-/// A second section measures report throughput on the N-shard engine,
-/// which folds every completion on the calling thread under its lock (every
-/// cell pays the same lock); a shard is only a partition of the candidate
-/// index. Each burst fills all D device slots, then hands the D completions
-/// back. `wall_us_mean` is the wall time per completion from the start of
-/// the burst until its last fold is applied (the last `Report` returns),
-/// for each (D, N) cell. The section is
-/// informational: it shows what the shard count and the device count
-/// cost the report path, and no gate reads it.
+/// A second section measures report throughput: the engine folds every
+/// completion on the calling thread under its lock. Each burst fills all
+/// D device slots, then hands the D completions back. `wall_us_mean` is
+/// the wall time per completion from the start of the burst until its
+/// last fold is applied (the last `Report` returns), for D in {1, 2, 4,
+/// 8}. The shard count is not swept: with no observer attached it reaches
+/// nothing on this path. The section is informational: it shows what the
+/// device count costs the report path, and no gate reads it.
 ///
 /// A third section times HYBRID's `Report()`, the paper's default policy.
 /// After every outcome HYBRID's freeze detector tests whether the line-7
 /// candidate set and the summed best reward changed: the scan engine runs
 /// the reference `OnOutcome`, which rebuilds the set with one exact
 /// `CompareScaled` per tenant; the index engine runs `OnOutcomeIndexed`,
-/// which computes one exact mean cut from the merged shard sums and then
+/// which computes one exact mean cut of the index's running sum and then
 /// re-reads only the tenants the index logged as changed, plus those whose
 /// bound lies between the previous cut and this one. Same thread-CPU
 /// protocol as the first section. Once the detector has fired, scheduling
@@ -42,7 +41,7 @@
 ///
 /// Machine-readable rows for scripts/bench.sh:
 ///   NEXT_LATENCY,<tenants>,<engine>,<next_us_mean>,<report_us_mean>
-///   REPORT_TP,<tenants>,<devices>,<shards>,<reports>,<wall_us_mean>
+///   REPORT_TP,<tenants>,<devices>,<reports>,<wall_us_mean>
 ///   HYBRID_REPORT,<tenants>,<engine>,<report_us_mean>,<switched>
 #include <cstdint>
 #include <cstdio>
@@ -97,8 +96,6 @@ std::unique_ptr<MultiTenantSelector> StartCampaign(SchedulerKind kind,
   options.scheduler = kind;
   options.cost_aware = true;
   options.num_devices = 1;
-  options.num_shards = 1;  // both engines on the driving thread: the thread
-                           // CPU clock IS the critical path for each
   options.use_candidate_index = use_index;
   auto created = easeml::shard::MakeSelector(options);
   EASEML_CHECK(created.ok()) << created.status().ToString();
@@ -169,15 +166,14 @@ struct TpCell {
   double wall_us = 0.0;  // wall per report, burst start to its last fold
 };
 
-/// One report-throughput campaign: D device slots, N shards, GREEDY +
-/// candidate index (Report carries the leaf refresh). The campaign
-/// alternates slot-filling Next() bursts with timed Report() bursts.
-TpCell RunReportThroughput(int tenants, int devices, int shards) {
+/// One report-throughput campaign: D device slots, GREEDY + candidate
+/// index (Report carries the leaf refresh). The campaign alternates
+/// slot-filling Next() bursts with timed Report() bursts.
+TpCell RunReportThroughput(int tenants, int devices) {
   SelectorOptions options;
   options.scheduler = SchedulerKind::kGreedy;
   options.cost_aware = true;
   options.num_devices = devices;
-  options.num_shards = shards;
   auto created = easeml::shard::MakeSelector(options);
   EASEML_CHECK(created.ok()) << created.status().ToString();
   const std::unique_ptr<MultiTenantSelector> selector =
@@ -271,16 +267,11 @@ int main() {
       "T=%d, K=%d; wall_us_mean = wall per completion, burst start to its "
       "last fold)\n",
       kTpTenants, kModels);
-  std::printf("%8s %7s | %12s\n", "devices", "shards", "wall_us_mean");
-  // Two sweeps: shard scaling at D=8, then device scaling at N=8.
-  const int kCells[][2] = {{8, 1}, {8, 2}, {8, 4}, {8, 8},
-                           {1, 8}, {2, 8}, {4, 8}};
-  for (const auto& dn : kCells) {
-    const int devices = dn[0];
-    const int shards = dn[1];
-    const TpCell cell = RunReportThroughput(kTpTenants, devices, shards);
-    std::printf("%8d %7d | %12.3f\n", devices, shards, cell.wall_us);
-    std::printf("REPORT_TP,%d,%d,%d,%d,%.3f\n", kTpTenants, devices, shards,
+  std::printf("%8s | %12s\n", "devices", "wall_us_mean");
+  for (const int devices : {1, 2, 4, 8}) {
+    const TpCell cell = RunReportThroughput(kTpTenants, devices);
+    std::printf("%8d | %12.3f\n", devices, cell.wall_us);
+    std::printf("REPORT_TP,%d,%d,%d,%.3f\n", kTpTenants, devices,
                 cell.reports, cell.wall_us);
   }
   return 0;

@@ -4,7 +4,7 @@
 #   bench/next_latency           (per-Next() cost: O(T) scan vs candidate
 #                                 index. Also emits the REPORT_TP rows:
 #                                 the report-throughput sweep — one row
-#                                 per (devices, shards) cell with the
+#                                 per device count D in {1,2,4,8} with the
 #                                 wall time per completion, burst start to
 #                                 last fold; parsed into the JSON's
 #                                 report_throughput section, which is
@@ -127,12 +127,12 @@ for t in sorted({r[0] for r in rows}):
 tp_rows = []
 for line in next_latency.splitlines():
     if line.startswith('REPORT_TP,'):
-        _, tenants, devices, shards, reports, wall_us = line.split(',')
-        tp_rows.append([int(tenants), int(devices), int(shards), int(reports),
+        _, tenants, devices, reports, wall_us = line.split(',')
+        tp_rows.append([int(tenants), int(devices), int(reports),
                         float(wall_us)])
 
-def tp_cell(devices, shards):
-    return next(r for r in tp_rows if r[1] == devices and r[2] == shards)
+def tp_cell(devices):
+    return next(r for r in tp_rows if r[1] == devices)
 
 # HYBRID_REPORT,<tenants>,<engine>,<report_us_mean>,<switched>
 hybrid_rows = []
@@ -257,11 +257,11 @@ doc = {
         'engine, timing Next() and Report() separately with '
         'CLOCK_THREAD_CPUTIME_ID on the driving thread (thread-CPU clocks '
         'are not inflated by host oversubscription; this container has one '
-        'core). The index answers Next() from per-shard tournament roots '
+        'core). The index answers Next() from one tournament root '
         'and pays an O(log T) leaf replay per Report instead of an O(T K) '
         'rescan per Next. The report_throughput section times bursts of D '
-        'completions on the sharded engine, which folds each one on the '
-        'calling thread under its lock; wall_us_mean is the wall time per '
+        'completions on the engine, which folds each one on the calling '
+        'thread under its lock; wall_us_mean is the wall time per '
         'completion from burst start to its last fold (informational).',
     'recorded': datetime.date.today().isoformat(),
     'command': './' + ' && ./'.join(
@@ -298,16 +298,14 @@ doc = {
         'tenants': 240,
         'models_per_tenant': 6,
         'clock': 'wall',
-        'columns': ['tenants', 'devices', 'shards', 'reports',
-                    'wall_us_mean'],
+        'columns': ['tenants', 'devices', 'reports', 'wall_us_mean'],
         'rows': tp_rows,
         'headline':
             'Report throughput (informational, not a gate): every fold runs '
-            'on the calling thread under the sharded engine\'s lock. With '
-            'all 8 device slots completing in bursts, a completion costs {} '
-            'us of wall time from burst start to its last fold at N=1 and {} '
-            'us at N=8; the shard count only partitions the candidate '
-            'index.'.format(tp_cell(8, 1)[4], tp_cell(8, 8)[4]),
+            'on the calling thread under the engine\'s lock. With all D '
+            'device slots completing in bursts, a completion costs {} us of '
+            'wall time from burst start to its last fold at D=1 and {} us '
+            'at D=8.'.format(tp_cell(1)[3], tp_cell(8)[3]),
     },
     'hybrid_report': {
         'scheduler': 'hybrid',

@@ -56,14 +56,6 @@ void ExactDoubleSum::Normalize() {
   unnormalized_adds_ = 0;
 }
 
-void ExactDoubleSum::Merge(const ExactDoubleSum& other) {
-  ExactDoubleSum rhs = other;
-  rhs.Normalize();
-  Normalize();
-  for (int limb = 0; limb < kLimbs; ++limb) limb_[limb] += rhs.limb_[limb];
-  unnormalized_adds_ = 1;
-}
-
 int ExactDoubleSum::SignInPlace() {
   Normalize();
   // Normal form: limbs below the top are in [0, 2^32), the top limb holds

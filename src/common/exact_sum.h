@@ -8,17 +8,19 @@ namespace easeml {
 
 /// Exact, summation-order-invariant accumulation of IEEE-754 doubles.
 ///
-/// Floating-point addition is not associative, so a sum computed per shard
-/// and merged through a reduction tree generally differs (in the last ulps)
-/// from the same sum computed sequentially — enough to flip threshold
-/// comparisons such as GREEDY's candidate-set test and break bit-identical
-/// replay of a sharded scan. `ExactDoubleSum` removes the problem at the
-/// root: every finite double is an integer multiple of 2^-1074, so the sum
-/// is held as a wide fixed-point integer (64-bit limbs of 32 value bits
-/// each, covering the full double exponent range). Integer addition is
-/// exact and commutative, hence `Add`/`Merge` yield the same accumulator
-/// for ANY ordering or partition of the inputs — the invariant the
-/// deterministic shard reduction relies on.
+/// Floating-point addition is not associative, and subtracting a value
+/// does not undo adding it: a running double sum that bounds enter and
+/// leave as tenants change drifts (in the last ulps) from the same sum
+/// computed fresh — enough to flip threshold comparisons such as GREEDY's
+/// candidate-set test, so the candidate index's running sum would stop
+/// matching the scan's fresh one. `ExactDoubleSum` removes the problem at
+/// the root: every finite double is an integer multiple of 2^-1074, so the
+/// sum is held as a wide fixed-point integer (64-bit limbs of 32 value
+/// bits each, covering the full double exponent range). Integer addition
+/// is exact and commutative, hence `AddProduct(x, -1)` cancels `Add(x)`
+/// bit-for-bit and the accumulator is the same for ANY ordering of the
+/// inputs — the invariant that lets the index's running sum equal the
+/// scan's fresh accumulation.
 ///
 /// Thresholds are evaluated exactly: `CompareScaled(x, n)` returns the
 /// exact sign of (x * n - sum), i.e. "is x at least the mean of the n
@@ -41,10 +43,6 @@ class ExactDoubleSum {
   /// Adds the exact product x * scale (no intermediate rounding).
   /// Preconditions: `x` finite, |scale| <= 2^31.
   void AddProduct(double x, int64_t scale);
-
-  /// Folds `other` into this accumulator. Exact; equivalent to replaying
-  /// every `Add` that built `other`, in any order.
-  void Merge(const ExactDoubleSum& other);
 
   /// Exact sign of (x * n - sum): -1, 0 or +1. Preconditions as AddProduct.
   /// `CompareScaled(b, count) >= 0` answers "b >= sum/count" with no

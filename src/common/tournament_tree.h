@@ -19,11 +19,10 @@ namespace easeml {
 ///
 /// The tree SHAPE is a pure function of the leaf count (leaves padded to the
 /// next power of two, missing slots holding the identity summary), never of
-/// update order or thread timing. When `Merge` is additionally associative
-/// with a total-order tie-break (min-index argmax, exact integer sums,
-/// `ExactDoubleSum::Merge`), the root is independent of how tenants are
-/// partitioned into leaves, which is what lets the index replay the scan
-/// path bit-identically.
+/// update order. When `Merge` is additionally associative with a
+/// total-order tie-break (min-index argmax, exact integer counts), the root
+/// equals the scan's sequential fold over the same leaves, which is what
+/// lets the index replay the scan path bit-identically.
 ///
 /// `Summary` requirements:
 ///   - default-constructible, and the default value is the merge identity
@@ -36,8 +35,8 @@ namespace easeml {
 /// child index arithmetic; the policy-specific query logic lives with the
 /// summary type, not here.
 ///
-/// Not thread-safe; the owning engine serializes access (one writer per
-/// shard tree, reads behind the selector's synchronization).
+/// Not thread-safe; the owning engine serializes access (reads and writes
+/// behind the selector's lock).
 template <typename Summary>
 class TournamentTree {
  public:

@@ -84,7 +84,7 @@ MultiTenantSelector::MultiTenantSelector(
   const bool track_gap =
       hybrid || options_.scheduler == SchedulerKind::kGreedy;
   index_ = std::make_unique<scheduler::CandidateIndex>(
-      options_.num_shards, track_gap, /*log_changes=*/hybrid);
+      track_gap, /*log_changes=*/hybrid);
 }
 
 void MultiTenantSelector::RefreshIndexEntry(int tenant) {
@@ -114,15 +114,6 @@ std::vector<int> MultiTenantSelector::ShardSizes() const {
 Status MultiTenantSelector::ValidateIndex() const {
   MutexLock lock(*mu_);
   if (index_ == nullptr) return Status::OK();
-  // Every tenant ever added, retired ones included, sits on ShardOf(t).
-  std::vector<std::vector<int>> placement(static_cast<size_t>(num_shards()));
-  for (const scheduler::UserState& u : users_) {
-    placement[static_cast<size_t>(ShardOf(u.user_id()))].push_back(
-        u.user_id());
-  }
-  if (index_->Placement() != placement) {
-    return Status::Internal("index: placement diverged from ShardOf");
-  }
   return index_->Validate(users_);
 }
 
@@ -178,12 +169,11 @@ Result<int> MultiTenantSelector::AddTenantWithBelief(
 }
 
 void MultiTenantSelector::PlaceTenant(int tenant) {
-  // New ids are globally maximal, so the shard's index tree extends at the
-  // tail in O(log T) — never a rebuild on the add path.
-  const int shard = ShardOf(tenant);
-  if (index_ != nullptr) index_->AppendTenant(shard, users_[tenant]);
+  // New ids are the next leaf slot, so the index tree extends at the tail
+  // in O(log T) amortized — never a rebuild on the add path.
+  if (index_ != nullptr) index_->AppendTenant(users_[tenant]);
   if (options_.observer != nullptr) {
-    options_.observer->OnTenantPlaced(tenant, shard);
+    options_.observer->OnTenantPlaced(tenant, ShardOf(tenant));
     NotifyTenantEvent(tenant);
   }
 }
@@ -313,9 +303,10 @@ Result<int> MultiTenantSelector::AddTenantWithDefaultPrior(
     return Status::InvalidArgument("AddTenant: num_models must be > 0");
   }
   // Validate before touching the cache: a NaN key would break the map's
-  // ordering invariant.
-  if (!(noise_variance > 0.0)) {
-    return Status::InvalidArgument("AddTenant: noise variance must be > 0");
+  // ordering invariant, and a +inf one would cache a prior nobody may use.
+  if (!std::isfinite(noise_variance) || !(noise_variance > 0.0)) {
+    return Status::InvalidArgument(
+        "AddTenant: noise variance must be finite and > 0");
   }
   std::shared_ptr<const gp::SharedGpPrior> prior;
   {
@@ -380,10 +371,10 @@ bool MultiTenantSelector::HasDispatchableWork() const {
   if (static_cast<int>(in_flight_.size()) >= options_.num_devices) {
     return false;
   }
-  // The index maintains the answer as an O(1)-per-shard root read; the
-  // async service consults this before every dispatch, so without it the
-  // "no scan" serving path would regress to O(T) right here.
-  if (index_ != nullptr) return index_->AnySchedulable();
+  // The index maintains the answer as an O(1) root read; the async
+  // service consults this before every dispatch, so without it the "no
+  // scan" serving path would regress to O(T) right here.
+  if (index_ != nullptr) return index_->Root().cnt_schedulable > 0;
   for (const auto& u : users_) {
     if (u.Schedulable()) return true;
   }
@@ -393,13 +384,13 @@ bool MultiTenantSelector::HasDispatchableWork() const {
 Result<int> MultiTenantSelector::PickTenant(int round) {
   if (index_ != nullptr) {
     // Index-backed pick: the init sweep and the any-work test are O(1)
-    // root reads (exact min/or merges — the same answers the scans below
-    // compute), then the policy answers from the tournament summaries.
-    const int first_uninitialized = index_->MinUninitialized();
-    if (first_uninitialized != scheduler::CandidateIndex::kNone) {
-      return first_uninitialized;
+    // root reads (the same answers the scans below compute), then the
+    // policy answers from the tournament summaries.
+    const scheduler::CandidateIndex::IndexNode& root = index_->Root();
+    if (root.min_uninitialized != scheduler::CandidateIndex::kNone) {
+      return root.min_uninitialized;
     }
-    if (!index_->AnySchedulable()) return NoDispatchableWorkStatus();
+    if (root.cnt_schedulable == 0) return NoDispatchableWorkStatus();
     return scheduler_->PickUserIndexed(users_, round, *index_);
   }
   // Initialization sweep (Algorithm 2 lines 1-4): any tenant without an

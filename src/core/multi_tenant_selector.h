@@ -53,17 +53,19 @@ struct SelectorOptions {
   int num_devices = 1;
 
   /// Number of selector shards (>= 1; the default 1 is one shard). Tenant
-  /// `t` lives on shard `t % num_shards`. A shard is a partition of the
-  /// candidate index and a slot of the observer's snapshot plane; it starts
-  /// no thread. Every call, folds included, runs on the calling thread, and
-  /// the selection trace is bit-identical for every shard count.
-  /// `MultiTenantSelector::Create` and `shard::MakeSelector` both honor it.
+  /// `t` lives on shard `t % num_shards`. A shard is only a slot of the
+  /// observer's snapshot plane: it names the slot the observer hooks
+  /// report (`OnTenantPlaced`, `OnFoldQueued`, `OnFold`) and the counts
+  /// `ShardSizes()` returns. It starts no thread and does not partition
+  /// the candidate index, so the selection trace is the same for every
+  /// shard count. `MultiTenantSelector::Create` and `shard::MakeSelector`
+  /// both honor it.
   int num_shards = 1;
 
   /// Serve `Next()` from the incremental candidate index (the default):
-  /// each engine shard keeps a monotone tournament tree over its tenants'
-  /// policy summaries (scheduler/candidate_index.h), a tenant event
-  /// replays one O(log T) leaf path, and a pick reads the shard roots.
+  /// one monotone tournament tree over every tenant's policy summary
+  /// (scheduler/candidate_index.h), a tenant event replays one O(log T)
+  /// leaf path, and a pick reads the root or runs one pruned descent.
   /// `false` selects the reference pick instead — the scheduler policy's
   /// O(T) `PickUser` scan, which needs no per-tenant key maintenance on
   /// the report path. Both pick bit-identically (the index/scan
@@ -154,13 +156,13 @@ int DefaultPriorCacheSizeForTesting();
 /// `scheduler_policy()` hands out a raw reference into policy state and is
 /// for quiescent diagnostics only.
 ///
-/// Tenant `t` lives on shard `t % num_shards()` for its whole life. A shard
-/// is a partition of the candidate index (one tournament tree per shard,
-/// roots merged exactly) and a slot of the observer's snapshot plane. A
-/// removed tenant retires in place: it keeps its neutral index leaf and
-/// its snapshot entry, and no other tenant moves. Placement never changes
-/// a pick: the selection trace is bit-identical for every shard count and
-/// any thread interleaving.
+/// Tenant `t` holds leaf slot `t` of the candidate index and lives on
+/// shard `t % num_shards()` for its whole life; a shard is only a slot of
+/// the observer's snapshot plane. A removed tenant retires in place: it
+/// keeps its neutral index leaf and its snapshot entry, and no other
+/// tenant moves. The shard count never changes a pick: the selection
+/// trace is bit-identical for every shard count and any thread
+/// interleaving.
 class MultiTenantSelector {
  public:
   /// A unit of work: train model `model` for tenant `tenant`. `id` is the
@@ -172,8 +174,8 @@ class MultiTenantSelector {
     int64_t id = -1;
   };
 
-  /// Validates `options` and builds an engine with a `num_shards`-shard
-  /// candidate index (when `use_candidate_index` is on).
+  /// Validates `options` and builds an engine with a candidate index (when
+  /// `use_candidate_index` is on) and `num_shards` observer slots.
   static Result<MultiTenantSelector> Create(const SelectorOptions& options);
 
   // Virtual only so the stateless subclass in shard/sharded_selector.h can
@@ -205,8 +207,8 @@ class MultiTenantSelector {
       EASEML_EXCLUDES(mu_);
 
   /// Retires a tenant: it is never scheduled again and its belief memory
-  /// is released. It stays in place on its shard, with a neutral index
-  /// leaf and a snapshot entry marked retired; no other tenant moves.
+  /// is released. It stays in place, with a neutral index leaf and a
+  /// snapshot entry marked retired; no other tenant moves.
   /// Refused with FailedPrecondition while the tenant has in-flight
   /// tickets — `Report` or `Cancel` them first — or when it was already
   /// removed; OutOfRange for ids never issued. Historical read-side queries
@@ -295,11 +297,10 @@ class MultiTenantSelector {
 
   /// Invariant check for the candidate index (tests / debug tooling, never
   /// the serving path): checks that every tenant ever added, retired ones
-  /// included, sits on shard `t % num_shards()` in the index, then
-  /// re-derives every tenant key and replays every aggregate from scratch,
-  /// failing with Internal on the first misplaced tenant, stale leaf,
-  /// drifted exact sum, or out-of-date tournament node. OK when the index
-  /// is disabled.
+  /// included, holds the leaf slot of its id, then re-derives every tenant
+  /// key and replays every aggregate from scratch, failing with Internal
+  /// on the first misplaced tenant, stale leaf, drifted exact sum, or
+  /// out-of-date tournament node. OK when the index is disabled.
   Status ValidateIndex() const EASEML_EXCLUDES(mu_);
 
   /// Serializes the COMPLETE engine state (priors deduplicated by
@@ -327,9 +328,9 @@ class MultiTenantSelector {
                       std::unique_ptr<scheduler::SchedulerPolicy> s);
 
   /// The one placement rule: tenant `t` lives on shard `t % num_shards()`
-  /// for its whole life. It names the shard of the tenant's index leaf,
-  /// the shard the observer learns from `OnTenantPlaced`, and the shard
-  /// its folds are reported on.
+  /// for its whole life. It names the observer's slot only: the shard the
+  /// observer learns from `OnTenantPlaced`, the shard its folds are
+  /// reported on, and the shard `ShardSizes()` counts it in.
   int ShardOf(int tenant) const { return tenant % num_shards(); }
 
   /// `AddTenant` under the lock (`AddTenantWithDefaultPrior` resolves its
@@ -337,9 +338,9 @@ class MultiTenantSelector {
   Result<int> AddTenantLocked(std::shared_ptr<const gp::SharedGpPrior> prior,
                               std::vector<double> costs) EASEML_REQUIRES(mu_);
 
-  /// Appends the new tenant (the largest id ever issued) to the tail of
-  /// shard `ShardOf(tenant)`'s index tree in O(log T) amortized, then
-  /// announces it to the observer (`OnTenantPlaced`, then its first tenant
+  /// Appends the new tenant (the next id) at the tail of the index tree
+  /// in O(log T) amortized, then announces it to the observer
+  /// (`OnTenantPlaced` with `ShardOf(tenant)`, then its first tenant
   /// event).
   void PlaceTenant(int tenant) EASEML_REQUIRES(mu_);
 
@@ -444,9 +445,9 @@ class MultiTenantSelector {
   SelectorOptions options_;
   std::unique_ptr<scheduler::SchedulerPolicy> scheduler_
       EASEML_PT_GUARDED_BY(mu_);
-  /// Incremental candidate index (nullptr when disabled): per-shard
-  /// tournament trees + exact threshold aggregates answering PickTenant in
-  /// O(log T) instead of an O(T) scan.
+  /// Incremental candidate index (nullptr when disabled): one tournament
+  /// tree + the exact running threshold, answering PickTenant in O(log T)
+  /// instead of an O(T) scan.
   std::unique_ptr<scheduler::CandidateIndex> index_ EASEML_PT_GUARDED_BY(mu_);
   std::vector<scheduler::UserState> users_ EASEML_GUARDED_BY(mu_);
   std::vector<int> best_model_ EASEML_GUARDED_BY(mu_);  // -1 until 1st report

@@ -14,12 +14,19 @@ Result<std::shared_ptr<const SharedGpPrior>> MakeSharedGpPrior(
   if (gram.rows() != gram.cols() || gram.rows() == 0) {
     return Status::InvalidArgument("SharedGpPrior: gram must be square");
   }
+  // One O(K^2) pass per prior, before the comparisons below: a NaN entry
+  // passes both the symmetry tolerance and the positive-diagonal test.
+  for (const double g : gram.data()) {
+    if (!std::isfinite(g)) {
+      return Status::InvalidArgument("SharedGpPrior: non-finite gram entry");
+    }
+  }
   if (!gram.IsSymmetric(1e-9)) {
     return Status::InvalidArgument("SharedGpPrior: gram not symmetric");
   }
-  if (!(noise_variance > 0.0)) {  // negated so NaN is rejected too
+  if (!std::isfinite(noise_variance) || !(noise_variance > 0.0)) {
     return Status::InvalidArgument(
-        "SharedGpPrior: noise variance must be > 0");
+        "SharedGpPrior: noise variance must be finite and > 0");
   }
   const int k = gram.rows();
   if (mean.empty()) mean.assign(k, 0.0);
@@ -27,6 +34,10 @@ Result<std::shared_ptr<const SharedGpPrior>> MakeSharedGpPrior(
     return Status::InvalidArgument("SharedGpPrior: prior mean size mismatch");
   }
   for (int i = 0; i < k; ++i) {
+    if (!std::isfinite(mean[static_cast<size_t>(i)])) {
+      return Status::InvalidArgument(
+          "SharedGpPrior: non-finite prior mean on arm " + std::to_string(i));
+    }
     if (gram(i, i) <= 0.0) {
       return Status::InvalidArgument(
           "SharedGpPrior: non-positive prior variance on arm " +

@@ -29,9 +29,9 @@ struct SharedGpPrior {
   }
 };
 
-/// Validates and wraps a prior for sharing. `gram` must be symmetric K x K
-/// with strictly positive diagonal, `noise_variance` strictly positive;
-/// `mean` defaults to zero.
+/// Validates and wraps a prior for sharing. `gram` must be finite and
+/// symmetric K x K with strictly positive diagonal, `noise_variance`
+/// finite and strictly positive, `mean` finite; `mean` defaults to zero.
 Result<std::shared_ptr<const SharedGpPrior>> MakeSharedGpPrior(
     linalg::Matrix gram, double noise_variance,
     std::vector<double> mean = {});

@@ -16,15 +16,15 @@ namespace easeml::scheduler {
 ///
 /// The reference pick (`SchedulerPolicy::PickUser`) rescans all T tenants
 /// on every `Next()` even though a `Report` changes exactly one tenant's
-/// (bound, gap) summary. The index inverts that: each shard keeps a
-/// monotone `TournamentTree` over its tenants' policy summaries
-/// (`TenantKey` → `IndexNode`, merged with the same total-order tie-breaks
-/// as the scan's folds), plus the exactly-mergeable scalar aggregates of
-/// GREEDY's candidate threshold. A tenant event (`Report`, `Cancel`, arm
-/// selection, retirement) refreshes ONE leaf and replays its O(log T) root
-/// path; a pick reads the N shard roots in O(1) each and merges them with
-/// exact, associative merges, so the result is bit-identical to the scan
-/// for every shard count.
+/// (bound, gap) summary. The index inverts that: one monotone
+/// `TournamentTree` whose leaf slot is the tenant id holds every tenant's
+/// policy summary (`TenantKey` → `IndexNode`, merged with the same
+/// total-order tie-breaks as the scan's folds), next to a running exact
+/// sum and count of GREEDY's finite bounds. A tenant event (`Report`,
+/// `Cancel`, arm selection, retirement) refreshes ONE leaf and replays its
+/// O(log T) root path; a pick reads the root, the sum and the count, or
+/// runs one pruned O(log T) descent, and gets the scan's answer
+/// bit-for-bit.
 ///
 /// ## Per-policy keys and their invalidation contract
 ///
@@ -34,48 +34,49 @@ namespace easeml::scheduler {
 ///
 ///   - GREEDY: (UCB bound sigma~, line-8 gap, exact-sum candidate
 ///     membership). The candidate threshold "bound * finite_count >= exact
-///     sum" is evaluated against incrementally maintained `ExactDoubleSum`
-///     aggregates — exact integer arithmetic, so adding a bound and later
-///     subtracting it restores the accumulator bit-for-bit and the
-///     incremental sum equals the scan's fresh accumulation exactly. The
+///     sum" is evaluated against an incrementally maintained
+///     `ExactDoubleSum` — exact integer arithmetic, so adding a bound and
+///     later subtracting it restores the accumulator bit-for-bit and the
+///     running sum equals the scan's fresh accumulation exactly. The
 ///     line-8 argmax runs as a pruned tournament descent (candidacy is
 ///     monotone in the bound, so a subtree whose max bound fails the
 ///     threshold holds no candidate); the descent tests bounds against the
 ///     threshold's exact cut (`Candidacy`), one double compare per node.
 ///   - ROUNDROBIN / FCFS: min-id and cyclic-distance picks are answered
 ///     from `min_schedulable` summaries; the cursor is a QUERY parameter
-///     (two O(log T) descents: min schedulable id >= cursor, else global
-///     min), so advancing it never touches a leaf — the epoch-offset idea
-///     with the offset applied at read time.
-///   - RANDOM: per-node schedulable counts give the total for the uniform
-///     draw (identical RNG stream) and rank/prefix counts let a binary
-///     search recover the j-th schedulable id in global ascending order.
+///     (one O(log T) descent for the min schedulable id >= cursor, else
+///     the root minimum), so advancing it never touches a leaf — the
+///     epoch-offset idea with the offset applied at read time.
+///   - RANDOM: the root's schedulable count is the total for the uniform
+///     draw (identical RNG stream), and one rank descent over per-node
+///     counts finds the j-th schedulable id in ascending order.
 ///   - HYBRID: delegates to the active phase (GREEDY before the freeze
 ///     switch, ROUNDROBIN after). Its freeze detector runs on the report
-///     path (`OnOutcomeIndexed`): it merges the shard aggregates
-///     (`MergedThreshold`), computes the cut once, and updates its copy
-///     of the candidate set from the change log below — each changed
-///     tenant's key, plus the unchanged tenants whose bound lies between
-///     the previous cut and this one — instead of reading every tenant.
-///     The set it keeps is the one the scan's `ComputeCandidateSet`
-///     builds with one exact `CompareScaled` per tenant.
+///     path (`OnOutcomeIndexed`): it computes the cut of the running sum
+///     once and updates its copy of the candidate set from the change log
+///     below — each changed tenant's key, plus the unchanged tenants whose
+///     bound lies between the previous cut and this one — instead of
+///     reading every tenant. The set it keeps is the one the scan's
+///     `ComputeCandidateSet` builds with one exact `CompareScaled` per
+///     tenant.
 ///
 /// ## Change log
 ///
 /// An index built with `log_changes` records every tenant whose key was
-/// appended or refreshed, once per tenant, until `TakeChanged` hands the
-/// list over and clears it. Between two HYBRID outcomes that list is
-/// exactly the set of tenants whose key or best reward may have moved,
-/// since every fold refreshes its tenant. Engines turn the log on for
-/// HYBRID only; no other policy reads it.
+/// appended or refreshed, once per tenant, in first-change order, until
+/// `TakeChanged` hands the list over and clears it. Between two HYBRID
+/// outcomes that list is exactly the set of tenants whose key or best
+/// reward may have moved, since every fold refreshes its tenant. Engines
+/// turn the log on for HYBRID only; no other policy reads it.
 ///
 /// Keys go stale the moment their tenant's state changes; the owning
 /// selector MUST call `Refresh` after every event that touches a tenant —
 /// arm selection, outcome fold, cancel, retire — before the next pick.
-/// A new tenant is appended to its shard's tail (`AppendTenant`) and keeps
-/// that leaf for life: retirement is one more `Refresh`, which leaves a
-/// neutral leaf (never schedulable, never a candidate), so no event ever
-/// moves a tenant between shards or slots.
+/// A new tenant is appended at the leaf slot equal to its id
+/// (`AppendTenant`; ids are dense and issued in order) and keeps that leaf
+/// for life: retirement is one more `Refresh`, which leaves a neutral leaf
+/// (never schedulable, never a candidate), so no event ever moves a
+/// tenant.
 ///
 /// ## External synchronization
 ///
@@ -85,10 +86,9 @@ namespace easeml::scheduler {
 /// reaches it through an owning pointer, that guarded-by relation is
 /// expressed on the selector side (`EASEML_PT_GUARDED_BY` at the owner),
 /// not here — a struct cannot name a mutex it has never heard of.
-/// Every call — picks, arm selections, report and cancel folds, churn,
-/// `TakeChanged` and `MergedThreshold` (which keeps its last result in the
-/// index) — runs on the thread that called into the engine, one at a time.
-/// Any new caller must hold that synchronization too.
+/// Every call — picks, arm selections, report and cancel folds, churn and
+/// `TakeChanged` — runs on the thread that called into the engine, one at
+/// a time. Any new caller must hold that synchronization too.
 class CandidateIndex {
  public:
   /// Sentinel for "no tenant": merges below as min-identity, mirroring the
@@ -107,8 +107,8 @@ class CandidateIndex {
 
   /// Tournament summary over a leaf range. All merges are exact (integer
   /// counts, min-id, strictly-greater-key argmax with lowest-id tie-break —
-  /// the scan's total orders), so the root is independent of the
-  /// leaf partition and grouping.
+  /// the scan's total orders), so the root is the scan's answer for every
+  /// tree shape.
   struct IndexNode {
     int cnt_schedulable = 0;
     int min_schedulable = kNone;    // lowest schedulable tenant id
@@ -153,16 +153,6 @@ class CandidateIndex {
     bool Admits(double bound) const { return all_candidates || bound >= cut; }
   };
 
-  /// GREEDY's phase-A statistics merged over every shard — what the scan's
-  /// first pass accumulates. Counts and mins merge associatively and the
-  /// bound sum is exact, so the result equals the scan's pass bit-for-bit.
-  struct Threshold {
-    int schedulable = 0;         // tenants a scheduler may serve now
-    int min_bad_policy = kNone;  // lowest live tenant without bounds
-    int finite_count = 0;        // schedulable tenants with a finite bound
-    ExactDoubleSum bound_sum;    // exact sum of those finite bounds
-  };
-
   /// Best (key, lowest-id) pair of a pruned argmax descent; `user == kNone`
   /// when no candidate key rose above the -inf sentinel.
   struct Best {
@@ -178,66 +168,54 @@ class CandidateIndex {
     }
   };
 
-  /// An index over `num_shards` >= 1 shard trees, initially empty.
-  /// `track_gap` controls whether keys carry the line-8 gap — the one
-  /// O(K) derivation (the batched MaxUcb read). Only GREEDY/HYBRID picks
-  /// consume it; engines serving the other schedulers pass false so the
-  /// per-event refresh stays O(log T) with no posterior reads at all.
-  /// `log_changes` turns on the change log (see the class comment), which
-  /// only HYBRID's freeze detector consumes.
-  explicit CandidateIndex(int num_shards, bool track_gap = true,
-                          bool log_changes = false);
+  /// An empty index. `track_gap` controls whether keys carry the line-8
+  /// gap — the one O(K) derivation (the batched MaxUcb read). Only
+  /// GREEDY/HYBRID picks consume it; engines serving the other schedulers
+  /// pass false so the per-event refresh stays O(log T) with no posterior
+  /// reads at all. `log_changes` turns on the change log (see the class
+  /// comment), which only HYBRID's freeze detector consumes.
+  explicit CandidateIndex(bool track_gap = true, bool log_changes = false);
 
-  int num_shards() const { return static_cast<int>(shards_.size()); }
-
-  /// Places a NEW tenant at the tail of `shard` in O(log T) amortized —
-  /// valid because tenant ids grow monotonically, so a new id is above
-  /// every placed id. The only placement path: the engine adds this way,
-  /// and the tenant stays on that leaf for life.
-  void AppendTenant(int shard, const UserState& user);
+  /// Places a NEW tenant at leaf slot `user.user_id()` in O(log T)
+  /// amortized. The id must be the next slot (the number of tenants
+  /// placed so far); anything else fails fast. The only placement path:
+  /// the engine adds this way, and the tenant stays on that leaf for life.
+  void AppendTenant(const UserState& user);
 
   /// Recomputes `user`'s key (the only O(K) step: the batched MaxUcb
   /// diagnostics read) and replays its leaf's O(log T) root path plus the
-  /// shard's scalar aggregates. The tenant must have been placed
+  /// running bound sum and count. The tenant must have been placed
   /// (`AppendTenant`). Both calls log the tenant when the log is on.
   void Refresh(const UserState& user);
 
-  // --- O(1) per-shard reads (merge across shards at the call site) -------
-  const IndexNode& Root(int shard) const { return shards_[shard].tree.Root(); }
+  // --- O(1) reads ---------------------------------------------------------
+  /// The summary over every tenant: counts, lowest ids, argmax pairs.
+  const IndexNode& Root() const { return tree_.Root(); }
+  /// GREEDY's line-7 threshold: the exact sum of the finite bounds of the
+  /// schedulable tenants, and how many there are — what the scan's first
+  /// pass accumulates, bit-for-bit.
+  const ExactDoubleSum& bound_sum() const { return bound_sum_; }
+  int finite_count() const { return finite_count_; }
 
-  // --- Cross-shard convenience reads (exact min/sum merges) --------------
-  /// GREEDY's phase-A statistics over all shards, N exact merges: the one
-  /// read of the threshold aggregates, shared by GREEDY's indexed pick and
-  /// HYBRID's indexed freeze detector. The result is kept until the next
-  /// tenant event in any shard, so a HYBRID outcome and the pick right
-  /// after it pay for one merge.
-  Threshold MergedThreshold() const;
-  /// Lowest tenant id the initialization sweep must serve; kNone if none.
-  int MinUninitialized() const;
-  /// True iff any tenant is schedulable right now.
-  bool AnySchedulable() const;
+  // --- Pruned O(log T) descents ------------------------------------------
+  /// Argmax of the line-8 key over CANDIDATES. `use_gap` picks the gap key
+  /// (kMaxUcbGap) vs the bound itself (kMaxEmpiricalBound).
+  Best BestCandidate(const Candidacy& candidacy, bool use_gap) const;
 
-  // --- Pruned descents (per shard; merge across shards at the call site) --
-  /// Argmax of the line-8 key over shard-local CANDIDATES, threaded through
-  /// `best` so later shards prune against earlier winners. `use_gap` picks
-  /// the gap key (kMaxUcbGap) vs the bound itself (kMaxEmpiricalBound).
-  Best BestCandidate(int shard, const Candidacy& candidacy, bool use_gap,
-                     Best best) const;
-
-  /// Lowest candidate tenant id in `shard`; kNone if none. (The scan's
+  /// Lowest candidate tenant id; kNone if none. (The scan's
   /// min_candidate fallback for the all-keys-at--inf case.)
-  int MinCandidate(int shard, const Candidacy& candidacy) const;
+  int MinCandidate(const Candidacy& candidacy) const;
 
-  /// Lowest schedulable tenant id >= `id_floor` in `shard`; kNone if none.
-  /// Round-robin's cyclic pick = this at the cursor, else the global min.
-  int MinSchedulableAtLeast(int shard, int id_floor) const;
+  /// Lowest schedulable tenant id >= `id_floor`; kNone if none.
+  /// Round-robin's cyclic pick = this at the cursor, else the root min.
+  int MinSchedulableAtLeast(int id_floor) const;
 
-  /// Number of schedulable tenants in `shard` with id <= `id_cap` —
-  /// RANDOM's rank query for recovering the j-th schedulable id.
-  int CountSchedulableLeq(int shard, int id_cap) const;
+  /// The schedulable tenant of 0-based `rank` in ascending id order —
+  /// RANDOM's draw; kNone unless 0 <= rank < Root().cnt_schedulable.
+  int SchedulableAtRank(int rank) const;
 
   /// The cached key for `tenant` (fresh iff the invalidation contract was
-  /// honored). Valid for any id the index has ever seen.
+  /// honored). Valid for any id the index has placed.
   const TenantKey& Key(int tenant) const { return keys_[tenant]; }
 
   /// Whether keys carry the line-8 gap (see the constructor).
@@ -247,58 +225,47 @@ class CandidateIndex {
   bool logs_changes() const { return log_changes_; }
 
   /// Replaces `*out` with every tenant appended or refreshed since the
-  /// last call, each once, and empties the log. The order is by shard,
-  /// then by first change. Always empty when the log is off.
+  /// last call, each once, in first-change order, and empties the log.
+  /// Always empty when the log is off.
   void TakeChanged(std::vector<int>* out);
 
-  /// Invariant check (tests / debug builds): recomputes every key from
-  /// `users` and every aggregate from scratch and compares against the
-  /// incrementally maintained state — keys bit-for-bit, sums by exact
-  /// comparison, every tree node re-merged. Returns Internal on the first
-  /// divergence. O(T log T); never called on the serving path.
+  /// Invariant check (tests / debug builds): checks that `users` are
+  /// exactly the placed tenants, recomputes every key from them and every
+  /// aggregate from scratch, and compares against the incrementally
+  /// maintained state — keys bit-for-bit, the sum by exact comparison,
+  /// every tree node re-merged. Returns Internal on the first divergence.
+  /// O(T); never called on the serving path.
   Status Validate(const std::vector<UserState>& users) const;
 
-  /// The placement the index currently reflects (ascending per shard);
-  /// the engine's ValidateIndex checks it against its placement rule.
-  std::vector<std::vector<int>> Placement() const;
-
  private:
-  struct Shard {
-    TournamentTree<IndexNode> tree;
-    std::vector<int> tenants;  // leaf slot -> tenant id, ascending
-    // GREEDY phase-A scalar aggregates, maintained by exact +/- deltas:
-    // ExactDoubleSum is exact integer arithmetic, so removals cancel
-    // additions bit-for-bit and the running value always equals a fresh
-    // accumulation over the current members.
-    ExactDoubleSum bound_sum;
-    int finite_count = 0;
-    // This shard's part of the change log, in first-change order.
-    std::vector<int> changed;
-    // Appends and refreshes so far: MergedThreshold's staleness test.
-    uint64_t events = 0;
-  };
-
   /// MakeTenantKey with this index's gap-tracking mode (defined after the
   /// free function's declaration).
   TenantKey DeriveKey(const UserState& user) const;
 
-  /// Counts a tenant event in `sh` and appends `id` to its change log
-  /// unless the log is off or already holds it.
-  void NoteEvent(Shard& sh, int id);
+  /// Moves `key`'s finite bound into (sign = +1) or out of (sign = -1) the
+  /// running sum and count; no-op unless it is schedulable and finite.
+  void CountBound(const TenantKey& key, int sign);
+
+  /// Appends `id` to the change log unless the log is off or already
+  /// holds it.
+  void NoteChange(int id);
 
   bool track_gap_ = true;
   bool log_changes_ = false;
-  std::vector<Shard> shards_;
+  // Leaf slot = tenant id.
+  TournamentTree<IndexNode> tree_;
   // Indexed by tenant id (ids are dense and never reused).
   std::vector<TenantKey> keys_;
-  std::vector<int> shard_of_;
-  std::vector<int> slot_of_;
-  // 1 while the tenant sits in its shard's change log.
+  // GREEDY's threshold, maintained by exact +/- deltas: ExactDoubleSum is
+  // exact integer arithmetic, so removals cancel additions bit-for-bit and
+  // the running value always equals a fresh accumulation over the
+  // current members.
+  ExactDoubleSum bound_sum_;
+  int finite_count_ = 0;
+  // The change log in first-change order, and 1 per tenant while it is in
+  // the log.
+  std::vector<int> changed_;
   std::vector<uint8_t> logged_;
-  // MergedThreshold's last result and each shard's event count when it
-  // was computed (empty before the first call).
-  mutable Threshold merged_;
-  mutable std::vector<uint64_t> merged_events_;
 };
 
 /// The ONE derivation of a tenant's index key from its runtime state; the

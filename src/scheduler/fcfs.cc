@@ -1,7 +1,5 @@
 #include "scheduler/fcfs.h"
 
-#include <algorithm>
-
 #include "scheduler/candidate_index.h"
 
 namespace easeml::scheduler {
@@ -20,12 +18,8 @@ Result<int> FcfsScheduler::PickUserIndexed(const std::vector<UserState>& users,
                                            const CandidateIndex& index) {
   (void)users;
   (void)round;
-  // min_schedulable is maintained at every tournament root; the min-merge
-  // across shards is the scan's first hit, read in O(N) with no scan.
-  int winner = CandidateIndex::kNone;
-  for (int s = 0; s < index.num_shards(); ++s) {
-    winner = std::min(winner, index.Root(s).min_schedulable);
-  }
+  // The root's min_schedulable is the scan's first hit, read in O(1).
+  const int winner = index.Root().min_schedulable;
   if (winner == CandidateIndex::kNone) {
     return Status::FailedPrecondition("FCFS: all users exhausted");
   }

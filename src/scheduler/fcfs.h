@@ -15,7 +15,7 @@ class FcfsScheduler : public SchedulerPolicy {
  public:
   Result<int> PickUser(const std::vector<UserState>& users,
                        int round) override;
-  /// O(1) per shard: the lowest schedulable id is a tournament-root field.
+  /// O(1): the lowest schedulable id is a tournament-root field.
   Result<int> PickUserIndexed(const std::vector<UserState>& users, int round,
                               const CandidateIndex& index) override;
   std::string name() const override { return "fcfs"; }

@@ -1,6 +1,5 @@
 #include "scheduler/greedy.h"
 
-#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -18,8 +17,8 @@ constexpr int kNoUser = std::numeric_limits<int>::max();
 /// "sigma~ >= average of the finite sigma~ over active users" becomes
 /// "sigma~ * finite_count >= exact sum", with no floating-point rounding on
 /// either side. Exactness is what makes the test independent of the order
-/// (and partition) in which the bounds were accumulated, so the scan's
-/// fresh sum and the index's per-shard running sums agree bit-for-bit.
+/// in which the bounds were added and removed, so the scan's fresh sum and
+/// the index's running sum agree bit-for-bit.
 /// Users without observations (sigma~ = +inf) are always candidates; NaN /
 /// -inf bounds never are (mirroring the IEEE semantics of the former
 /// `bound >= avg` comparison).
@@ -135,69 +134,54 @@ Result<int> GreedyScheduler::PickUserIndexed(const std::vector<UserState>& users
     return PickUser(users, round);
   }
   (void)round;
-  const int num_shards = index.num_shards();
 
-  // Phase A from the O(1) per-shard aggregates, merged exactly: equal to
-  // the scan's single pass (ComputeCandidateSet) bit-for-bit.
-  const CandidateIndex::Threshold threshold = index.MergedThreshold();
-  if (threshold.min_bad_policy != kNoUser) {
+  // Phase A from the root and the running threshold: equal to the scan's
+  // single pass (ComputeCandidateSet) bit-for-bit.
+  const CandidateIndex::IndexNode& root = index.Root();
+  if (root.min_bad_policy != kNoUser) {
     return Status::FailedPrecondition(
-        "Greedy: user " + std::to_string(threshold.min_bad_policy) +
+        "Greedy: user " + std::to_string(root.min_bad_policy) +
         " does not run a belief-backed policy (GP-UCB)");
   }
-  if (threshold.schedulable == 0) {
+  if (root.cnt_schedulable == 0) {
     return Status::FailedPrecondition("Greedy: all users exhausted");
   }
-  const int finite = threshold.finite_count;
+  const int finite = index.finite_count();
   const bool use_gap = rule_ == Line8Rule::kMaxUcbGap;
 
   // Phase B quick path: the global argmax key over ALL schedulable users,
-  // read off the shard roots in O(1). When it is itself a candidate it is
-  // the argmax over candidates too (same total order on a superset) — the
-  // common case, since high sigma~ and high UCB gap are correlated. For
-  // the max-empirical-bound rule this always resolves: the largest finite
+  // read off the root. When it is itself a candidate it is the argmax over
+  // candidates too (same total order on a superset) — the common case,
+  // since high sigma~ and high UCB gap are correlated. For the
+  // max-empirical-bound rule this always resolves: the largest finite
   // bound passes its own average and +inf is always a candidate. One
   // exact comparison decides it; no cut is needed.
-  CandidateIndex::Best best;
-  for (int s = 0; s < num_shards; ++s) {
-    const CandidateIndex::IndexNode& root = index.Root(s);
-    const CandidateIndex::Best shard_best{
-        use_gap ? root.max_gap : root.max_bound,
-        use_gap ? root.max_gap_id : root.max_bound_id};
-    if (shard_best.Beats(best)) best = shard_best;
-  }
+  CandidateIndex::Best best{use_gap ? root.max_gap : root.max_bound,
+                            use_gap ? root.max_gap_id : root.max_bound_id};
   if (best.user != CandidateIndex::kNone &&
       (finite == 0 || BoundIsCandidate(index.Key(best.user).bound,
-                                       threshold.bound_sum, finite))) {
+                                       index.bound_sum(), finite))) {
     return best.user;
   }
   // The descents below test one bound per visited node: compute the
   // threshold's exact cut once, so each test is a double compare.
   const CandidateIndex::Candidacy candidacy =
-      CandidateIndex::Candidacy::Of(threshold.bound_sum, finite);
+      CandidateIndex::Candidacy::Of(index.bound_sum(), finite);
   if (best.user != CandidateIndex::kNone) {
-    // Slow path: pruned tournament descent per shard, threaded so later
-    // shards prune against earlier winners (associative total order — same
-    // result as the scan's argmax fold over the candidate set).
-    best = CandidateIndex::Best{};
-    for (int s = 0; s < num_shards; ++s) {
-      best = index.BestCandidate(s, candidacy, use_gap, best);
-    }
+    // Slow path: pruned tournament descent (the same total order as the
+    // scan's argmax fold over the candidate set).
+    best = index.BestCandidate(candidacy, use_gap);
   }
   if (best.user != CandidateIndex::kNone) return best.user;
 
   // No candidate key above -inf (all NaN/-inf): the sequential loop keeps
   // its `candidates[0]` initializer — the lowest candidate id.
-  int min_candidate = kNoUser;
-  for (int s = 0; s < num_shards; ++s) {
-    min_candidate = std::min(min_candidate, index.MinCandidate(s, candidacy));
-  }
+  const int min_candidate = index.MinCandidate(candidacy);
   if (min_candidate == kNoUser) {
     return Status::Internal("Greedy: empty candidate set in index");
   }
   return min_candidate;
 }
-
 
 void GreedyScheduler::SaveDurable(std::string* out) const {
   PutString(out, rng_.SaveState());

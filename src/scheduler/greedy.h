@@ -18,8 +18,8 @@ namespace easeml::scheduler {
 /// The threshold test is evaluated EXACTLY (`ExactDoubleSum`): membership
 /// is "sigma~ · finite_count >= exact sum of finite bounds", which is
 /// independent of accumulation order — the property that lets the
-/// candidate index keep per-shard running sums under any partition and
-/// still reproduce this set bit-identically.
+/// candidate index keep one running sum, adding and removing bounds as
+/// tenants change, and still reproduce this set bit-identically.
 std::vector<int> ComputeCandidateSet(const std::vector<UserState>& users);
 
 /// How line 8 of Algorithm 2 picks one user from the candidate set. The
@@ -53,14 +53,14 @@ class GreedyScheduler : public SchedulerPolicy {
 
   Result<int> PickUser(const std::vector<UserState>& users,
                        int round) override;
-  /// Index-backed pick: phase A from the exactly-merged shard aggregates
-  /// (O(N)), phase B from the root argmax when it is a candidate (the
-  /// common case, one exact CompareScaled) or otherwise a pruned tournament
-  /// descent against the threshold's exact cut (computed only then) — no
-  /// O(T) scan, no per-candidate MaxUcb reads. The random line-8 rule
-  /// falls back to the sequential scan (candidate RANKS are not indexable
-  /// under a moving threshold); the default max-ucb-gap rule is fully
-  /// indexed.
+  /// Index-backed pick: phase A from the index root and its running exact
+  /// threshold (O(1)), phase B from the root argmax when it is a candidate
+  /// (the common case, one exact CompareScaled) or otherwise a pruned
+  /// tournament descent against the threshold's exact cut (computed only
+  /// then) — no O(T) scan, no per-candidate MaxUcb reads. The random
+  /// line-8 rule falls back to the sequential scan (candidate RANKS are
+  /// not indexable under a moving threshold); the default max-ucb-gap rule
+  /// is fully indexed.
   Result<int> PickUserIndexed(const std::vector<UserState>& users, int round,
                               const CandidateIndex& index) override;
   std::string name() const override { return "greedy"; }

@@ -63,10 +63,8 @@ void HybridScheduler::OnOutcomeIndexed(const std::vector<UserState>& users,
                                        CandidateIndex& index) {
   (void)served_user;
   if (switched_) return;
-  const CandidateIndex::Threshold threshold = index.MergedThreshold();
   const CandidateIndex::Candidacy candidacy =
-      CandidateIndex::Candidacy::Of(threshold.bound_sum,
-                                    threshold.finite_count);
+      CandidateIndex::Candidacy::Of(index.bound_sum(), index.finite_count());
   index.TakeChanged(&changed_);
   const size_t n = users.size();
   bool set_changed = false;

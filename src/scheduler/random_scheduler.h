@@ -14,8 +14,8 @@ class RandomScheduler : public SchedulerPolicy {
 
   Result<int> PickUser(const std::vector<UserState>& users,
                        int round) override;
-  /// Index-backed pick: schedulable total off the shard roots (identical
-  /// single draw), then rank binary search for the j-th schedulable id.
+  /// Index-backed pick: schedulable total off the root (identical single
+  /// draw), then one rank descent for the j-th schedulable id.
   Result<int> PickUserIndexed(const std::vector<UserState>& users, int round,
                               const CandidateIndex& index) override;
   std::string name() const override { return "random"; }

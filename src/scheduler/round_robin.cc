@@ -1,7 +1,6 @@
 #include "scheduler/round_robin.h"
 
-#include <algorithm>
-#include <utility>
+#include <cstdint>
 
 #include "common/binary_io.h"
 #include "scheduler/candidate_index.h"
@@ -29,34 +28,31 @@ Result<int> RoundRobinScheduler::PickUserIndexed(
   (void)round;
   const int n = static_cast<int>(users.size());
   if (n == 0) return Status::InvalidArgument("RoundRobin: no users");
-  // The cursor is a QUERY parameter, not leaf state: per shard, the
-  // cyclically-closest schedulable user is the lowest schedulable id at or
-  // after the cursor (an O(log T) suffix descent) — whose distance always
-  // beats any wrapped-around id — else the shard's overall minimum (root
-  // read). Distances are distinct across users, so the min-merge has the
-  // scan's unique winner; the cursor advance is identical.
-  constexpr int kNone = CandidateIndex::kNone;
-  std::pair<int, int> winner{kNone, kNone};  // (cyclic distance, user)
-  for (int s = 0; s < index.num_shards(); ++s) {
-    int pick = index.MinSchedulableAtLeast(s, cursor_);
-    if (pick == kNone) pick = index.Root(s).min_schedulable;
-    if (pick == kNone) continue;
-    winner = std::min(winner, {(pick - cursor_ + n) % n, pick});
-  }
-  if (winner.second == kNone) {
+  // The cursor is a QUERY parameter, not leaf state: the cyclically
+  // closest schedulable user is the lowest schedulable id at or after the
+  // cursor (an O(log T) suffix descent), else the overall minimum (a root
+  // read) once the scan wraps around. The cursor advance is identical.
+  int pick = index.MinSchedulableAtLeast(cursor_);
+  if (pick == CandidateIndex::kNone) pick = index.Root().min_schedulable;
+  if (pick == CandidateIndex::kNone) {
     return Status::FailedPrecondition("RoundRobin: all users exhausted");
   }
-  cursor_ = (winner.second + 1) % n;  // same cursor advance as PickUser
-  return winner.second;
+  cursor_ = (pick + 1) % n;  // same cursor advance as PickUser
+  return pick;
 }
-
 
 void RoundRobinScheduler::SaveDurable(std::string* out) const {
   PutI32(out, cursor_);
 }
 
 Status RoundRobinScheduler::LoadDurable(std::string_view* in) {
-  return GetI32(in, &cursor_);
+  int32_t cursor = 0;
+  EASEML_RETURN_NOT_OK(GetI32(in, &cursor));
+  // Every cursor the scheduler writes is a tenant position, never
+  // negative; a negative one would index before the first tenant.
+  if (cursor < 0) return Status::DataLoss("round-robin: negative cursor");
+  cursor_ = cursor;
+  return Status::OK();
 }
 
 }  // namespace easeml::scheduler

@@ -30,15 +30,15 @@ class SchedulerPolicy {
                                int round) = 0;
 
   /// Index-backed twin of `PickUser`: answers the pick from the selector's
-  /// incremental candidate index (per-shard tournament roots + pruned
-  /// descents, see scheduler/candidate_index.h) in O(log T) instead of
-  /// rescanning all T users — and must pick the SAME user `PickUser` would,
+  /// incremental candidate index (one tournament root + pruned descents,
+  /// see scheduler/candidate_index.h) in O(log T) instead of rescanning
+  /// all T users — and must pick the SAME user `PickUser` would,
   /// bit-identically, with identical consumption of any policy state
   /// (cursors, RNG streams). The caller guarantees the index is fresh
   /// (every tenant event was `Refresh`ed). The default falls back to the
-  /// sequential scan — correct for any policy, just not indexed; policies
-  /// whose pick cannot beat the scan (RANDOM's candidate-rank draw under a
-  /// threshold-dependent candidate set) deliberately keep it.
+  /// sequential scan — correct for any policy, just not indexed; a pick
+  /// the index cannot answer (GREEDY's random line-8 rule, a candidate-rank
+  /// draw under a threshold-dependent candidate set) calls the scan too.
   virtual Result<int> PickUserIndexed(const std::vector<UserState>& users,
                                       int round, const CandidateIndex& index) {
     (void)index;

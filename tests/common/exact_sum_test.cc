@@ -1,8 +1,9 @@
-/// Exactness and order-invariance of ExactDoubleSum. It carries the sharded
-/// selector's bit-identical-replay guarantee: candidate-set thresholds are
-/// evaluated without rounding, and merging per-shard accumulators in ANY
-/// partition must reproduce the sequential accumulation exactly. The MeanCut tests
-/// hold the one-compare threshold test to CompareScaled, its oracle.
+/// Exactness and order-invariance of ExactDoubleSum. It carries the
+/// candidate index's bit-identical-replay guarantee: candidate-set
+/// thresholds are evaluated without rounding, and a running sum that
+/// values enter and leave in ANY order must reproduce the sequential
+/// accumulation exactly. The MeanCut tests hold the one-compare threshold
+/// test to CompareScaled, its oracle.
 #include "common/exact_sum.h"
 
 #include <gtest/gtest.h>
@@ -95,24 +96,32 @@ TEST(ExactDoubleSumTest, OrderAndPartitionInvariance) {
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<double> shuffled = values;
     rng.Shuffle(shuffled);
-    // Random partition into up to 7 "shards", each accumulated locally,
-    // then merged in shard order (the sums are exact, so any merge order
-    // gives the same result).
-    const int shards = rng.UniformInt(1, 7);
-    std::vector<ExactDoubleSum> parts(shards);
-    for (double v : shuffled) parts[rng.UniformInt(0, shards - 1)].Add(v);
-    ExactDoubleSum merged;
-    for (const ExactDoubleSum& part : parts) merged.Merge(part);
+    // The same values in another order, with transient values added in
+    // between and removed at the end — how the candidate index's running
+    // sum sees bounds enter and leave. The sums are exact, so neither the
+    // order nor the transients can show.
+    ExactDoubleSum running;
+    std::vector<double> transient;
+    for (double v : shuffled) {
+      running.Add(v);
+      if (rng.UniformInt(0, 3) == 0) {
+        transient.push_back(
+            std::ldexp(rng.Uniform(-1.0, 1.0), rng.UniformInt(-60, 60)));
+        running.Add(transient.back());
+      }
+    }
+    for (double t : transient) running.AddProduct(t, -1);
     // Exact equality of the abstract sums: differences of the two
     // accumulators must vanish for every probe comparison.
     for (double probe : {values[0], values[7], 0.0, 1e-30, -3.25}) {
       for (int64_t n : {int64_t{1}, int64_t{3}, int64_t{200}}) {
-        EXPECT_EQ(merged.CompareScaled(probe, n),
+        EXPECT_EQ(running.CompareScaled(probe, n),
                   sequential.CompareScaled(probe, n));
       }
     }
-    EXPECT_EQ(merged.Value(), sequential.Value());  // bit-identical
-    EXPECT_EQ(merged.Sign(), sequential.Sign());
+    EXPECT_EQ(running.Compare(sequential), 0);
+    EXPECT_EQ(running.Value(), sequential.Value());  // bit-identical
+    EXPECT_EQ(running.Sign(), sequential.Sign());
   }
 }
 

@@ -56,6 +56,9 @@ TEST(SelectorTest, AddTenantValidation) {
               StatusCode::kInvalidArgument)
         << "cost " << cost;
   }
+  // +inf noise passes a positivity test; it never reaches the prior cache.
+  EXPECT_EQ(s.AddTenantWithDefaultPrior(2, {1.0, 1.0}, HUGE_VAL).status().code(),
+            StatusCode::kInvalidArgument);
   auto id = s.AddTenantWithDefaultPrior(2, {1.0, 1.0});
   ASSERT_TRUE(id.ok());
   EXPECT_EQ(*id, 0);

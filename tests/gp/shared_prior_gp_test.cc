@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -68,6 +69,31 @@ TEST(SharedGpPriorTest, MakeValidates) {
   auto asym = *linalg::Matrix::FromRowMajor(2, 2, {1.0, 0.5, -0.5, 1.0});
   EXPECT_FALSE(MakeSharedGpPrior(asym, 0.1).ok());
   EXPECT_FALSE(MakeSharedGpPrior(linalg::Matrix(2, 2), 0.1).ok());  // 0 diag
+  // Non-finite priors: every Gram entry, the noise and the mean must be
+  // finite. A NaN passes the symmetry tolerance and the diagonal test, and
+  // +inf passes the positivity tests.
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const double bad : {kNaN, kInf, -kInf}) {
+    SCOPED_TRACE(bad);
+    if (bad != -kInf) {  // a -inf diagonal fails the positivity test
+      auto diag = linalg::Matrix::Identity(2);
+      diag(1, 1) = bad;
+      EXPECT_EQ(MakeSharedGpPrior(diag, 0.1).status().code(),
+                StatusCode::kInvalidArgument);
+    }
+    auto off = linalg::Matrix::Identity(2);
+    off(0, 1) = off(1, 0) = bad;
+    EXPECT_EQ(MakeSharedGpPrior(off, 0.1).status().code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(MakeSharedGpPrior(linalg::Matrix::Identity(3), 0.1,
+                                {0.0, bad, 0.0})
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument);
+  }
+  EXPECT_EQ(MakeSharedGpPrior(linalg::Matrix::Identity(2), kInf).status().code(),
+            StatusCode::kInvalidArgument);
   EXPECT_TRUE(MakeSharedGpPrior(linalg::Matrix::Identity(2), 0.1).ok());
   EXPECT_FALSE(SharedPriorGp::Create(nullptr).ok());
 }

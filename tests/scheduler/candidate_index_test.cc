@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
@@ -60,12 +61,10 @@ std::vector<UserState> MakePopulation(int n, int k, uint64_t seed) {
   return users;
 }
 
-/// Places every user on shard `id % num_shards` in id order — the sharded
-/// engine's placement rule, through the engines' only placement path.
+/// Places every user in id order, through the engines' only placement
+/// path.
 void PlaceAll(CandidateIndex& index, const std::vector<UserState>& users) {
-  for (const UserState& u : users) {
-    index.AppendTenant(u.user_id() % index.num_shards(), u);
-  }
+  for (const UserState& u : users) index.AppendTenant(u);
 }
 
 /// Algorithm 2 line 7 evaluated from first principles — the exact scaled
@@ -111,17 +110,16 @@ int BruteMinCandidate(const CandidateIndex& index, int n,
 TEST(CandidateIndexTest, DescentsMatchBruteForceUnderForcedThresholds) {
   constexpr int kUsers = 41;
   constexpr int kModels = 4;
-  for (int shards : {1, 3, 4}) {
-    auto users = MakePopulation(kUsers, kModels, 1234 + shards);
-    CandidateIndex index(shards);
+  for (uint64_t seed : {1235, 1237, 1238}) {
+    auto users = MakePopulation(kUsers, kModels, seed);
+    CandidateIndex index;
     PlaceAll(index, users);
     ASSERT_TRUE(index.Validate(users).ok());
 
-    // Real aggregates, merged over the shards, checked against a fresh
-    // pass over the keys...
-    const CandidateIndex::Threshold merged = index.MergedThreshold();
-    const ExactDoubleSum& real_sum = merged.bound_sum;
-    const int real_finite = merged.finite_count;
+    // The real threshold, read off the root and the running sum, checked
+    // against a fresh pass over the keys...
+    const ExactDoubleSum& real_sum = index.bound_sum();
+    const int real_finite = index.finite_count();
     ExactDoubleSum fresh_sum;
     int fresh_finite = 0;
     int schedulable = 0;
@@ -134,8 +132,8 @@ TEST(CandidateIndexTest, DescentsMatchBruteForceUnderForcedThresholds) {
         ++fresh_finite;
       }
     }
-    EXPECT_EQ(merged.schedulable, schedulable);
-    EXPECT_EQ(merged.min_bad_policy, kNone);
+    EXPECT_EQ(index.Root().cnt_schedulable, schedulable);
+    EXPECT_EQ(index.Root().min_bad_policy, kNone);
     EXPECT_EQ(real_finite, fresh_finite);
     EXPECT_EQ(real_sum.Compare(fresh_sum), 0);
     // ...plus artificial ones that push the threshold through the whole
@@ -171,44 +169,41 @@ TEST(CandidateIndexTest, DescentsMatchBruteForceUnderForcedThresholds) {
       const CandidateIndex::Candidacy candidacy =
           CandidateIndex::Candidacy::Of(sum, finite);
       for (bool use_gap : {true, false}) {
-        CandidateIndex::Best got;
-        for (int s = 0; s < shards; ++s) {
-          got = index.BestCandidate(s, candidacy, use_gap, got);
-        }
+        const CandidateIndex::Best got =
+            index.BestCandidate(candidacy, use_gap);
         const CandidateIndex::Best expected =
             BruteBest(index, kUsers, sum, finite, use_gap);
         EXPECT_EQ(got.user, expected.user)
-            << "shards=" << shards << " finite=" << finite
+            << "seed=" << seed << " finite=" << finite
             << " use_gap=" << use_gap;
         if (expected.user != kNone) {
           EXPECT_EQ(got.key, expected.key);
         }
       }
-      int got_min = kNone;
-      for (int s = 0; s < shards; ++s) {
-        got_min = std::min(got_min, index.MinCandidate(s, candidacy));
-      }
-      EXPECT_EQ(got_min, BruteMinCandidate(index, kUsers, sum, finite))
-          << "shards=" << shards << " finite=" << finite;
+      EXPECT_EQ(index.MinCandidate(candidacy),
+                BruteMinCandidate(index, kUsers, sum, finite))
+          << "seed=" << seed << " finite=" << finite;
     }
 
-    // Rank and suffix queries against brute force, at every boundary.
+    // Suffix queries against brute force, at every boundary.
+    std::vector<int> ascending;  // schedulable ids, brute force
+    for (int i = 0; i < kUsers; ++i) {
+      if (index.Key(i).schedulable) ascending.push_back(i);
+    }
     for (int floor_id = 0; floor_id <= kUsers; ++floor_id) {
-      int got = kNone;
-      int expected = kNone;
-      int got_count = 0;
-      int expected_count = 0;
-      for (int s = 0; s < shards; ++s) {
-        got = std::min(got, index.MinSchedulableAtLeast(s, floor_id));
-        got_count += index.CountSchedulableLeq(s, floor_id);
-      }
-      for (int i = 0; i < kUsers; ++i) {
-        if (!index.Key(i).schedulable) continue;
-        if (i >= floor_id && expected == kNone) expected = i;
-        if (i <= floor_id) ++expected_count;
-      }
-      EXPECT_EQ(got, expected) << "floor=" << floor_id;
-      EXPECT_EQ(got_count, expected_count) << "cap=" << floor_id;
+      const auto it =
+          std::lower_bound(ascending.begin(), ascending.end(), floor_id);
+      const int expected = it == ascending.end() ? kNone : *it;
+      EXPECT_EQ(index.MinSchedulableAtLeast(floor_id), expected)
+          << "floor=" << floor_id;
+    }
+    // The rank descent at every rank, one past each end included.
+    for (int rank = -1; rank <= kUsers; ++rank) {
+      const bool in_range =
+          rank >= 0 && rank < static_cast<int>(ascending.size());
+      EXPECT_EQ(index.SchedulableAtRank(rank),
+                in_range ? ascending[static_cast<size_t>(rank)] : kNone)
+          << "rank=" << rank;
     }
   }
 }
@@ -281,7 +276,7 @@ TEST(CandidateIndexTest, HybridFreezePassMatchesScanOnEveryLeafShape) {
     // calls after the first take the incremental path.
     for (bool log_changes : {false, true}) {
       const std::vector<UserState>& users = populations[p];
-      CandidateIndex index(2, /*track_gap=*/true, log_changes);
+      CandidateIndex index(/*track_gap=*/true, log_changes);
       PlaceAll(index, users);
       HybridScheduler scan(/*patience=*/2);
       HybridScheduler indexed(/*patience=*/2);
@@ -332,7 +327,7 @@ TEST(CandidateIndexTest, HybridRegretTestMatchesScanOnNearTieRises) {
     ServeOnce(riser, c.before);
     auto arm = riser.SelectArm();
     ASSERT_TRUE(arm.ok());
-    CandidateIndex index(2, /*track_gap=*/true, /*log_changes=*/true);
+    CandidateIndex index(/*track_gap=*/true, /*log_changes=*/true);
     PlaceAll(index, users);
     HybridScheduler scan(/*patience=*/1);
     HybridScheduler indexed(/*patience=*/1);
@@ -357,9 +352,9 @@ TEST(CandidateIndexTest, HybridRegretTestMatchesScanOnNearTieRises) {
 TEST(CandidateIndexTest, HybridFreezeDetectorRestartsFromLoadedState) {
   const auto first = MakePopulation(23, 4, 3);
   const auto second = MakePopulation(23, 4, 17);
-  CandidateIndex first_index(2, /*track_gap=*/true, /*log_changes=*/true);
+  CandidateIndex first_index(/*track_gap=*/true, /*log_changes=*/true);
   PlaceAll(first_index, first);
-  CandidateIndex second_index(2, /*track_gap=*/true, /*log_changes=*/true);
+  CandidateIndex second_index(/*track_gap=*/true, /*log_changes=*/true);
   PlaceAll(second_index, second);
   HybridScheduler scan(/*patience=*/2);
   HybridScheduler indexed(/*patience=*/2);
@@ -424,11 +419,12 @@ UserState MakeFixedBoundUser(int id, int k, double ucb) {
 /// is left and every schedulable tenant is a candidate, including the two
 /// whose sigma~ is NaN and -inf although neither key changed; when its
 /// outcome lands they drop out again. The durable bytes must match the
-/// scan after every event, on one shard and on two.
+/// scan after every event, with the change log (the incremental path) and
+/// without it (the O(T) rebuild on every call).
 TEST(CandidateIndexTest, HybridFreezeDetectorFollowsAllCandidatesMode) {
   constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  for (int shards : {1, 2}) {
+  for (bool log_changes : {false, true}) {
     std::vector<UserState> users;
     users.push_back(MakeFixedBoundUser(0, 3, kNaN));
     ServeOnce(users.back(), 0.5);
@@ -444,17 +440,17 @@ TEST(CandidateIndexTest, HybridFreezeDetectorFollowsAllCandidatesMode) {
     ASSERT_EQ(users[1].empirical_bound(), -kInf);
     ASSERT_TRUE(std::isfinite(users[3].empirical_bound()));
 
-    CandidateIndex index(shards, /*track_gap=*/true, /*log_changes=*/true);
+    CandidateIndex index(/*track_gap=*/true, log_changes);
     PlaceAll(index, users);
     HybridScheduler scan(/*patience=*/100);
     HybridScheduler indexed(/*patience=*/100);
-    const std::string label = "shards=" + std::to_string(shards) + ", ";
+    const std::string label = "log=" + std::to_string(log_changes) + ", ";
     ExpectSameFreezeState(scan, indexed, users, index, label + "start");
 
     auto arm = users[3].SelectArm();
     ASSERT_TRUE(arm.ok());
     index.Refresh(users[3]);
-    ASSERT_EQ(index.MergedThreshold().finite_count, 0);
+    ASSERT_EQ(index.finite_count(), 0);
     ExpectSameFreezeState(scan, indexed, users, index,
                           label + "all-candidates mode");
     ExpectSameFreezeState(scan, indexed, users, index,
@@ -472,26 +468,26 @@ TEST(CandidateIndexTest, HybridFreezeDetectorFollowsAllCandidatesMode) {
   }
 }
 
-/// MergedThreshold keeps its last result until the next tenant event, so
-/// every kind of event must invalidate it: after each append (of served
-/// tenants, whose finite bounds enter the sum) and each refresh, the kept
-/// result must equal the threshold of a fresh index over the same users.
-TEST(CandidateIndexTest, MergedThresholdFollowsEveryEvent) {
+/// The threshold a pick reads (the root's counts and lowest ids, the
+/// running bound sum and its count) must follow every kind of event: after
+/// each append (of served tenants, whose finite bounds enter the sum) and
+/// each refresh it must equal that of a fresh index over the same users.
+TEST(CandidateIndexTest, RunningThresholdFollowsEveryEvent) {
   auto users = MakePopulation(13, 3, 41);
-  CandidateIndex index(3);
+  CandidateIndex index;
   size_t placed = 0;
   const auto expect_fresh = [&](const std::string& label) {
-    CandidateIndex fresh(3);
-    for (size_t i = 0; i < placed; ++i) fresh.AppendTenant(i % 3, users[i]);
-    const CandidateIndex::Threshold want = fresh.MergedThreshold();
-    const CandidateIndex::Threshold got = index.MergedThreshold();
-    EXPECT_EQ(got.schedulable, want.schedulable) << label;
-    EXPECT_EQ(got.min_bad_policy, want.min_bad_policy) << label;
-    EXPECT_EQ(got.finite_count, want.finite_count) << label;
-    EXPECT_EQ(got.bound_sum.Compare(want.bound_sum), 0) << label;
+    CandidateIndex fresh;
+    for (size_t i = 0; i < placed; ++i) fresh.AppendTenant(users[i]);
+    EXPECT_EQ(index.Root().cnt_schedulable, fresh.Root().cnt_schedulable)
+        << label;
+    EXPECT_EQ(index.Root().min_bad_policy, fresh.Root().min_bad_policy)
+        << label;
+    EXPECT_EQ(index.finite_count(), fresh.finite_count()) << label;
+    EXPECT_EQ(index.bound_sum().Compare(fresh.bound_sum()), 0) << label;
   };
   for (const UserState& u : users) {
-    index.AppendTenant(u.user_id() % 3, u);
+    index.AppendTenant(u);
     ++placed;
     expect_fresh("after appending " + std::to_string(u.user_id()));
   }
@@ -503,11 +499,21 @@ TEST(CandidateIndexTest, MergedThresholdFollowsEveryEvent) {
   }
 }
 
+/// Leaf slot = tenant id: an append that is not the next slot is a broken
+/// engine, and the index refuses it rather than misplace the tenant.
+TEST(CandidateIndexTest, AppendTenantRefusesAnIdThatIsNotTheNextSlot) {
+  const auto users = MakePopulation(3, 2, 5);
+  CandidateIndex index;
+  index.AppendTenant(users[0]);
+  EXPECT_DEATH(index.AppendTenant(users[2]), "appended at leaf slot 1");
+  EXPECT_DEATH(index.AppendTenant(users[0]), "appended at leaf slot 1");
+}
+
 TEST(CandidateIndexTest, RefreshTracksEveryTenantEvent) {
   constexpr int kUsers = 17;
   constexpr int kModels = 3;
   auto users = MakePopulation(kUsers, kModels, 99);
-  CandidateIndex index(2);
+  CandidateIndex index;
   PlaceAll(index, users);
   Rng rng(5);
   for (int step = 0; step < 300; ++step) {
@@ -546,7 +552,7 @@ TEST(CandidateIndexTest, RefreshTracksEveryTenantEvent) {
 TEST(CandidateIndexTest, ValidateCatchesStaleLeaf) {
   constexpr int kUsers = 6;
   auto users = MakePopulation(kUsers, 3, 7);
-  CandidateIndex index(2);
+  CandidateIndex index;
   PlaceAll(index, users);
   ASSERT_TRUE(index.Validate(users).ok());
   // Mutate a tenant WITHOUT refreshing: the invalidation-contract breach
@@ -577,11 +583,11 @@ TEST(CandidateIndexTest, BadPolicyTenantsSurfaceInRoots) {
       std::vector<double>(3, 1.0));
   ASSERT_TRUE(state.ok());
   users.push_back(std::move(state).value());
-  CandidateIndex index(1);
+  CandidateIndex index;
   PlaceAll(index, users);
-  EXPECT_EQ(index.Root(0).min_bad_policy, 1);
-  EXPECT_EQ(index.Root(0).min_uninitialized, 0);
-  EXPECT_EQ(index.Root(0).cnt_schedulable, 2);
+  EXPECT_EQ(index.Root().min_bad_policy, 1);
+  EXPECT_EQ(index.Root().min_uninitialized, 0);
+  EXPECT_EQ(index.Root().cnt_schedulable, 2);
 }
 
 }  // namespace

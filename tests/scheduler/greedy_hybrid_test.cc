@@ -241,10 +241,12 @@ TEST(Line8RuleTest, HybridAcceptsRuleAndSeed) {
 }
 
 /// HYBRID's durable blob with a chosen frozen-step count and candidate
-/// snapshot, followed by the nested GREEDY/ROUNDROBIN state of a fresh
-/// policy: what a checkpoint holds, with only the freeze fields crafted.
+/// snapshot, followed by the nested GREEDY state of a fresh policy and a
+/// ROUNDROBIN state with a chosen cursor: what a checkpoint holds, with
+/// only those fields crafted.
 std::string CraftedHybridState(int32_t frozen_steps,
-                               const std::vector<int>& candidates) {
+                               const std::vector<int>& candidates,
+                               int32_t cursor = 0) {
   std::string out;
   PutU8(&out, 0);  // not switched
   PutI32(&out, frozen_steps);
@@ -252,14 +254,15 @@ std::string CraftedHybridState(int32_t frozen_steps,
   PutI32Vec(&out, candidates);
   PutDouble(&out, 1.5);
   GreedyScheduler().SaveDurable(&out);
-  RoundRobinScheduler().SaveDurable(&out);
+  PutI32(&out, cursor);  // RoundRobinScheduler's whole durable state
   return out;
 }
 
 /// State corrupt enough to pass a checkpoint's CRC must fail the load
-/// loudly (DataLoss) instead of steering the freeze detector: the detector
-/// never writes a negative frozen-step count, a negative tenant id, or a
-/// candidate list that is not strictly ascending.
+/// loudly (DataLoss) instead of steering the freeze detector or the
+/// round-robin phase after the switch: the policy never writes a negative
+/// frozen-step count, a negative tenant id, a candidate list that is not
+/// strictly ascending, or a negative round-robin cursor.
 TEST(HybridTest, LoadDurableRejectsCorruptFreezeState) {
   {
     const std::string good = CraftedHybridState(2, {0, 3, 7});
@@ -275,14 +278,17 @@ TEST(HybridTest, LoadDurableRejectsCorruptFreezeState) {
     const char* what;
     int32_t frozen_steps;
     std::vector<int> candidates;
+    int32_t cursor;
   } kCorrupt[] = {
-      {"negative frozen-step count", -1, {0, 3}},
-      {"negative tenant id", 0, {-2, 3}},
-      {"descending ids", 0, {3, 1}},
-      {"duplicate id", 0, {2, 2, 5}},
+      {"negative frozen-step count", -1, {0, 3}, 0},
+      {"negative tenant id", 0, {-2, 3}, 0},
+      {"descending ids", 0, {3, 1}, 0},
+      {"duplicate id", 0, {2, 2, 5}, 0},
+      {"negative round-robin cursor", 0, {0, 3}, -1},
   };
   for (const auto& c : kCorrupt) {
-    const std::string bytes = CraftedHybridState(c.frozen_steps, c.candidates);
+    const std::string bytes =
+        CraftedHybridState(c.frozen_steps, c.candidates, c.cursor);
     std::string_view in = bytes;
     HybridScheduler hybrid;
     const Status loaded = hybrid.LoadDurable(&in);

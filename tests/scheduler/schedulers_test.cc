@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "bandit/gp_ucb.h"
+#include "common/binary_io.h"
 #include "linalg/matrix.h"
 #include "scheduler/fcfs.h"
 #include "scheduler/random_scheduler.h"
@@ -70,6 +73,27 @@ TEST(RoundRobinTest, FailsWhenAllExhausted) {
   Exhaust(users[1]);
   RoundRobinScheduler rr;
   EXPECT_FALSE(rr.PickUser(users, 1).ok());
+}
+
+/// A checkpoint's cursor is a tenant position; a negative one (corrupt
+/// state that passed the CRC) would make the scan pick read before the
+/// first tenant, so the load refuses it. A saved cursor round-trips.
+TEST(RoundRobinTest, LoadDurableRejectsNegativeCursor) {
+  auto users = MakeUsers(3, 4);
+  RoundRobinScheduler saved;
+  ASSERT_TRUE(saved.PickUser(users, 1).ok());
+  std::string good;
+  saved.SaveDurable(&good);
+  std::string_view in = good;
+  RoundRobinScheduler loaded;
+  ASSERT_TRUE(loaded.LoadDurable(&in).ok());
+  EXPECT_TRUE(in.empty());
+  EXPECT_EQ(*loaded.PickUser(users, 2), 1);
+
+  std::string corrupt;
+  PutI32(&corrupt, -1);
+  in = corrupt;
+  EXPECT_EQ(loaded.LoadDurable(&in).code(), StatusCode::kDataLoss);
 }
 
 TEST(RandomSchedulerTest, PicksOnlyActiveUsers) {

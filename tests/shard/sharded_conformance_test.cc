@@ -1,11 +1,13 @@
 /// Conformance suite for the selector engine's shards: for every scheduler
-/// policy, shard count N in {1, 2, 4, 7} and candidate-index mode (scan vs
-/// index-backed picks), a full campaign driven through `MakeSelector` must
-/// replay the UNSHARDED, scan-backed engine bit-identically — same (tenant,
-/// model, ticket) trace from `Next()`, same refusal statuses, same final
-/// per-tenant state — including under multi-device operation and tenant
-/// churn (RemoveTenant/AddTenant mid-campaign). A pinned golden trace
-/// guards the whole stack against silent drift.
+/// policy, shard count N in {1, 2, 4, 7}, candidate-index mode (scan vs
+/// index-backed picks) and observer mode (none, or a `FleetObserver` with N
+/// snapshot slots — the one thing N reaches), a full campaign driven
+/// through `MakeSelector` must replay the UNSHARDED, unobserved,
+/// scan-backed engine bit-identically — same (tenant, model, ticket) trace
+/// from `Next()`, same refusal statuses, same final per-tenant state —
+/// including under multi-device operation and tenant churn
+/// (RemoveTenant/AddTenant mid-campaign). A pinned golden trace guards the
+/// whole stack against silent drift.
 #include "shard/sharded_selector.h"
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 
 #include "common/rng.h"
 #include "core/multi_tenant_selector.h"
+#include "obs/fleet_observer.h"
 #include "scheduler/hybrid.h"
 
 namespace easeml::shard {
@@ -157,6 +160,31 @@ SelectorOptions MakeOptions(SchedulerKind kind, int devices, int shards,
   return options;
 }
 
+/// The engine under test: `MakeSelector(options)`, with a `FleetObserver`
+/// of `options.num_shards` slots attached when `observed` (the selector is
+/// destroyed before its observer).
+obs::ObservedSelector MakeEngine(const SelectorOptions& options,
+                                 bool observed) {
+  if (observed) {
+    auto made = obs::MakeObservedSelector(options, obs::FleetObserverOptions());
+    EXPECT_TRUE(made.ok()) << made.status().ToString();
+    return made.ok() ? std::move(made).value() : obs::ObservedSelector{};
+  }
+  auto made = MakeSelector(options);
+  EXPECT_TRUE(made.ok()) << made.status().ToString();
+  obs::ObservedSelector out;
+  if (made.ok()) out.selector = std::move(made).value();
+  return out;
+}
+
+std::string EngineLabel(SchedulerKind kind, const char* campaign,
+                        int devices, int shards, bool use_index,
+                        bool observed) {
+  return core::SchedulerKindName(kind) + campaign + "/D=" +
+         std::to_string(devices) + "/N=" + std::to_string(shards) +
+         (use_index ? "/index" : "/scan") + (observed ? "/observed" : "");
+}
+
 void ExpectSameTrace(const std::vector<Event>& expected,
                      const std::vector<Event>& actual,
                      const std::string& label) {
@@ -185,17 +213,17 @@ TEST_P(ShardedConformanceTest, ReplaysUnshardedBitIdentically) {
 
   for (int shards : {1, 2, 4, 7}) {
     for (bool use_index : {false, true}) {
-      auto engine =
-          MakeSelector(MakeOptions(kind, devices, shards, use_index));
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      const std::vector<Event> trace =
-          Drive(engine->get(), kTenants, kModels, /*churn=*/false);
-      ExpectSameTrace(reference, trace,
-                      core::SchedulerKindName(kind) + "/D=" +
-                          std::to_string(devices) + "/N=" +
-                          std::to_string(shards) +
-                          (use_index ? "/index" : "/scan"));
-      EXPECT_TRUE((*engine)->ValidateIndex().ok());
+      for (bool observed : {false, true}) {
+        const obs::ObservedSelector engine =
+            MakeEngine(MakeOptions(kind, devices, shards, use_index), observed);
+        ASSERT_NE(engine.selector, nullptr);
+        const std::vector<Event> trace =
+            Drive(engine.selector.get(), kTenants, kModels, /*churn=*/false);
+        ExpectSameTrace(reference, trace,
+                        EngineLabel(kind, "", devices, shards, use_index,
+                                    observed));
+        EXPECT_TRUE(engine.selector->ValidateIndex().ok());
+      }
     }
   }
 }
@@ -214,21 +242,23 @@ TEST_P(ShardedConformanceTest, ReplaysUnshardedUnderTenantChurn) {
 
   for (int shards : {1, 2, 4, 7}) {
     for (bool use_index : {false, true}) {
-      if (shards == 1 && !use_index) continue;  // that IS the reference
-      auto engine =
-          MakeSelector(MakeOptions(kind, devices, shards, use_index));
-      ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-      const std::vector<Event> trace =
-          Drive(engine->get(), kTenants, kModels, /*churn=*/true);
-      ExpectSameTrace(reference, trace,
-                      core::SchedulerKindName(kind) + "/churn/D=" +
-                          std::to_string(devices) + "/N=" +
-                          std::to_string(shards) +
-                          (use_index ? "/index" : "/scan"));
-      // Churn is where placement and leaves could desynchronize: the
-      // rebuilt index must replay every aggregate from scratch cleanly.
-      const Status valid = (*engine)->ValidateIndex();
-      EXPECT_TRUE(valid.ok()) << valid.ToString();
+      for (bool observed : {false, true}) {
+        if (shards == 1 && !use_index && !observed) {
+          continue;  // that IS the reference
+        }
+        const obs::ObservedSelector engine =
+            MakeEngine(MakeOptions(kind, devices, shards, use_index), observed);
+        ASSERT_NE(engine.selector, nullptr);
+        const std::vector<Event> trace =
+            Drive(engine.selector.get(), kTenants, kModels, /*churn=*/true);
+        ExpectSameTrace(reference, trace,
+                        EngineLabel(kind, "/churn", devices, shards, use_index,
+                                    observed));
+        // Churn is where placement and leaves could desynchronize: the
+        // index must replay every aggregate from scratch cleanly.
+        const Status valid = engine.selector->ValidateIndex();
+        EXPECT_TRUE(valid.ok()) << valid.ToString();
+      }
     }
   }
 }
@@ -249,8 +279,8 @@ INSTANTIATE_TEST_SUITE_P(
     ParamName);
 
 /// HYBRID's freeze detector on the index (`OnOutcomeIndexed`: one exact
-/// mean cut from the merged shard aggregates, then the tenants the index
-/// logged as changed) against its scan reference (`OnOutcome`:
+/// mean cut of the running bound sum, then the tenants the index logged
+/// as changed) against its scan reference (`OnOutcome`:
 /// ComputeCandidateSet). The pick trace
 /// would expose a difference only once it changed a later pick; this
 /// compares the detector state itself: after every successful Report the
@@ -464,8 +494,8 @@ TEST(MakeSelectorTest, SelectsEngineByShardCount) {
 }
 
 /// Golden trace: the full HYBRID campaign (T=6, K=3, D=2) on the 4-shard
-/// engine, pinned event by event. Guards the whole stack — placement, the
-/// sharded index, exact candidate threshold, argmax tie-breaks, ticket
+/// engine, pinned event by event. Guards the whole stack — the candidate
+/// index, exact candidate threshold, argmax tie-breaks, ticket
 /// accounting — against silent drift; by the conformance tests above the
 /// same trace is what the sequential engine and every other shard count
 /// produce.
