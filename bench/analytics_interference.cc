@@ -2,8 +2,9 @@
 /// through the snapshot plane perturb the Next()/Report() hot path?
 ///
 /// The point of src/obs is that an analytics reader never touches the
-/// selector lock: shard workers publish immutable copy-on-write summary
-/// blocks at fold boundaries, and a scan walks the last published blocks.
+/// selector lock: the engine's observer hooks publish immutable
+/// copy-on-write summary blocks at fold boundaries, on the calling thread,
+/// and a scan walks the last published blocks.
 /// This bench quantifies both halves of that claim at T up to 1e5 tenants
 /// (GREEDY + candidate index, num_shards = 1, the serving configuration
 /// next_latency sweeps):

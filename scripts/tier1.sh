@@ -9,9 +9,9 @@
 #     asan  — ASan+UBSan   (-DEASEML_SANITIZE=address,undefined)
 #     tsan  — ThreadSanitizer (-DEASEML_SANITIZE=thread), which races the
 #             async training executor, the multi-device pipeline, and the
-#             selector engine's lock at 1 and N shards (the shard
-#             conformance suite, the concurrent Next/Report/Cancel/
-#             RemoveTenant churn batteries in tests/shard/ and the
+#             selector engine's lock at 1 and 4 shards (the engine
+#             harness in tests/engine/ — its lockstep runner and its raced
+#             Next/Report/Cancel/RemoveTenant battery — and the
 #             SnapshotStress readers in tests/obs/ run under every preset
 #             via ctest)
 #     lint  — static-analysis leg: builds tools/easeml_lint and runs it

@@ -1,52 +1,10 @@
 #include "common/logging.h"
 
-#include <atomic>
+#include <cstdlib>
+#include <iostream>
 
 namespace easeml {
-
-namespace {
-std::atomic<int> g_log_level{static_cast<int>(LogLevel::kInfo)};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-}  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_log_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
-
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : enabled_(static_cast<int>(level) >=
-               g_log_level.load(std::memory_order_relaxed)),
-      level_(level) {
-  if (enabled_) {
-    stream_ << "[" << LevelName(level) << " " << file << ":" << line << "] ";
-  }
-}
-
-LogMessage::~LogMessage() {
-  if (enabled_) {
-    stream_ << "\n";
-    std::cerr << stream_.str();
-  }
-}
 
 FatalLogMessage::FatalLogMessage(const char* file, int line,
                                  const char* condition) {

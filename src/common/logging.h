@@ -1,45 +1,14 @@
 #ifndef EASEML_COMMON_LOGGING_H_
 #define EASEML_COMMON_LOGGING_H_
 
-#include <cstdlib>
-#include <iostream>
 #include <sstream>
-#include <string>
 
 namespace easeml {
 
-/// Severity levels for the lightweight logger.
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Process-wide minimum severity; messages below it are dropped.
-/// Thread-compatible: set once at startup.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
-
 namespace internal {
 
-/// Accumulates one log line and emits it to stderr on destruction.
-class LogMessage {
- public:
-  LogMessage(LogLevel level, const char* file, int line);
-  ~LogMessage();
-
-  LogMessage(const LogMessage&) = delete;
-  LogMessage& operator=(const LogMessage&) = delete;
-
-  template <typename T>
-  LogMessage& operator<<(const T& v) {
-    if (enabled_) stream_ << v;
-    return *this;
-  }
-
- private:
-  bool enabled_;
-  LogLevel level_;
-  std::ostringstream stream_;
-};
-
-/// LogMessage that aborts the process after emitting (for EASEML_CHECK).
+/// Accumulates one fatal diagnostic, emits it to stderr and aborts the
+/// process on destruction (for EASEML_CHECK).
 class FatalLogMessage {
  public:
   FatalLogMessage(const char* file, int line, const char* condition);
@@ -56,10 +25,6 @@ class FatalLogMessage {
 };
 
 }  // namespace internal
-
-#define EASEML_LOG(level)                                            \
-  ::easeml::internal::LogMessage(::easeml::LogLevel::k##level,       \
-                                 __FILE__, __LINE__)
 
 /// Aborts with a diagnostic if `condition` is false. Used for programming
 /// errors (invariant violations), never for recoverable input errors.

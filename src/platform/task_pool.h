@@ -39,10 +39,9 @@ struct Task {
 ///
 /// Thread-safe: every public method locks the pool's own mutex (task rows
 /// are tiny and copied out, never referenced across calls). The service's
-/// coordinator is the only writer today, but the shard-parallel report
-/// pipeline (ROADMAP) will complete tasks from shard workers — the lock
-/// discipline is annotated and compile-checked now so that change cannot
-/// introduce an unguarded access.
+/// coordinator is the only writer, but `EaseMlService::TaskInfo` reads the
+/// pool without the service lock, so the pool cannot lean on that lock;
+/// the discipline is annotated and compile-checked.
 class TaskPool {
  public:
   /// Registers a user's candidate tasks; returns the new task ids.

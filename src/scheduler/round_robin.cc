@@ -31,8 +31,10 @@ Result<int> RoundRobinScheduler::PickUserIndexed(
   // The cursor is a QUERY parameter, not leaf state: the cyclically
   // closest schedulable user is the lowest schedulable id at or after the
   // cursor (an O(log T) suffix descent), else the overall minimum (a root
-  // read) once the scan wraps around. The cursor advance is identical.
-  int pick = index.MinSchedulableAtLeast(cursor_);
+  // read) once the scan wraps around. The descent starts where the scan's
+  // first probe lands, `cursor_ % n`, so a restored cursor >= n wraps the
+  // same way. The cursor advance is identical.
+  int pick = index.MinSchedulableAtLeast(cursor_ % n);
   if (pick == CandidateIndex::kNone) pick = index.Root().min_schedulable;
   if (pick == CandidateIndex::kNone) {
     return Status::FailedPrecondition("RoundRobin: all users exhausted");

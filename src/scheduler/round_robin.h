@@ -12,8 +12,8 @@ class RoundRobinScheduler : public SchedulerPolicy {
   Result<int> PickUser(const std::vector<UserState>& users,
                        int round) override;
   /// Index-backed pick: the cursor shift is applied at READ time (lowest
-  /// schedulable id >= cursor via suffix descent, else the root minimum),
-  /// so advancing the cursor never touches a leaf.
+  /// schedulable id >= cursor % n via suffix descent, else the root
+  /// minimum), so advancing the cursor never touches a leaf.
   Result<int> PickUserIndexed(const std::vector<UserState>& users, int round,
                               const CandidateIndex& index) override;
   std::string name() const override { return "round-robin"; }

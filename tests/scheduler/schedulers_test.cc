@@ -8,6 +8,7 @@
 #include "bandit/gp_ucb.h"
 #include "common/binary_io.h"
 #include "linalg/matrix.h"
+#include "scheduler/candidate_index.h"
 #include "scheduler/fcfs.h"
 #include "scheduler/random_scheduler.h"
 #include "scheduler/round_robin.h"
@@ -94,6 +95,37 @@ TEST(RoundRobinTest, LoadDurableRejectsNegativeCursor) {
   PutI32(&corrupt, -1);
   in = corrupt;
   EXPECT_EQ(loaded.LoadDurable(&in).code(), StatusCode::kDataLoss);
+}
+
+// A restored cursor at or past the tenant count wraps modulo T on both
+// pick paths: the index descent starts at cursor % T, where the scan's
+// first probe lands, and the advanced cursors match too.
+TEST(RoundRobinTest, IndexedPickWrapsARestoredCursorLikeTheScan) {
+  auto users = MakeUsers(5, 2);
+  CandidateIndex index(/*track_gap=*/false);
+  for (const UserState& u : users) index.AppendTenant(u);
+  for (int cursor : {7, 12}) {
+    SCOPED_TRACE("cursor " + std::to_string(cursor));
+    std::string blob;
+    PutI32(&blob, cursor);
+    RoundRobinScheduler scan;
+    RoundRobinScheduler indexed;
+    std::string_view in = blob;
+    ASSERT_TRUE(scan.LoadDurable(&in).ok());
+    in = blob;
+    ASSERT_TRUE(indexed.LoadDurable(&in).ok());
+    for (int round = 1; round <= 3; ++round) {
+      const Result<int> want = scan.PickUser(users, round);
+      const Result<int> got = indexed.PickUserIndexed(users, round, index);
+      ASSERT_TRUE(want.ok() && got.ok());
+      EXPECT_EQ(*got, *want) << "round " << round;
+      std::string want_state;
+      std::string got_state;
+      scan.SaveDurable(&want_state);
+      indexed.SaveDurable(&got_state);
+      EXPECT_EQ(got_state, want_state) << "round " << round;
+    }
+  }
 }
 
 TEST(RandomSchedulerTest, PicksOnlyActiveUsers) {

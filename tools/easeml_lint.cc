@@ -18,7 +18,7 @@
 //                        seams (functions named *Merge*/*Reduce*/*Combine*)
 //                        outside common/exact_sum — floating addition is not
 //                        associative, so a raw running sum depends on the
-//                        shard partition; use ExactDoubleSum.
+//                        accumulation order; use ExactDoubleSum.
 //   raw-sync             no std::mutex/condition_variable/lock_guard/...
 //                        outside common/thread_annotations.h — all locking
 //                        goes through the annotated easeml::Mutex wrapper so
@@ -542,8 +542,9 @@ void CheckFile(const std::string& path, const std::vector<Token>& tokens,
       add(tok.line, "unordered-container",
           "'" + t +
               "' in an engine result path: iteration order is "
-              "implementation-defined and breaks cross-shard trace parity; "
-              "use std::map/std::set or a sorted vector");
+              "implementation-defined and breaks trace parity between "
+              "engine configurations; use std::map/std::set or a sorted "
+              "vector");
     }
 
     // --- raw-rng ----------------------------------------------------------
@@ -594,8 +595,8 @@ void CheckFile(const std::string& path, const std::vector<Token>& tokens,
         add(tok.line, "raw-double-accum",
             "raw 'double " + t +
                 " +=' in a merge/reduce seam: floating addition is not "
-                "associative, so the result depends on the shard partition; "
-                "accumulate through ExactDoubleSum");
+                "associative, so the result depends on the accumulation "
+                "order; accumulate through ExactDoubleSum");
       }
     }
 
